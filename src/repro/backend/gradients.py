@@ -93,6 +93,16 @@ __all__ = [
 
 GradientFn = Callable[..., np.ndarray]
 
+#: The batched adjoint sweep keeps three ``(B, 2**n)`` stacks live (the
+#: state, the adjoint trail and the derivative stack) and allocates fresh
+#: ones at every gate, so on numpy it chunks rows against this fraction of
+#: the backend's ``chunk_bytes``: 256 KiB (16 rows at 10 qubits, 4 at 12,
+#: 1 from 14 up).  Picked over 16 by the budget sweep in
+#: ``benchmarks/bench_batched_adjoint.py`` (``BENCH_batched_adjoint.json``,
+#: 10 fresh-process runs per point): 2%, 19% and 17% faster panels at 10,
+#: 12 and 14 qubits, each gap wider than either side's quartile spread.
+_ADJOINT_CHUNK_DIVISOR = 32
+
 
 def _resolve_indices(
     circuit: QuantumCircuit, param_indices: Optional[Sequence[int]]
@@ -741,10 +751,29 @@ def _batch_adjoint_sweep(
     sweep — forward pass, both adjoint trails, and the gradient
     reductions — runs on-namespace; only the ``(B,)`` gradient entries
     cross back per differentiated parameter.
+
+    On numpy, wide stacks are swept in row chunks of
+    ``chunk_bytes // _ADJOINT_CHUNK_DIVISOR`` amplitude bytes, with the
+    same recursion as :meth:`StatevectorSimulator.run_batch`.  Rows are
+    independent, so chunk boundaries are invisible to the results.
+    Device backends keep the whole stack resident, to spread kernel
+    launch cost.
     """
     num_qubits = circuit.num_qubits
-    static = circuit.static_matrices()
     b = simulator.backend
+    rows = batch.shape[0]
+    chunk = max(1, b.chunk_bytes // _ADJOINT_CHUNK_DIVISOR // (16 * 2**num_qubits))
+    if b.is_numpy and rows > chunk:
+        parts = [
+            _batch_adjoint_sweep(
+                circuit, observable, batch[start : start + chunk], simulator,
+                indices, initial_state, want_values,
+            )
+            for start in range(0, rows, chunk)
+        ]
+        values = np.concatenate([v for v, _ in parts]) if want_values else None
+        return values, np.concatenate([g for _, g in parts])
+    static = circuit.static_matrices()
     device = not b.is_numpy
 
     # Forward pass: one batched execution for all rows, left resident on

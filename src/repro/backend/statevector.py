@@ -114,6 +114,15 @@ def _device_backend(
 #: Per-``(num_qubits, qubit)`` verdicts of the runtime probe below.
 _FAST_SINGLE_QUBIT_OK: "dict[Tuple[int, int], bool]" = {}
 
+#: Most ``(2, 2) @ (2, rest)`` slices per row the single-qubit fast path
+#: takes on; each slice is one small matmul dispatch, so many slices of
+#: few amplitudes lose to the transpose layout.  Registers of 10 qubits or
+#: fewer never exceed 64 slices on the fast path, so the cap leaves them
+#: as they were.  Lifting it made a 14-qubit lock-step panel 1.21x and a
+#: 12/14-qubit batched variance grid 1.07x slower
+#: (``BENCH_batched_adjoint.json``, 2-core x86-64, numpy 2.4 OpenBLAS).
+_FAST_PATH_MAX_SLICES = 64
+
 
 def _fast_single_qubit_ok(num_qubits: int, qubit: int) -> bool:
     """Whether the single-qubit stacked-matmul layout is bit-safe here.
@@ -221,12 +230,17 @@ def apply_matrix(
         # carry the same bits as the sequential kernel for the library's
         # bit-identity contract to hold; that is a property of the BLAS
         # build, so it is verified once per ``rest`` size at runtime
-        # (:func:`_fast_single_qubit_ok`) rather than assumed.  Narrow
-        # blocks (< 8) are excluded up front: their slice dispatch
-        # overhead loses to the transpose layout anyway.
+        # (:func:`_fast_single_qubit_ok`) rather than assumed.  Each
+        # slice costs a fixed dispatch, so narrow blocks (< 8) and rows
+        # of more than ``_FAST_PATH_MAX_SLICES`` slices (targets past
+        # qubit 6, only above 10 qubits) lose to the transpose layout.
         q = qubits[0]
         rest = 2 ** (num_qubits - q - 1)
-        if rest >= 8 and _fast_single_qubit_ok(num_qubits, q):
+        if (
+            rest >= 8
+            and 2**q <= _FAST_PATH_MAX_SLICES
+            and _fast_single_qubit_ok(num_qubits, q)
+        ):
             blocks = states.reshape(batch, 2**q, 2, rest)
             stacked = (
                 matrix if matrix.ndim == 2 else matrix[:, None, :, :]

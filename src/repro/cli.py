@@ -42,12 +42,14 @@ commands accept ``--output FILE`` to persist the outcome as JSON
 (reloadable via :func:`repro.io.load_result`).  ``variance``, ``train``
 and ``run`` accept ``--workers N`` to shard work over a process pool —
 seeded results are bit-identical to the single-process run.  ``train``
-additionally accepts ``--batch-trajectories`` (lock-step training of all
-``--restarts`` x methods trajectories through the batched adjoint
-engine) — again bit-identical, just faster.  ``variance``, ``train`` and
-``run`` take ``--shots N`` to switch from analytic expectations to
-finite-sample estimation (hardware-realistic measurement noise) with
-per-trajectory streams derived from ``--seed``, and ``--noise JSON``
+runs analytic, noiseless studies in-process in lock step by default:
+all ``--restarts`` x methods trajectories advance together through the
+batched adjoint engine, one batched sweep per iteration;
+``--batch-trajectories`` opts ``--shots``/``--noise`` runs in too.
+``variance``, ``train`` and ``run`` take ``--shots N`` to switch from
+analytic expectations to finite-sample estimation (hardware-realistic
+measurement noise) with per-trajectory streams derived from ``--seed``,
+and ``--noise JSON``
 (inline payload or ``@file``) to run under a Kraus noise model through
 the batched Pauli-transfer simulator — gate channels plus optional
 bit-flip readout error on sampled measurements.
@@ -228,9 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--batch-trajectories",
         action="store_true",
-        help="advance all (method, restart) trajectories in lock step "
-        "through the batched adjoint engine (same seeded results, one "
-        "batched sweep per iteration instead of one per trajectory)",
+        help="advance all (method, restart) trajectories in lock step, "
+        "in-process, through one batched sweep per iteration (same seeded "
+        "results).  Analytic, noiseless runs without --workers already do; "
+        "with --shots or --noise this opts in, stacking every shifted copy "
+        "of every trajectory at once",
     )
     train.add_argument(
         "--restarts",
@@ -242,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="persist per-method results here and resume interrupted runs",
+        help="persist results here and resume interrupted runs: per "
+        "panel in lock step, otherwise per trajectory",
     )
 
     run_cmd = sub.add_parser(
@@ -489,8 +494,26 @@ def _print_training_outcome(outcome, output: Optional[str]) -> None:
         print(f"saved to {save_result(outcome, output)}")
 
 
+def _input_error(error: ValueError) -> int:
+    """Report input rejected while building a config or spec: one line on
+    stderr and exit status 2, as argparse does for its own usage errors."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_variance(args: argparse.Namespace) -> int:
     import repro
+
+    try:
+        spec = _variance_spec(args)
+    except ValueError as error:
+        return _input_error(error)
+    outcome = repro.run(spec, verbose=True)
+    _print_variance_outcome(outcome, args.output)
+    return 0
+
+
+def _variance_spec(args: argparse.Namespace):
     from repro.core import ExperimentSpec, VarianceConfig
     from repro.initializers.registry import PAPER_METHODS
 
@@ -506,7 +529,7 @@ def _cmd_variance(args: argparse.Namespace) -> int:
         backend=args.backend or "numpy",
         noise=args.noise,
     )
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         kind="variance",
         config=config,
         seed=args.seed,
@@ -514,13 +537,21 @@ def _cmd_variance(args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
     )
-    outcome = repro.run(spec, verbose=True)
-    _print_variance_outcome(outcome, args.output)
-    return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     import repro
+
+    try:
+        spec = _training_spec(args)
+    except ValueError as error:
+        return _input_error(error)
+    outcome = repro.run(spec, verbose=True)
+    _print_training_outcome(outcome, args.output)
+    return 0
+
+
+def _training_spec(args: argparse.Namespace):
     from repro.core import ExperimentSpec, TrainingConfig
     from repro.initializers.registry import PAPER_METHODS
 
@@ -546,7 +577,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         executor = "process_pool"
     else:
         executor = None
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         kind="training",
         config=config,
         seed=args.seed,
@@ -556,9 +587,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
     )
-    outcome = repro.run(spec, verbose=True)
-    _print_training_outcome(outcome, args.output)
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -567,7 +595,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import repro
     from repro.core import ExperimentSpec
 
-    spec = ExperimentSpec.from_file(args.spec)
+    try:
+        spec = ExperimentSpec.from_file(args.spec)
+    except ValueError as error:
+        return _input_error(error)
     if spec.kind == "sweep" and args.output:
         # Fail fast: don't burn the whole sweep before reporting this.
         print(
@@ -594,7 +625,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_attempts is not None:
         overrides["retry"] = args.max_attempts
     if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+        try:
+            spec = dataclasses.replace(spec, **overrides)
+        except ValueError as error:
+            return _input_error(error)
     print(
         f"[run] kind={spec.kind} executor={spec.resolved_executor()} "
         f"workers={spec.workers}"

@@ -19,7 +19,8 @@ library's workloads:
     Like ``batched``, and additionally advertises lock-step training
     (``training_lockstep``): the spec layer folds all training
     trajectories into one batched-adjoint work unit instead of one unit
-    per trajectory, with bit-identical histories.
+    per trajectory, with bit-identical histories.  The default for
+    analytic, noiseless training specs that name no executor.
 ``device``
     Like ``lockstep``, tuned for accelerator array backends: in-process,
     batched kernels, lock-step training — the widest resident batches,
@@ -694,11 +695,14 @@ class BatchedExecutor(SerialExecutor):
 class LockstepExecutor(BatchedExecutor):
     """Batched executor that also trains all trajectories in lock step.
 
-    For ``training`` specs the spec layer hands this executor a single
-    work unit advancing every (method, restart) trajectory simultaneously
-    through the batched adjoint engine — ``B x iterations`` sequential
-    sweeps become ``iterations`` batched ones, with bit-identical
-    histories.  Variance specs behave exactly like ``batched``.
+    The default for analytic, noiseless ``training`` specs that name no
+    executor (shots, noise and shift-rule engines default to ``serial``).
+    The spec layer hands it a single work unit advancing every (method,
+    restart) trajectory simultaneously through the batched adjoint
+    engine — ``B x iterations`` sequential sweeps become ``iterations``
+    batched ones, with histories bit-identical to ``serial``.  A
+    checkpointed run therefore resumes per panel, not per trajectory.
+    Variance specs behave exactly like ``batched``.
     """
 
     name = "lockstep"

@@ -39,15 +39,15 @@ checkpoint/resume — seeded results are bit-identical to the serial run::
     )
     outcome = repro.run(spec)           # interrupted? rerun to resume
 
-Training (one Fig. 5b/5c panel) and sweeps use the same shape; the
-``lockstep`` executor advances every (method, restart) trajectory
-simultaneously through the batched adjoint engine — bit-identical
-histories, one batched sweep per iteration::
+Training (one Fig. 5b/5c panel) and sweeps use the same shape.  By
+default an analytic, noiseless training spec runs on the ``lockstep``
+executor, which advances every (method, restart) trajectory
+simultaneously through the batched adjoint engine — one batched sweep
+per iteration, histories bit-identical to the per-trajectory ``serial``
+reference::
 
     repro.run(ExperimentSpec(kind="training", seed=1, methods=("random", "zeros")))
-    repro.run(ExperimentSpec(
-        kind="training", seed=1, restarts=5, executor="lockstep",
-    ))
+    repro.run(ExperimentSpec(kind="training", seed=1, restarts=5))
     repro.run(ExperimentSpec(
         kind="sweep", sweep_field="num_layers", sweep_values=[10, 30, 60], seed=2,
     ))
@@ -55,7 +55,8 @@ histories, one batched sweep per iteration::
 Any spec runs under hardware-realistic sampling noise by adding
 ``shots=`` — losses, gradients and variance probes become finite-sample
 estimates with per-trajectory measurement streams spawned from the spec
-seed, still bit-identical across executors::
+seed, still bit-identical across executors (training with ``shots`` or
+``noise`` defaults to ``serial``; name ``lockstep`` to fold it)::
 
     repro.run(ExperimentSpec(kind="training", seed=1, shots=1024, executor="lockstep"))
 
@@ -65,9 +66,9 @@ round-trip through JSON, and the CLI runs a saved file directly::
     python -m repro run spec.json --workers 4
 
 Executors live in a registry (:mod:`repro.core.executor`): ``serial``
-(sequential reference path), ``batched`` (default), ``lockstep``
-(batched + lock-step training), ``process_pool`` (multi-process
-sharding).  ``repro info`` lists them.
+(sequential reference path), ``batched`` (variance default), ``lockstep``
+(batched + lock-step training; analytic training default),
+``process_pool`` (multi-process sharding).  ``repro info`` lists them.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from repro.core.variance import (
     plan_variance_shards,
 )
 from repro.core import variance as _variance_module
-from repro.initializers.registry import PAPER_METHODS
+from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
 from repro.utils.array_api import get_array_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
@@ -173,8 +174,11 @@ class ExperimentSpec:
         Master seed.  Ints/None serialize directly; ``SeedSequence`` (and
         generators carrying one) serialize via their entropy/spawn state.
     executor:
-        Registered executor name, or ``None`` to derive one from the
-        config (``batched``/``serial`` per ``VarianceConfig.batched``).
+        Registered executor name, or ``None`` to derive one: ``device``
+        for a non-numpy ``backend``; for training, ``lockstep`` when
+        analytic, noiseless and on an adjoint engine, else ``serial``;
+        ``batched``/``serial`` per ``VarianceConfig.batched`` for
+        variance and sweeps.
     workers:
         Worker count for multi-process executors (``process_pool``).
     checkpoint_dir:
@@ -188,9 +192,9 @@ class ExperimentSpec:
     restarts:
         Independent restarts per method for ``training`` specs: the run
         covers every ``(method, restart)`` trajectory (labelled
-        ``"<method>#r<k>"`` when greater than one), sharded across
-        executor units — or folded into one lock-step batch by the
-        ``lockstep`` executor.
+        ``"<method>#r<k>"`` when greater than one), folded into one
+        lock-step batch by the ``lockstep`` executor or sharded one unit
+        per trajectory by ``serial`` and the pool executors.
     shots:
         Estimate every expectation from this many measurement samples
         instead of analytically (``None`` keeps the paper's analytic
@@ -268,6 +272,13 @@ class ExperimentSpec:
             )
         config_cls = EXPERIMENT_KINDS[self.kind]
         if isinstance(self.config, dict):
+            known = {f.name for f in fields(config_cls)}
+            unknown = sorted(set(self.config) - known)
+            if unknown:
+                raise ValueError(
+                    f"unknown {config_cls.__name__} field(s) {unknown}; "
+                    f"valid fields: {sorted(known)}"
+                )
             # JSON round-trips turn tuple fields into lists; normalize back
             # so reconstructed configs compare equal to handwritten ones.
             normalized = {
@@ -319,6 +330,10 @@ class ExperimentSpec:
                 "methods applies to training specs only; variance methods "
                 "belong in config.methods"
             )
+        for method in self.methods or ():
+            # Fail here, not inside the unit that trains every method.
+            if isinstance(method, str):
+                resolve_initializer_name(method)
         if self.restarts != 1 and self.kind != "training":
             raise ValueError(
                 f"restarts applies to training specs only, not "
@@ -350,7 +365,20 @@ class ExperimentSpec:
             # executor: widest resident batches, no cross-process state.
             return "device"
         if self.kind == "training":
-            return "serial"
+            # Lock-step is bit-identical to serial.  Its analytic adjoint
+            # sweep is chunked to a bounded working set; shots, noise and
+            # the shift-rule engines instead stack every shifted copy of
+            # every trajectory at once (4**n-wide rows under noise), so
+            # they keep serial's one-state-at-a-time path.
+            config = self.config or TrainingConfig()
+            analytic_adjoint = (
+                self.shots is None
+                and config.shots is None
+                and self.noise is None
+                and config.noise is None
+                and config.gradient_engine in ("adjoint", "batch_adjoint")
+            )
+            return "lockstep" if analytic_adjoint else "serial"
         config = self.config or VarianceConfig()
         return "batched" if config.batched else "serial"
 

@@ -40,7 +40,7 @@ from repro.core.cost import ObservableCost, make_cost
 from repro.core.results import TrainingHistory
 from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS
-from repro.optim import Optimizer, get_optimizer
+from repro.optim import Optimizer, get_optimizer, resolve_optimizer_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
 
@@ -97,6 +97,7 @@ class TrainingConfig:
         check_positive_int(self.num_qubits, "num_qubits")
         check_positive_int(self.num_layers, "num_layers")
         check_positive_int(self.iterations, "iterations")
+        resolve_optimizer_name(self.optimizer)
         if self.learning_rate <= 0:
             raise ValueError(
                 f"learning_rate must be positive, got {self.learning_rate}"

@@ -56,7 +56,7 @@ from repro.backend.simulator import StatevectorSimulator
 from repro.core.cost import make_cost
 from repro.core.results import GradientSamples, VarianceResult
 from repro.initializers import Initializer, get_initializer
-from repro.initializers.registry import PAPER_METHODS
+from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_in_choices, check_positive_int
 
@@ -148,6 +148,8 @@ class VarianceConfig:
         check_positive_int(self.num_layers, "num_layers")
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        for name in self.methods:
+            resolve_initializer_name(name)
         if self.param_position not in ("first", "middle", "last"):
             raise ValueError(
                 "param_position must be 'first', 'middle' or 'last', got "

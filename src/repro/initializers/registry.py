@@ -32,6 +32,7 @@ __all__ = [
     "INITIALIZER_FACTORIES",
     "PAPER_METHODS",
     "get_initializer",
+    "resolve_initializer_name",
     "available_initializers",
 ]
 
@@ -85,16 +86,20 @@ def get_initializer(name: str, **kwargs) -> Initializer:
         Forwarded to the initializer constructor (e.g. ``gain=`` for
         ``orthogonal``, ``fan_mode=`` for the fan-scaled schemes).
     """
-    key = name.lower()
+    return INITIALIZER_FACTORIES[resolve_initializer_name(name)](**kwargs)
+
+
+def resolve_initializer_name(name: str) -> str:
+    """Canonical registry name of ``name`` (case-insensitive, aliases
+    resolved); :class:`ValueError` when no initializer answers to it."""
+    key = str(name).lower()
     key = _ALIASES.get(key, key)
-    try:
-        factory = INITIALIZER_FACTORIES[key]
-    except KeyError:
+    if key not in INITIALIZER_FACTORIES:
         raise ValueError(
             f"unknown initializer {name!r}; available: "
             f"{sorted(set(INITIALIZER_FACTORIES) | set(_ALIASES))}"
-        ) from None
-    return factory(**kwargs)
+        )
+    return key
 
 
 def available_initializers() -> List[str]:

@@ -27,6 +27,7 @@ __all__ = [
     "available_optimizers",
     "fubini_study_metric",
     "get_optimizer",
+    "resolve_optimizer_name",
     "state_jacobian",
 ]
 
@@ -44,15 +45,19 @@ _ALIASES = {"gd": "gradient_descent", "sgd": "gradient_descent"}
 
 def get_optimizer(name: str, **kwargs) -> Optimizer:
     """Instantiate an optimizer by registry name (e.g. ``"adam"``)."""
-    key = name.lower()
+    return OPTIMIZER_FACTORIES[resolve_optimizer_name(name)](**kwargs)
+
+
+def resolve_optimizer_name(name: str) -> str:
+    """Canonical registry name of ``name`` (case-insensitive, aliases
+    resolved); :class:`ValueError` when no optimizer answers to it."""
+    key = str(name).lower()
     key = _ALIASES.get(key, key)
-    try:
-        factory = OPTIMIZER_FACTORIES[key]
-    except KeyError:
+    if key not in OPTIMIZER_FACTORIES:
         raise ValueError(
             f"unknown optimizer {name!r}; available: {sorted(OPTIMIZER_FACTORIES)}"
-        ) from None
-    return factory(**kwargs)
+        )
+    return key
 
 
 def available_optimizers() -> List[str]:

@@ -21,6 +21,8 @@ from repro.backend import (
     StatevectorSimulator,
     Statevector,
     adjoint_gradient,
+    adjoint_value_and_gradient,
+    batch_adjoint_value_and_gradient,
     batch_parameter_shift,
     finite_difference,
     get_gradient_fn,
@@ -282,13 +284,22 @@ class TestChunkBoundaries:
     CHUNK_ROWS = 4
     NUM_QUBITS = 3
 
-    def _shrink(self, monkeypatch):
+    def _shrink(self, monkeypatch, simulator):
         import repro.backend.simulator as simulator_module
 
+        budget = 16 * 2**self.NUM_QUBITS * self.CHUNK_ROWS
+        monkeypatch.setattr(simulator_module, "_RUN_BATCH_CHUNK_BYTES", budget)
+        # run_batch chunks against its backend's own budget.
+        monkeypatch.setattr(simulator.backend, "chunk_bytes", budget)
+
+    def _shrink_adjoint(self, monkeypatch, simulator):
+        import repro.backend.gradients as gradients_module
+
         monkeypatch.setattr(
-            simulator_module,
-            "_RUN_BATCH_CHUNK_BYTES",
-            16 * 2**self.NUM_QUBITS * self.CHUNK_ROWS,
+            gradients_module,
+            "_ADJOINT_CHUNK_DIVISOR",
+            simulator.backend.chunk_bytes
+            // (16 * 2**self.NUM_QUBITS * self.CHUNK_ROWS),
         )
 
     @pytest.mark.parametrize("batch", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
@@ -299,13 +310,69 @@ class TestChunkBoundaries:
         rng = np.random.default_rng(11)
         params = rng.normal(size=(batch, circuit.num_parameters))
         unchunked = simulator.run_batch(circuit, params)
-        self._shrink(monkeypatch)
+        self._shrink(monkeypatch, simulator)
         chunked = simulator.run_batch(circuit, params)
         assert np.array_equal(chunked, unchunked)
         for b in range(batch):
             assert np.array_equal(
                 chunked[b], simulator.run(circuit, params[b]).data
             )
+
+    @pytest.mark.parametrize("batch", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_adjoint_sweep_rows_unaffected_by_chunking(
+        self, simulator, monkeypatch, batch
+    ):
+        circuit = _random_pqc(self.NUM_QUBITS, 3, seed=9)
+        observable = total_z(self.NUM_QUBITS)
+        rng = np.random.default_rng(19)
+        params = rng.normal(size=(batch, circuit.num_parameters))
+        values, grads = batch_adjoint_value_and_gradient(
+            circuit, observable, params, simulator=simulator
+        )
+        self._shrink_adjoint(monkeypatch, simulator)
+        forward_rows = []
+        run_batch_data = simulator._run_batch_data
+
+        def spy(circuit, batch_array, initial_state=None):
+            forward_rows.append(len(batch_array))
+            return run_batch_data(circuit, batch_array, initial_state)
+
+        monkeypatch.setattr(simulator, "_run_batch_data", spy)
+        chunked_values, chunked_grads = batch_adjoint_value_and_gradient(
+            circuit, observable, params, simulator=simulator
+        )
+        full, rest = divmod(batch, self.CHUNK_ROWS)
+        assert forward_rows == [self.CHUNK_ROWS] * full + ([rest] if rest else [])
+        assert np.array_equal(chunked_values, values)
+        assert np.array_equal(chunked_grads, grads)
+        for b in range(batch):
+            value, grad = adjoint_value_and_gradient(
+                circuit, observable, params[b], simulator=simulator
+            )
+            assert chunked_values[b] == value
+            assert np.array_equal(chunked_grads[b], grad)
+
+    def test_adjoint_sweep_keeps_device_stacks_whole(self, monkeypatch):
+        # Device backends want the widest resident batch, so the divisor
+        # that chunks numpy sweeps must not split theirs.
+        simulator = StatevectorSimulator(backend="loopback")
+        circuit = _random_pqc(self.NUM_QUBITS, 3, seed=9)
+        params = np.random.default_rng(19).normal(
+            size=(self.CHUNK_ROWS + 1, circuit.num_parameters)
+        )
+        self._shrink_adjoint(monkeypatch, simulator)
+        forward_rows = []
+        run_batch_data = simulator._run_batch_data
+
+        def spy(circuit, batch_array, initial_state=None):
+            forward_rows.append(len(batch_array))
+            return run_batch_data(circuit, batch_array, initial_state)
+
+        monkeypatch.setattr(simulator, "_run_batch_data", spy)
+        batch_adjoint_value_and_gradient(
+            circuit, total_z(self.NUM_QUBITS), params, simulator=simulator
+        )
+        assert forward_rows == [self.CHUNK_ROWS + 1]
 
     @pytest.mark.parametrize("batch", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     def test_sampled_rows_unaffected_by_blocking(
@@ -322,7 +389,7 @@ class TestChunkBoundaries:
         unblocked = simulator.sampled_expectation_rows(
             states, observable, 32, [np.random.default_rng(s) for s in seeds]
         )
-        self._shrink(monkeypatch)
+        self._shrink(monkeypatch, simulator)
         blocked = simulator.sampled_expectation_rows(
             states, observable, 32, [np.random.default_rng(s) for s in seeds]
         )
@@ -350,7 +417,7 @@ class TestChunkBoundaries:
         unblocked = simulator.sampled_expectation_rows(
             states, observable, 16, [np.random.default_rng(3)] * batch
         )
-        self._shrink(monkeypatch)
+        self._shrink(monkeypatch, simulator)
         blocked = simulator.sampled_expectation_rows(
             states, observable, 16, [np.random.default_rng(3)] * batch
         )

@@ -9,7 +9,6 @@ same values as running its own circuit through the per-circuit batched
 import numpy as np
 import pytest
 
-import repro.backend.simulator as simulator_module
 from repro.ansatz.random_pqc import RandomPQC, circuit_shape_key
 from repro.backend.circuit import QuantumCircuit
 from repro.backend.gradients import (
@@ -188,20 +187,16 @@ class TestRunMegabatch:
         plan = MegaBatchPlan(circuits)
         simulator = StatevectorSimulator()
         chunk_rows = 4
-        monkeypatch.setattr(
-            simulator_module,
-            "_RUN_BATCH_CHUNK_BYTES",
-            16 * 2**3 * chunk_rows,
-        )
         batch = chunk_rows + delta
         rng = np.random.default_rng(7)
         params = rng.normal(size=(batch, plan.num_parameters))
         rows = rng.integers(3, size=batch)
-        chunked = simulator.run_megabatch(plan, params, rows)
-        monkeypatch.setattr(
-            simulator_module, "_RUN_BATCH_CHUNK_BYTES", 8 * 2**20
-        )
         unchunked = simulator.run_megabatch(plan, params, rows)
+        # run_megabatch chunks against its backend's own budget.
+        monkeypatch.setattr(
+            simulator.backend, "chunk_bytes", 16 * 2**3 * chunk_rows
+        )
+        chunked = simulator.run_megabatch(plan, params, rows)
         assert np.array_equal(chunked, unchunked)
 
 

@@ -236,6 +236,50 @@ class TestBatchedKernels:
             row = apply_matrix(states[b], rx.matrix(thetas[b]), [2], 4)
             assert np.array_equal(out[b], row)
 
+    @pytest.mark.parametrize(
+        "cap, fast_targets",
+        [(None, set(range(7))), (2**12, set(range(9)))],
+        ids=["capped", "uncapped"],
+    )
+    def test_single_qubit_rows_at_every_target_of_a_wide_register(
+        self, monkeypatch, cap, fast_targets
+    ):
+        """At 12 qubits the fast path needs ``rest >= 8`` (targets 0-8),
+        and the slice cap (``2**q <= 64``) leaves it targets 0-6; the rest
+        take the transpose layout.  Both selections must match the
+        sequential kernel bit for bit at every target."""
+        import repro.backend.statevector as statevector
+
+        if cap is not None:
+            monkeypatch.setattr(statevector, "_FAST_PATH_MAX_SLICES", cap)
+        probed = set()
+        probe = statevector._fast_single_qubit_ok
+
+        def spy(num_qubits, qubit):
+            probed.add(qubit)
+            return probe(num_qubits, qubit)
+
+        monkeypatch.setattr(statevector, "_fast_single_qubit_ok", spy)
+        rng = np.random.default_rng(12)
+        num_qubits = 12
+        states = self._random_batch(rng, 3, 2**num_qubits)
+        ry = PARAMETRIC_GATES["RY"]
+        thetas = rng.uniform(0, 2 * np.pi, 3)
+        stack = ry.matrix_batch(thetas)
+        for qubit in range(num_qubits):
+            shared = apply_matrix(states, stack[0], [qubit], num_qubits)
+            per_row = apply_matrix(states, stack, [qubit], num_qubits)
+            for b in range(3):
+                assert np.array_equal(
+                    shared[b],
+                    apply_matrix(states[b], stack[0], [qubit], num_qubits),
+                )
+                assert np.array_equal(
+                    per_row[b],
+                    apply_matrix(states[b], stack[b], [qubit], num_qubits),
+                )
+        assert probed == fast_targets
+
     def test_matrix_batch_matches_scalar_matrices(self):
         for name in ("RX", "RY", "RZ", "PHASE", "CRX", "CRY", "CRZ", "RZZ"):
             gate = PARAMETRIC_GATES[name]

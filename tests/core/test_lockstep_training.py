@@ -239,13 +239,14 @@ class TestTrainAllMethodsLockstep:
 
 
 class TestLockstepSpecExecution:
-    def test_lockstep_executor_matches_serial(self):
+    @pytest.mark.parametrize("executor", ["lockstep", None])
+    def test_lockstep_executor_matches_serial(self, executor):
         config = _tiny_config(iterations=3)
         base = dict(
             kind="training", config=config, seed=9, methods=("random", "zeros")
         )
         serial = repro.run(ExperimentSpec(executor="serial", **base))
-        lockstep = repro.run(ExperimentSpec(executor="lockstep", **base))
+        lockstep = repro.run(ExperimentSpec(executor=executor, **base))
         assert list(serial.histories) == list(lockstep.histories)
         for method in serial.histories:
             _assert_history_equal(

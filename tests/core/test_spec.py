@@ -24,6 +24,7 @@ _VAR_CONFIG = VarianceConfig(
     methods=("random", "xavier_normal"),
 )
 _TRAIN_CONFIG = TrainingConfig(num_qubits=2, num_layers=1, iterations=3)
+_NOISE = {"default": {"name": "depolarizing", "probability": 0.02}}
 
 
 class TestValidation:
@@ -48,6 +49,14 @@ class TestValidation:
     def test_methods_only_for_training(self):
         with pytest.raises(ValueError, match="training specs only"):
             ExperimentSpec(kind="variance", methods=("random",))
+
+    def test_unknown_training_method(self):
+        with pytest.raises(ValueError, match="unknown initializer 'nosuch'"):
+            ExperimentSpec(kind="training", methods=("random", "nosuch"))
+
+    def test_unknown_config_field(self):
+        with pytest.raises(ValueError, match=r"unknown TrainingConfig field\(s\)"):
+            ExperimentSpec(kind="training", config={"num_qubit": 2})
 
     def test_sweep_requires_field_and_values(self):
         with pytest.raises(ValueError, match="sweep_field"):
@@ -85,7 +94,30 @@ class TestResolvedExecutor:
         assert sequential.resolved_executor() == "serial"
 
     def test_training_default(self):
-        assert ExperimentSpec(kind="training").resolved_executor() == "serial"
+        # Lock-step is bit-identical to serial and one batched sweep per
+        # iteration, so unnamed analytic training specs take it.
+        assert ExperimentSpec(kind="training").resolved_executor() == "lockstep"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"shots": 64},
+            {"config": TrainingConfig(shots=64)},
+            {"noise": _NOISE},
+            {"config": TrainingConfig(noise=_NOISE)},
+            {"config": TrainingConfig(gradient_engine="parameter_shift")},
+        ],
+        ids=["spec-shots", "config-shots", "spec-noise", "config-noise", "shift"],
+    )
+    def test_training_default_stays_serial_off_the_adjoint_path(self, overrides):
+        # Lock-step under shots, noise or a shift-rule engine stacks every
+        # shifted copy of every trajectory at once (4**n-wide rows under
+        # noise); only the chunked analytic adjoint sweep is the default.
+        spec = ExperimentSpec(kind="training", **overrides)
+        assert spec.resolved_executor() == "serial"
+        assert ExperimentSpec(
+            kind="training", executor="lockstep", **overrides
+        ).resolved_executor() == "lockstep"
 
 
 class TestSerialization:
@@ -434,9 +466,6 @@ class TestUnitFingerprintSharing:
         first = self._unit_fingerprints((2, 3))
         second = self._unit_fingerprints((4, 5))
         assert not set(first.values()) & set(second.values())
-
-
-_NOISE = {"default": {"name": "depolarizing", "probability": 0.02}}
 
 
 class TestNoiseFingerprints:

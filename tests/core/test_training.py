@@ -35,6 +35,7 @@ class TestConfig:
             {"iterations": 0},
             {"learning_rate": 0.0},
             {"learning_rate": -0.5},
+            {"optimizer": "nosuch"},
         ],
     )
     def test_rejects_invalid(self, kwargs):

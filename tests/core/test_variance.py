@@ -42,6 +42,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             VarianceConfig(methods=())
 
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown initializer 'nosuch'"):
+            VarianceConfig(methods=("random", "nosuch"))
+
     def test_build_initializers(self):
         config = _tiny_config(
             methods=("orthogonal",), method_kwargs={"orthogonal": {"gain": 2.0}}

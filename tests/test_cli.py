@@ -113,6 +113,22 @@ class TestTrainCommand:
         assert code == 0
         assert "adam" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, executor",
+        [
+            ([], "lockstep"),
+            (["--shots", "16"], "serial"),
+            (["--shots", "16", "--batch-trajectories"], "lockstep"),
+            (["--workers", "2"], "process_pool"),
+            (["--workers", "2", "--batch-trajectories"], "lockstep"),
+        ],
+    )
+    def test_executor_choice(self, flags, executor):
+        from repro.cli import _training_spec
+
+        args = build_parser().parse_args(["train"] + flags)
+        assert _training_spec(args).resolved_executor() == executor
+
 
 class TestRunCommand:
     def _write_spec(self, tmp_path, **overrides):
@@ -248,6 +264,81 @@ class TestRunCommand:
         )
         assert code == 0
         assert "decay_rate" in capsys.readouterr().out
+
+
+class TestInputErrors:
+    """Input rejected while building a config or spec is one ``error:``
+    line on stderr with exit code 2; nothing runs."""
+
+    def _assert_one_line_error(self, capsys, code, match):
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert match in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_variance_zero_circuits(self, capsys):
+        code = main(["variance", "--circuits", "0"])
+        self._assert_one_line_error(capsys, code, "num_circuits")
+
+    def test_variance_unknown_method(self, capsys):
+        code = main(["variance", "--methods", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown initializer 'nosuch'")
+
+    def test_train_unknown_method(self, capsys, monkeypatch):
+        import repro.core.training as training_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a training unit ran")
+
+        monkeypatch.setattr(
+            training_module, "run_lockstep_training_unit", unreachable
+        )
+        code = main(["train", "--methods", "random", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown initializer 'nosuch'")
+
+    def test_train_unknown_optimizer(self, capsys):
+        code = main(["train", "--optimizer", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown optimizer 'nosuch'")
+
+    def test_run_unknown_spec_field(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "training", "sede": 1}')
+        code = main(["run", str(path)])
+        self._assert_one_line_error(capsys, code, "unknown spec field(s) ['sede']")
+
+    def test_run_unknown_config_field(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "training", "config": {"num_qubit": 2}}')
+        code = main(["run", str(path)])
+        self._assert_one_line_error(
+            capsys, code, "unknown TrainingConfig field(s) ['num_qubit']"
+        )
+
+    def test_run_bad_override(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "training"}')
+        code = main(["run", str(path), "--shots", "0"])
+        self._assert_one_line_error(capsys, code, "shots")
+
+    def test_execution_errors_keep_their_traceback(self, monkeypatch):
+        import repro.core.variance as vmod
+
+        def failing(*args, **kwargs):
+            raise ValueError("failed inside a unit")
+
+        monkeypatch.setattr(vmod, "run_variance_shard", failing)
+        with pytest.raises(ValueError, match="failed inside a unit"):
+            main(
+                [
+                    "variance",
+                    "--qubits", "2",
+                    "--circuits", "2",
+                    "--layers", "2",
+                    "--methods", "random",
+                ]
+            )
 
 
 class TestLandscapeCommand:
