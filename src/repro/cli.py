@@ -650,24 +650,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ExperimentServer, ResultStore
 
-    store = ResultStore(
-        args.store,
-        max_bytes=args.store_max_bytes,
-        max_age=args.store_max_age,
-    )
-    server = ExperimentServer(
-        store=store,
-        host=args.host,
-        port=args.port,
-        executor=args.executor,
-        worker_threads=args.queue_workers,
-        quiet=not args.verbose,
-        retry=args.max_attempts,
-        job_timeout=args.job_timeout,
-        stall_timeout=args.stall_timeout,
-        drain_timeout=args.drain_timeout,
-        lease_ttl=args.lease_ttl,
-    )
+    try:
+        store = ResultStore(
+            args.store,
+            max_bytes=args.store_max_bytes,
+            max_age=args.store_max_age,
+        )
+        server = ExperimentServer(
+            store=store,
+            host=args.host,
+            port=args.port,
+            executor=args.executor,
+            worker_threads=args.queue_workers,
+            quiet=not args.verbose,
+            retry=args.max_attempts,
+            job_timeout=args.job_timeout,
+            stall_timeout=args.stall_timeout,
+            drain_timeout=args.drain_timeout,
+            lease_ttl=args.lease_ttl,
+        )
+    except ValueError as error:
+        # Bad options (e.g. an unknown --executor) fail before the port
+        # is bound, not on every submitted job.
+        return _input_error(error)
     # One parseable line: scripts (and the CI smoke job) read the
     # resolved URL from here, which matters with --port 0.
     print(

@@ -27,7 +27,6 @@ from repro.core.profile import (
 )
 from repro.core.executor import (
     BatchedExecutor,
-    DeviceExecutor,
     Executor,
     LockstepExecutor,
     ProcessPoolExecutor,
@@ -67,7 +66,6 @@ from repro.core.variance import VarianceAnalysis, VarianceConfig
 __all__ = [
     "BatchedExecutor",
     "DecayFit",
-    "DeviceExecutor",
     "Executor",
     "LockstepExecutor",
     "ExperimentSpec",

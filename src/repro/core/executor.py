@@ -2,7 +2,7 @@
 
 An :class:`Executor` schedules a list of :class:`WorkUnit` items — picklable
 ``(id, function, args)`` triples produced by the spec layer — and returns
-their outputs in unit order.  Three registered strategies cover the
+their outputs in unit order.  Five registered strategies cover the
 library's workloads:
 
 ``serial``
@@ -20,14 +20,10 @@ library's workloads:
     (``training_lockstep``): the spec layer folds all training
     trajectories into one batched-adjoint work unit instead of one unit
     per trajectory, with bit-identical histories.  The default for
-    analytic, noiseless training specs that name no executor.
-``device``
-    Like ``lockstep``, tuned for accelerator array backends: in-process,
-    batched kernels, lock-step training — the widest resident batches,
-    which is exactly the shape device namespaces want.  The namespace
-    itself comes from the config's ``backend`` field (threaded through
-    ``ExperimentSpec.backend`` / CLI ``--backend``); this executor is the
-    default routing for non-numpy backends.
+    analytic, noiseless training specs that name no executor, and for
+    non-numpy array backends (the widest resident batches, which is the
+    shape device namespaces want; the namespace itself comes from the
+    config's ``backend`` field).
 ``process_pool``
     Shards units across OS processes via :mod:`concurrent.futures`.  Work
     units carry pre-reserved RNG children (see
@@ -35,14 +31,6 @@ library's workloads:
     to serial regardless of worker count or completion order.  Variance
     units are shape-bucket slices here too: each worker mega-folds its
     own slice of the bucket, and slicing is invisible to results.
-``async``
-    Like ``process_pool``, but scheduled on an :mod:`asyncio` loop and
-    built for *incremental* consumption: completions stream out the
-    moment each unit's future resolves (``map_units``'s ``on_result``,
-    the :meth:`AsyncExecutor.stream_units` generator, or the native
-    ``async`` :meth:`AsyncExecutor.amap_units`) instead of only becoming
-    visible when the whole grid finishes.  The backbone of the
-    ``repro serve`` job queue's per-shard progress reporting.
 ``remote``
     Distributes units to pull-based worker *processes on other hosts*
     through the lease/heartbeat/result protocol of
@@ -56,6 +44,15 @@ library's workloads:
     children and results are keyed by content fingerprint, recovered
     multi-host runs stay byte-identical to single-host ones.
 
+Two more registry names are aliases kept so stored specs, scripts and
+``--executor`` values still resolve: ``async`` runs ``process_pool`` and
+``device`` runs ``lockstep``.
+
+Every executor streams through one contract: :meth:`Executor.map_units`
+calls ``on_result`` once per unit the moment its output lands, so the
+``repro serve`` queue reports per-shard progress on whichever executor
+a spec resolves to.
+
 All executors support checkpoint/resume: given a ``checkpoint_dir``, each
 completed unit's output is persisted through :mod:`repro.io` as a
 :class:`ShardCheckpoint`, and a restarted run re-executes only the units
@@ -66,7 +63,7 @@ without a matching (fingerprinted) checkpoint.
 policy's classification; see :class:`repro.reliability.TransientError`)
 re-run with deterministic exponential backoff, and — because units carry
 pre-reserved RNG children — a retried unit is byte-identical to a
-never-failed one.  The pool-backed executors additionally survive
+never-failed one.  The process pool additionally survives
 ``BrokenProcessPool``: the pool is rebuilt and only unfinished units are
 re-dispatched, with the crash charged as one attempt against the units
 deterministically suspected of killing the worker.  Two failure modes:
@@ -85,7 +82,6 @@ backs ``repro info`` and the CLI's ``--workers`` routing.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
 import subprocess
@@ -93,7 +89,6 @@ import sys
 import threading
 import time
 import warnings
-from abc import ABC, abstractmethod
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -131,24 +126,17 @@ __all__ = [
     "SerialExecutor",
     "BatchedExecutor",
     "LockstepExecutor",
-    "DeviceExecutor",
     "ProcessPoolExecutor",
-    "AsyncExecutor",
     "RemoteExecutor",
     "EXECUTORS",
     "register_executor",
+    "executor_class",
     "get_executor",
     "available_executors",
 ]
 
 #: How often pool-draining loops wake up to poll ``should_abort``.
 _ABORT_POLL_SECONDS = 0.25
-
-
-def _swallow_task_exception(task) -> None:
-    """Mark an abandoned future's exception as retrieved (see _astream)."""
-    if not task.cancelled():
-        task.exception()
 
 
 @dataclass(frozen=True)
@@ -237,6 +225,19 @@ def register_executor(cls: Type["Executor"]) -> Type["Executor"]:
     return cls
 
 
+def executor_class(name: str) -> Type["Executor"]:
+    """The registered class behind ``name``, aliases included.
+
+    An unknown name raises :class:`ValueError` listing the choices, so a
+    spec, the CLI or the service can reject it before anything runs.
+    """
+    if not isinstance(name, str) or name not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {name!r}; choose from {available_executors()}"
+        )
+    return EXECUTORS[name]
+
+
 def get_executor(
     name: Union[str, "Executor"],
     workers: int = 1,
@@ -253,13 +254,7 @@ def get_executor(
     """
     if isinstance(name, Executor):
         return name
-    try:
-        cls = EXECUTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; choose from {available_executors()}"
-        ) from None
-    return cls(
+    return executor_class(name)(
         workers=workers,
         checkpoint_dir=checkpoint_dir,
         retry=retry,
@@ -272,7 +267,7 @@ def available_executors() -> List[str]:
     return sorted(EXECUTORS)
 
 
-class Executor(ABC):
+class Executor:
     """Schedules work units; subclasses choose where/how they execute."""
 
     name: ClassVar[str]
@@ -321,8 +316,8 @@ class Executor(ABC):
     def _run(self) -> _RunContext:
         ctx = getattr(self._local, "run", None)
         if ctx is None:
-            # Direct _execute use outside map_units/stream_units: retry
-            # still applies, fault selectors cannot resolve.
+            # Direct _execute use outside map_units: retry still
+            # applies, fault selectors cannot resolve.
             self._begin_run((), "", None, True, None, None)
             ctx = self._local.run
         return ctx
@@ -580,14 +575,19 @@ class Executor(ABC):
         finally:
             self._finish_run()
 
-    @abstractmethod
     def _execute(
         self, units: Sequence[WorkUnit]
     ) -> Iterator[Tuple[WorkUnit, Any]]:
         """Yield ``(unit, output)`` pairs as units complete (any order).
 
-        Quarantined units (non-raise mode) are simply not yielded.
+        The base runs units in-process, one after another; subclasses
+        that schedule elsewhere override this.  Quarantined units
+        (non-raise mode) are simply not yielded.
         """
+        for unit in units:
+            ok, output = self._attempt_unit(unit)
+            if ok:
+                yield unit, output
 
     # -- checkpoint layer -------------------------------------------------
 
@@ -674,14 +674,6 @@ class SerialExecutor(Executor):
     name = "serial"
     variance_batched: ClassVar[Optional[bool]] = False
 
-    def _execute(
-        self, units: Sequence[WorkUnit]
-    ) -> Iterator[Tuple[WorkUnit, Any]]:
-        for unit in units:
-            ok, output = self._attempt_unit(unit)
-            if ok:
-                yield unit, output
-
 
 @register_executor
 class BatchedExecutor(SerialExecutor):
@@ -703,29 +695,15 @@ class LockstepExecutor(BatchedExecutor):
     batched ones, with histories bit-identical to ``serial``.  A
     checkpointed run therefore resumes per panel, not per trajectory.
     Variance specs behave exactly like ``batched``.
+
+    Also registered as ``device``, the default routing for non-numpy
+    array backends: the namespace is configuration (the config's
+    ``backend`` field), not scheduling, and lock-step keeps the resident
+    batches as wide as an accelerator wants them.
     """
 
     name = "lockstep"
     training_lockstep: ClassVar[bool] = True
-
-
-@register_executor
-class DeviceExecutor(LockstepExecutor):
-    """Batched, lock-step, in-process executor for device array backends.
-
-    Scheduling-wise identical to ``lockstep``: every variance shard runs
-    mega-batched and all training trajectories advance in one lock-step
-    unit — on an accelerator namespace that keeps the resident batches
-    (and therefore the kernels launched per step) as wide as possible.
-    The array namespace itself is *configuration*, not scheduling: it
-    comes from the config's ``backend`` field, which
-    :class:`repro.core.spec.ExperimentSpec` threads into the simulators.
-    ``ExperimentSpec.resolved_executor`` routes non-numpy backends here
-    by default; results remain within device tolerance of (numpy:
-    bit-identical to) every other executor.
-    """
-
-    name = "device"
 
 
 @register_executor
@@ -736,12 +714,16 @@ class ProcessPoolExecutor(Executor):
     structure); units arrive with their RNG children pre-reserved, so any
     placement/completion order reproduces the serial streams exactly.
     Honours ``VarianceConfig.batched`` (default on) inside each worker.
+    ``workers=0`` means one worker per CPU core; one worker runs units
+    in-process, with no fork or pickle overhead.
 
     Survives worker crashes: ``BrokenProcessPool`` triggers a pool
     rebuild that re-dispatches only the unfinished units (completed
     outputs were already yielded and checkpointed), with the crash
     charged against the retry budget of the responsible units (see
-    :meth:`Executor._note_pool_breakage`).
+    :meth:`Executor._note_pool_breakage`).  An abort cancels the units
+    still queued on the pool; only those already handed to a worker
+    process run to completion.  Also registered as ``async``.
     """
 
     name = "process_pool"
@@ -770,20 +752,13 @@ class ProcessPoolExecutor(Executor):
     def _execute(
         self, units: Sequence[WorkUnit]
     ) -> Iterator[Tuple[WorkUnit, Any]]:
-        if not units:
-            return
         if self.workers == 1:
-            # No parallelism to win; skip the fork + pickle overhead.
-            for unit in units:
-                ok, output = self._attempt_unit(unit)
-                if ok:
-                    yield unit, output
+            yield from super()._execute(units)
             return
         pending: Dict[str, WorkUnit] = {unit.unit_id: unit for unit in units}
         while pending:
             try:
-                for unit, output in self._drain_pool(pending):
-                    yield unit, output
+                yield from self._drain_pool(pending)
                 return
             except _PoolBroken as broken:
                 self._note_pool_breakage(pending, broken)
@@ -798,31 +773,32 @@ class ProcessPoolExecutor(Executor):
         so the caller can charge the crash and rebuild.
         """
         ctx = self._run
-        with futures.ProcessPoolExecutor(
+        pool = futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(pending))
-        ) as pool:
-            running: Dict[futures.Future, Tuple[WorkUnit, int]] = {}
+        )
+        running: Dict[futures.Future, Tuple[WorkUnit, int]] = {}
 
-            def submit(unit: WorkUnit) -> None:
-                attempt = ctx.attempts.get(unit.unit_id, 0) + 1
-                ctx.unit_started.setdefault(unit.unit_id, time.monotonic())
-                payload = self._fault_payload(unit.unit_id)
-                try:
-                    if payload is None:
-                        future = pool.submit(unit.fn, *unit.args)
-                    else:
-                        future = pool.submit(
-                            call_with_faults,
-                            payload,
-                            attempt,
-                            True,
-                            unit.fn,
-                            unit.args,
-                        )
-                except BrokenProcessPool as error:
-                    raise _PoolBroken(error, self._inflight(running)) from None
-                running[future] = (unit, attempt)
+        def submit(unit: WorkUnit) -> None:
+            attempt = ctx.attempts.get(unit.unit_id, 0) + 1
+            ctx.unit_started.setdefault(unit.unit_id, time.monotonic())
+            payload = self._fault_payload(unit.unit_id)
+            try:
+                if payload is None:
+                    future = pool.submit(unit.fn, *unit.args)
+                else:
+                    future = pool.submit(
+                        call_with_faults,
+                        payload,
+                        attempt,
+                        True,
+                        unit.fn,
+                        unit.args,
+                    )
+            except BrokenProcessPool as error:
+                raise _PoolBroken(error, self._inflight(running)) from None
+            running[future] = (unit, attempt)
 
+        try:
             for unit in list(pending.values()):
                 submit(unit)
             while running:
@@ -831,9 +807,6 @@ class ProcessPoolExecutor(Executor):
                     timeout=_ABORT_POLL_SECONDS,
                     return_when=futures.FIRST_COMPLETED,
                 )
-                if not done:
-                    self._abort_check()
-                    continue
                 broken: Optional[BaseException] = None
                 broken_units: Dict[str, int] = {}
                 resubmit: List[Tuple[WorkUnit, int]] = []
@@ -862,257 +835,18 @@ class ProcessPoolExecutor(Executor):
                     raise _PoolBroken(
                         broken, {**self._inflight(running), **broken_units}
                     )
+                # Polled on every wake-up, so units that keep landing
+                # cannot hold off an abort.
+                self._abort_check()
                 for unit, attempt in resubmit:
                     delay = ctx.policy.delay(attempt, self._unit_key(unit.unit_id))
                     if delay > 0:
                         time.sleep(delay)
                     submit(unit)
-
-
-@register_executor
-class AsyncExecutor(Executor):
-    """Asyncio-scheduled process-pool executor that streams completions.
-
-    The first executor whose *public contract* is incremental progress:
-    work units run on a :class:`concurrent.futures.ProcessPoolExecutor`
-    driven by an :mod:`asyncio` loop, and every completion is surfaced
-    the moment its future resolves —
-
-    * :meth:`map_units` (inherited) invokes ``on_result`` per completion
-      in completion order, not at the end of the grid;
-    * :meth:`stream_units` is a synchronous generator over
-      ``(unit, output)`` pairs, checkpoint-aware;
-    * :meth:`amap_units` is the native ``async`` API for callers that
-      already run an event loop (the ``repro serve`` job queue).
-
-    Outputs and checkpoints are bit-identical to every other executor:
-    units carry pre-reserved RNG children, so completion order is
-    presentation, not semantics.  Like ``process_pool``, unit functions
-    and arguments must be picklable, worker crashes rebuild the pool and
-    re-dispatch unfinished units, and the retry policy applies per unit;
-    ``workers=0`` means one worker per CPU core, and single-worker
-    instances run units in-process (no fork or pickle overhead) while
-    still streaming each completion.
-    """
-
-    name = "async"
-    variance_batched: ClassVar[Optional[bool]] = None
-
-    def __init__(
-        self,
-        workers: int = 0,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        retry: Any = None,
-        fault_plan: Any = None,
-    ):
-        super().__init__(
-            workers=int(workers) or os.cpu_count() or 1,
-            checkpoint_dir=checkpoint_dir,
-            retry=retry,
-            fault_plan=fault_plan,
-        )
-
-    def circuits_per_shard(self, num_circuits: int) -> Optional[int]:
-        # Same policy as process_pool: ~2 shards per worker per qubit
-        # count — and fine-grained shards are what makes the streamed
-        # progress counts meaningful.
-        return max(1, -(-num_circuits // (2 * self.workers)))
-
-    async def _astream(
-        self, units: Sequence[WorkUnit], loop: asyncio.AbstractEventLoop
-    ):
-        """Async generator of ``(unit, output)`` in completion order."""
-        ctx = self._run
-        if self.workers == 1 or len(units) <= 1:
-            # Nothing to overlap: run in-process, still yielding each
-            # completion as it happens.
-            for unit in units:
-                ok, output = self._attempt_unit(unit)
-                if ok:
-                    yield unit, output
-            return
-        pending: Dict[str, WorkUnit] = {unit.unit_id: unit for unit in units}
-        while pending:
-            pool = futures.ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            )
-            running: Dict[Any, Tuple[WorkUnit, int]] = {}
-            try:
-
-                def submit(unit: WorkUnit) -> None:
-                    attempt = ctx.attempts.get(unit.unit_id, 0) + 1
-                    ctx.unit_started.setdefault(unit.unit_id, time.monotonic())
-                    payload = self._fault_payload(unit.unit_id)
-                    try:
-                        if payload is None:
-                            task = loop.run_in_executor(
-                                pool, unit.fn, *unit.args
-                            )
-                        else:
-                            task = loop.run_in_executor(
-                                pool,
-                                call_with_faults,
-                                payload,
-                                attempt,
-                                True,
-                                unit.fn,
-                                unit.args,
-                            )
-                    except BrokenProcessPool as error:
-                        raise _PoolBroken(
-                            error, self._inflight(running)
-                        ) from None
-                    running[task] = (unit, attempt)
-
-                for unit in list(pending.values()):
-                    submit(unit)
-                while running:
-                    done, _ = await asyncio.wait(
-                        set(running),
-                        timeout=_ABORT_POLL_SECONDS,
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        self._abort_check()
-                        continue
-                    broken: Optional[BaseException] = None
-                    broken_units: Dict[str, int] = {}
-                    resubmit: List[Tuple[WorkUnit, int]] = []
-                    for task in done:
-                        unit, attempt = running.pop(task)
-                        error = task.exception()
-                        if error is None:
-                            ctx.attempts[unit.unit_id] = attempt
-                            del pending[unit.unit_id]
-                            yield unit, task.result()
-                            continue
-                        if isinstance(error, BrokenProcessPool):
-                            broken = error
-                            broken_units[unit.unit_id] = attempt
-                            continue
-                        ctx.attempts[unit.unit_id] = attempt
-                        if self._after_failure(unit, error, attempt) == "retry":
-                            resubmit.append((unit, attempt))
-                        else:
-                            del pending[unit.unit_id]
-                    if broken is not None:
-                        raise _PoolBroken(
-                            broken, {**self._inflight(running), **broken_units}
-                        )
-                    for unit, attempt in resubmit:
-                        delay = ctx.policy.delay(
-                            attempt, self._unit_key(unit.unit_id)
-                        )
-                        if delay > 0:
-                            await asyncio.sleep(delay)
-                        submit(unit)
-            except _PoolBroken as broken_escape:
-                self._note_pool_breakage(pending, broken_escape)
-            finally:
-                # Tasks abandoned at pool breakage would otherwise log
-                # "exception was never retrieved" at garbage collection.
-                for task in running:
-                    task.add_done_callback(_swallow_task_exception)
-                pool.shutdown(wait=True, cancel_futures=True)
-
-    def _execute(
-        self, units: Sequence[WorkUnit]
-    ) -> Iterator[Tuple[WorkUnit, Any]]:
-        if not units:
-            return
-        loop = asyncio.new_event_loop()
-        agen = self._astream(list(units), loop)
-        try:
-            while True:
-                try:
-                    yield loop.run_until_complete(agen.__anext__())
-                except StopAsyncIteration:
-                    break
         finally:
-            # Close the async generator first so its pool context manager
-            # exits (shutting workers down) before the loop goes away.
-            try:
-                loop.run_until_complete(agen.aclose())
-            finally:
-                loop.close()
-
-    def stream_units(
-        self,
-        units: Sequence[WorkUnit],
-        fingerprint: str = "",
-        *,
-        on_event: Optional[Callable[[str, dict], None]] = None,
-        raise_on_failure: bool = True,
-        should_abort: Optional[Callable[[], bool]] = None,
-        unit_keys: Optional[Mapping[str, str]] = None,
-    ) -> Iterator[Tuple[WorkUnit, Any]]:
-        """Yield ``(unit, output)`` pairs as they complete (blocking).
-
-        Checkpoint-aware like :meth:`map_units`: already-checkpointed
-        units are yielded first (in unit order), fresh completions are
-        checkpointed before being yielded.  Completion order of fresh
-        units is nondeterministic; outputs are not.  Quarantined units
-        (``raise_on_failure=False``) are simply not yielded; the
-        reliability keywords match :meth:`map_units`.
-        """
-        ids = [unit.unit_id for unit in units]
-        if len(set(ids)) != len(ids):
-            raise ValueError("work unit ids must be unique")
-        self._begin_run(
-            units, fingerprint, on_event, raise_on_failure, should_abort, unit_keys
-        )
-        try:
-            completed = self._load_checkpoints(set(ids), fingerprint)
-            for unit in units:
-                if unit.unit_id in completed:
-                    yield unit, completed[unit.unit_id]
-            pending = [unit for unit in units if unit.unit_id not in completed]
-            for unit, output in self._execute(pending):
-                self._write_checkpoint(unit, output, fingerprint)
-                yield unit, output
-        finally:
-            self._finish_run()
-
-    async def amap_units(
-        self,
-        units: Sequence[WorkUnit],
-        fingerprint: str = "",
-        on_result: Optional[Callable[[WorkUnit, Any], None]] = None,
-        *,
-        on_event: Optional[Callable[[str, dict], None]] = None,
-        raise_on_failure: bool = True,
-        should_abort: Optional[Callable[[], bool]] = None,
-        unit_keys: Optional[Mapping[str, str]] = None,
-    ) -> List[Any]:
-        """Native ``async`` :meth:`map_units`: same ordering contract.
-
-        Runs on the caller's event loop; ``on_result`` fires per
-        completion (checkpoint-loaded units first, then fresh ones as
-        they land) without blocking the loop between completions.  The
-        reliability keywords match :meth:`map_units`.
-        """
-        ids = [unit.unit_id for unit in units]
-        if len(set(ids)) != len(ids):
-            raise ValueError("work unit ids must be unique")
-        self._begin_run(
-            units, fingerprint, on_event, raise_on_failure, should_abort, unit_keys
-        )
-        try:
-            completed = self._load_checkpoints(set(ids), fingerprint)
-            if on_result is not None:
-                for unit in units:
-                    if unit.unit_id in completed:
-                        on_result(unit, completed[unit.unit_id])
-            pending = [unit for unit in units if unit.unit_id not in completed]
-            loop = asyncio.get_running_loop()
-            async for unit, output in self._astream(pending, loop):
-                completed[unit.unit_id] = output
-                self._write_checkpoint(unit, output, fingerprint)
-                if on_result is not None:
-                    on_result(unit, output)
-            return [completed.get(unit.unit_id) for unit in units]
-        finally:
-            self._finish_run()
+            # Abort, crash or an abandoned generator: drop the queued
+            # units and wait only for those a worker already holds.
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 #: Monotonic source of standalone remote-run job keys (os.getpid() is
@@ -1183,7 +917,7 @@ class RemoteExecutor(Executor):
         )
 
     def circuits_per_shard(self, num_circuits: int) -> Optional[int]:
-        # Same granularity policy as the pool executors: ~2 shards per
+        # Same granularity policy as the process pool: ~2 shards per
         # worker per qubit count, so slow hosts can be routed around
         # and reclaims re-dispatch small pieces.
         return max(1, -(-num_circuits // (2 * self.workers)))
@@ -1418,3 +1152,8 @@ class RemoteExecutor(Executor):
                 if server is not None:
                     server.shutdown()
                     server.server_close()
+
+
+# Names kept so stored specs, scripts and ``--executor`` values resolve.
+EXECUTORS["async"] = ProcessPoolExecutor
+EXECUTORS["device"] = LockstepExecutor

@@ -68,7 +68,9 @@ round-trip through JSON, and the CLI runs a saved file directly::
 Executors live in a registry (:mod:`repro.core.executor`): ``serial``
 (sequential reference path), ``batched`` (variance default), ``lockstep``
 (batched + lock-step training; analytic training default),
-``process_pool`` (multi-process sharding).  ``repro info`` lists them.
+``process_pool`` (multi-process sharding) and ``remote`` (leased to
+``repro worker`` processes).  ``async`` and ``device`` are aliases of
+``process_pool`` and ``lockstep``.  ``repro info`` lists them all.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.backend.noise import NoiseModel
-from repro.core.executor import EXECUTORS, Executor, WorkUnit, get_executor
+from repro.core.executor import Executor, WorkUnit, executor_class, get_executor
 from repro.reliability import FaultPlan, RetryPolicy
 from repro.core.training import TrainingConfig
 from repro.core.variance import (
@@ -178,7 +180,9 @@ class ExperimentSpec:
         for a non-numpy ``backend``; for training, ``lockstep`` when
         analytic, noiseless and on an adjoint engine, else ``serial``;
         ``batched``/``serial`` per ``VarianceConfig.batched`` for
-        variance and sweeps.
+        variance and sweeps.  ``async`` and ``device`` are aliases of
+        ``process_pool`` and ``lockstep``.  An unknown name is rejected
+        here, at construction.
     workers:
         Worker count for multi-process executors (``process_pool``).
     checkpoint_dir:
@@ -270,6 +274,8 @@ class ExperimentSpec:
                 f"unknown experiment kind {self.kind!r}; "
                 f"choose from {sorted(EXPERIMENT_KINDS)}"
             )
+        if self.executor is not None:
+            executor_class(self.executor)
         config_cls = EXPERIMENT_KINDS[self.kind]
         if isinstance(self.config, dict):
             known = {f.name for f in fields(config_cls)}
@@ -597,10 +603,10 @@ def _resolve_config(
     Instantiates the kind's defaults for a ``None`` config, merges the
     spec-level ``shots``/``backend`` overrides, and applies the resolved
     executor's variance batching policy (``serial`` forces the sequential
-    reference path, ``batched``/``lockstep``/``device`` force the batched
-    kernels).  Pass the actual ``executor`` instance when one exists;
-    otherwise the policy of :meth:`ExperimentSpec.resolved_executor`'s
-    registered class is used.
+    reference path, ``batched``/``lockstep`` force the batched kernels).
+    Pass the actual ``executor`` instance when one exists; otherwise the
+    policy of :meth:`ExperimentSpec.resolved_executor`'s registered class
+    is used.
     """
     config = (
         spec.config if spec.config is not None else EXPERIMENT_KINDS[spec.kind]()
@@ -616,11 +622,8 @@ def _resolve_config(
     ):
         config = replace(config, backend=backend)
     if spec.kind == "variance":
-        if executor is not None:
-            batched = executor.variance_batched
-        else:
-            cls = EXECUTORS.get(spec.resolved_executor())
-            batched = cls.variance_batched if cls is not None else None
+        policy = executor or executor_class(spec.resolved_executor())
+        batched = policy.variance_batched
         if batched is not None:
             config = replace(config, batched=batched)
     return config

@@ -6,7 +6,7 @@ position (``"#3"`` = fourth unit of the run) — to ordered
 *attempts* for its unit, so the whole failure schedule is a pure
 function of ``(unit, attempt)``: the same plan produces the same
 crashes, the same retries, and therefore the same final bytes under the
-serial, process-pool, and async executors, in one process or many.
+serial, process-pool and remote executors, in one process or many.
 
 Supported action kinds:
 
@@ -111,9 +111,9 @@ class InjectedFault(TransientError):
 class WorkerCrash(TransientError):
     """Stand-in for a worker kill where a real ``os._exit`` is impossible.
 
-    In-process executors (serial, workers=1 fast path, the async event
-    loop itself) cannot survive the process exiting, so a ``kill``
-    action raises this instead.  It classifies as transient, so the
+    In-process executors (serial and the one-worker pool) cannot
+    survive the process exiting, so a ``kill`` action raises this
+    instead.  It classifies as transient, so the
     retry trajectory matches the multi-process run.
     """
 

@@ -18,8 +18,8 @@ threads, with three cache tiers applied in order:
 
 Jobs carry their own executor choice: the spec's resolved executor runs
 *in-process* inside a worker thread (optionally multi-process via
-``process_pool``/``async`` specs), with the spec's ``checkpoint_dir``
-stripped — the store supersedes per-run checkpoints on the server.
+``process_pool`` specs), with the spec's ``checkpoint_dir`` stripped —
+the store supersedes per-run checkpoints on the server.
 
 **Reliability.**  Jobs run in the executor's quarantine mode: transient
 shard failures retry under the queue's :class:`~repro.reliability.
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.executor import get_executor
+from repro.core.executor import executor_class, get_executor
 from repro.core.spec import ExperimentSpec, plan_experiment
 from repro.reliability.faults import corrupt_file
 from repro.reliability.policy import ExecutionAborted
@@ -214,6 +214,8 @@ class JobQueue:
     ``retry`` feeds every job's executor (anything
     :meth:`~repro.reliability.RetryPolicy.coerce` accepts);
     ``job_timeout``/``stall_timeout`` are seconds (``None`` disables).
+    An unknown ``executor`` override raises :class:`ValueError` here,
+    before any job is accepted.
     """
 
     def __init__(
@@ -226,6 +228,8 @@ class JobQueue:
         stall_timeout: Optional[float] = None,
         lease_ttl: Optional[float] = None,
     ):
+        if executor is not None:
+            executor_class(executor)
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         #: Forced executor name for every job (``None`` honours each
         #: spec's own :meth:`ExperimentSpec.resolved_executor`).

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.executor import (
-    DeviceExecutor,
     LockstepExecutor,
     available_executors,
     get_executor,
@@ -42,9 +41,7 @@ class TestRegistration:
     def test_registered(self):
         assert "device" in available_executors()
         executor = get_executor("device")
-        assert isinstance(executor, DeviceExecutor)
         assert isinstance(executor, LockstepExecutor)
-        assert executor.name == "device"
 
     def test_inherits_lockstep_scheduling(self):
         executor = get_executor("device")

@@ -1,5 +1,8 @@
 """Unit tests for the executor registry, sharding, and checkpoint/resume."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.executor import (
     EXECUTORS,
     BatchedExecutor,
     Executor,
+    LockstepExecutor,
     ProcessPoolExecutor,
     SerialExecutor,
     ShardCheckpoint,
@@ -23,6 +27,7 @@ from repro.core.variance import (
     plan_variance_shards,
     run_variance_shard,
 )
+from repro.reliability import ExecutionAborted
 
 _CONFIG = VarianceConfig(
     qubit_counts=(2, 3),
@@ -88,6 +93,15 @@ class TestMapUnits:
         units = [WorkUnit(f"u{i}", _double, (i,)) for i in range(5)]
         outputs = SerialExecutor().map_units(units)
         assert [o["value"] for o in outputs] == [0, 2, 4, 6, 8]
+
+    def test_on_result_fires_per_completion(self):
+        events = []
+        units = [WorkUnit(f"u{i}", _double, (i,)) for i in range(4)]
+        outputs = SerialExecutor().map_units(
+            units, on_result=lambda unit, output: events.append(unit.unit_id)
+        )
+        assert events == [f"u{i}" for i in range(4)]
+        assert [o["value"] for o in outputs] == [0, 2, 4, 6]
 
     def test_duplicate_ids_rejected(self):
         units = [WorkUnit("same", _double, (1,)), WorkUnit("same", _double, (2,))]
@@ -390,115 +404,89 @@ class TestCheckpointWarnings:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-class TestAsyncExecutor:
-    def test_registered_with_policy(self):
-        from repro.core.executor import AsyncExecutor
+def _mark_and_sleep(marker_dir, index, seconds):
+    (marker_dir / f"ran-{index}").touch()
+    time.sleep(seconds)
+    return {"value": index}
 
-        executor = get_executor("async", workers=1)
-        assert isinstance(executor, AsyncExecutor)
-        assert AsyncExecutor.variance_batched is None
 
+def _wait_for_file(path, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if os.path.exists(path):
+            return {"saw_marker": True}
+        time.sleep(0.01)
+    return {"saw_marker": False}
+
+
+class TestProcessPool:
     def test_zero_workers_means_cpu_count(self):
-        import os
+        assert ProcessPoolExecutor(workers=0).workers == (os.cpu_count() or 1)
 
-        from repro.core.executor import AsyncExecutor
+    def test_on_result_fires_while_other_units_run(self, tmp_path):
+        """Unit B finishes only after ``on_result`` has seen unit A land."""
+        marker = tmp_path / "a-landed"
+        units = [
+            WorkUnit("a", _double, (1,)),
+            WorkUnit("b", _wait_for_file, (str(marker), 30.0)),
+        ]
 
-        assert AsyncExecutor(workers=0).workers == (os.cpu_count() or 1)
+        def on_result(unit, output):
+            if unit.unit_id == "a":
+                marker.touch()
 
-    def test_map_units_matches_serial(self):
-        units = [WorkUnit(f"u{i}", _double, (i,)) for i in range(5)]
-        outputs = get_executor("async", workers=1).map_units(units)
-        assert outputs == SerialExecutor().map_units(
-            [WorkUnit(f"u{i}", _double, (i,)) for i in range(5)]
+        outputs = get_executor("process_pool", workers=2).map_units(
+            units, on_result=on_result
         )
+        assert outputs == [{"value": 2}, {"saw_marker": True}]
 
-    def test_variance_bit_identical_to_serial(self):
-        serial = repro.run(
-            ExperimentSpec(kind="variance", config=_CONFIG, seed=11, executor="serial")
-        )
-        streamed = repro.run(
-            ExperimentSpec(
-                kind="variance", config=_CONFIG, seed=11, executor="async", workers=1
+    @pytest.mark.parametrize(
+        "seconds", [0.3, 0.1], ids=["abort-on-idle-poll", "abort-while-units-land"]
+    )
+    def test_abort_cancels_queued_units(self, tmp_path, seconds):
+        """Only units a worker already holds run after an abort.
+
+        Units shorter than the 0.25 s poll keep the pool from ever idling,
+        so the abort must also be polled when a unit lands.
+        """
+        units = [
+            WorkUnit(f"u{i}", _mark_and_sleep, (tmp_path, i, seconds))
+            for i in range(12)
+        ]
+        with pytest.raises(ExecutionAborted):
+            get_executor("process_pool", workers=2).map_units(
+                units, should_abort=lambda: True
             )
+        assert len(list(tmp_path.glob("ran-*"))) < 12
+
+
+class TestAliases:
+    """``async`` and ``device`` are registry aliases, not classes.
+
+    ``TestRegistry.test_builtins_registered`` pins that
+    :func:`available_executors` still lists both names.
+    """
+
+    def test_aliases_resolve_to_their_targets(self):
+        assert type(get_executor("async", workers=2)) is ProcessPoolExecutor
+        assert type(get_executor("device")) is LockstepExecutor
+
+    @pytest.mark.parametrize(
+        "alias, target, kind",
+        [("async", "process_pool", "variance"), ("device", "lockstep", "training")],
+    )
+    def test_alias_spec_matches_target_bytes(self, tmp_path, alias, target, kind):
+        from repro.core.training import TrainingConfig
+        from repro.io import save_result
+
+        config = (
+            _CONFIG
+            if kind == "variance"
+            else TrainingConfig(num_qubits=2, num_layers=1, iterations=2)
         )
-        for key in serial.result.samples:
-            assert np.array_equal(
-                serial.result.samples[key].gradients,
-                streamed.result.samples[key].gradients,
-            ), key
-
-    @pytest.mark.slow
-    def test_multiprocess_variance_bit_identical_to_serial(self):
-        serial = repro.run(
-            ExperimentSpec(kind="variance", config=_CONFIG, seed=11, executor="serial")
-        )
-        streamed = repro.run(
-            ExperimentSpec(
-                kind="variance", config=_CONFIG, seed=11, executor="async", workers=2
-            )
-        )
-        for key in serial.result.samples:
-            assert np.array_equal(
-                serial.result.samples[key].gradients,
-                streamed.result.samples[key].gradients,
-            ), key
-
-    def test_streams_results_before_completion(self):
-        """Each completion surfaces before later units even execute."""
-        calls = []
-
-        def tracked(x):
-            calls.append(x)
-            return {"value": x}
-
-        units = [WorkUnit(f"u{i}", tracked, (i,)) for i in range(3)]
-        stream = get_executor("async", workers=1).stream_units(units)
-        unit, output = next(stream)
-        assert output == {"value": 0}
-        assert calls == [0]  # units 1 and 2 have not run yet
-        rest = list(stream)
-        assert calls == [0, 1, 2]
-        assert [o["value"] for _, o in rest] == [1, 2]
-
-    def test_on_result_fires_per_completion(self):
-        events = []
-        units = [WorkUnit(f"u{i}", _double, (i,)) for i in range(4)]
-        outputs = get_executor("async", workers=1).map_units(
-            units, on_result=lambda unit, output: events.append(unit.unit_id)
-        )
-        assert events == [f"u{i}" for i in range(4)]
-        assert [o["value"] for o in outputs] == [0, 2, 4, 6]
-
-    def test_checkpoint_resume(self, tmp_path):
-        calls = []
-
-        def tracked(x):
-            calls.append(x)
-            return {"value": x}
-
-        units = [WorkUnit(f"u{i}", tracked, (i,)) for i in range(3)]
-        first = get_executor("async", workers=1, checkpoint_dir=tmp_path).map_units(
-            units, fingerprint="fp"
-        )
-        assert calls == [0, 1, 2]
-        second = get_executor("async", workers=1, checkpoint_dir=tmp_path).map_units(
-            units, fingerprint="fp"
-        )
-        assert calls == [0, 1, 2]  # nothing re-executed
-        assert second == first
-
-    def test_amap_units_native_async(self):
-        import asyncio
-
-        events = []
-        units = [WorkUnit(f"u{i}", _double, (i,)) for i in range(3)]
-
-        async def drive():
-            executor = get_executor("async", workers=1)
-            return await executor.amap_units(
-                units, on_result=lambda unit, output: events.append(unit.unit_id)
-            )
-
-        outputs = asyncio.run(drive())
-        assert [o["value"] for o in outputs] == [0, 2, 4]
-        assert sorted(events) == ["u0", "u1", "u2"]
+        payloads = {}
+        for name in (alias, target):
+            spec = ExperimentSpec(kind=kind, config=config, seed=3, executor=name)
+            path = save_result(repro.run(spec.to_dict()), tmp_path / f"{name}.json")
+            payloads[name] = path.read_bytes()
+        assert payloads[alias] == payloads[target]

@@ -264,10 +264,13 @@ class TestRun:
     def test_repro_run_is_the_spec_runner(self):
         assert repro.run is run
 
-    def test_unknown_executor_rejected_at_run_time(self):
-        spec = ExperimentSpec(kind="variance", config=_VAR_CONFIG, executor="gpu")
+    def test_unknown_executor_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown executor 'gpu'"):
+            ExperimentSpec(kind="variance", config=_VAR_CONFIG, executor="gpu")
         with pytest.raises(ValueError, match="unknown executor"):
-            run(spec)
+            ExperimentSpec.from_dict({"kind": "training", "executor": "gpu"})
+        for alias in ("async", "device"):
+            assert ExperimentSpec(kind="training", executor=alias).executor == alias
 
     def test_verbose_streams_per_qubit_count(self, capsys):
         run(

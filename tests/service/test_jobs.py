@@ -177,3 +177,7 @@ class TestCaching:
             assert job.state == "done"
         finally:
             queue.stop()
+
+    def test_unknown_executor_override_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown executor 'nosuch'"):
+            JobQueue(tmp_path / "store", executor="nosuch")

@@ -72,6 +72,16 @@ class TestEndpoints:
         assert excinfo.value.code == 400
         assert "error" in json.loads(excinfo.value.read())
 
+    def test_unknown_executor_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(
+                f"{server.url}/experiments",
+                dict(_SPEC.to_dict(), executor="nosuch"),
+            )
+        assert excinfo.value.code == 400
+        assert "unknown executor 'nosuch'" in json.loads(excinfo.value.read())["error"]
+        assert server.queue.jobs() == []
+
     def test_result_before_done_409(self, server, monkeypatch):
         import threading
 

@@ -322,6 +322,31 @@ class TestInputErrors:
         code = main(["run", str(path), "--shots", "0"])
         self._assert_one_line_error(capsys, code, "shots")
 
+    def test_run_unknown_executor(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "training"}')
+        code = main(["run", str(path), "--executor", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown executor 'nosuch'")
+
+    def test_serve_unknown_executor_exits_before_binding(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.service.server as server_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("repro serve bound a port")
+
+        monkeypatch.setattr(server_module, "_ServiceHTTPServer", unreachable)
+        code = main(
+            [
+                "serve",
+                "--port", "0",
+                "--store", str(tmp_path / "store"),
+                "--executor", "nosuch",
+            ]
+        )
+        self._assert_one_line_error(capsys, code, "unknown executor 'nosuch'")
+
     def test_execution_errors_keep_their_traceback(self, monkeypatch):
         import repro.core.variance as vmod
 
