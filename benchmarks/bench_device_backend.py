@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.ansatz.random_pqc import RandomPQC
 from repro.backend.simulator import StatevectorSimulator, batch_chunk_rows
-from repro.backend.statevector import _batch_size, _fast_single_qubit_ok
+from repro.backend.statevector import _batch_size
 from repro.utils import machine_context
 from repro.utils.array_api import (
     DEVICE_ATOL,
@@ -59,9 +59,45 @@ ACCELERATORS = ("torch", "cupy")
 
 # -- verbatim seed kernels -------------------------------------------------
 # Copied from the pre-refactor src/repro/backend/statevector.py: the exact
-# code the numpy path is held against.  The shared helpers (_batch_size,
-# the _fast_single_qubit_ok probe) are unchanged by the refactor, so the
-# copies reuse them from the library.
+# code the numpy path is held against.  The shared _batch_size helper is
+# unchanged by the refactor, so the copies reuse it from the library; the
+# seed's runtime probe of the single-qubit fast path, since deleted from
+# the library, is copied here too and probes against _seed_apply_matrix.
+
+#: Per-``(num_qubits, qubit)`` verdicts of the runtime probe below.
+_FAST_SINGLE_QUBIT_OK = {}
+
+
+def _fast_single_qubit_ok(num_qubits, qubit):
+    key = (num_qubits, qubit)
+    verdict = _FAST_SINGLE_QUBIT_OK.get(key)
+    if verdict is None:
+        rest = 2 ** (num_qubits - qubit - 1)
+        rng = np.random.default_rng(0x5EED)
+        states = rng.normal(size=(2, 2**num_qubits)) + 1j * rng.normal(
+            size=(2, 2**num_qubits)
+        )
+        matrices = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        blocks = states.reshape(2, 2**qubit, 2, rest)
+        fast_shared = np.matmul(matrices[0], blocks).reshape(2, -1)
+        fast_stacked = np.matmul(matrices[:, None, :, :], blocks).reshape(2, -1)
+        sequential_shared = np.stack(
+            [
+                _seed_apply_matrix(states[b], matrices[0], [qubit], num_qubits)
+                for b in range(2)
+            ]
+        )
+        sequential_stacked = np.stack(
+            [
+                _seed_apply_matrix(states[b], matrices[b], [qubit], num_qubits)
+                for b in range(2)
+            ]
+        )
+        verdict = np.array_equal(fast_shared, sequential_shared) and np.array_equal(
+            fast_stacked, sequential_stacked
+        )
+        _FAST_SINGLE_QUBIT_OK[key] = verdict
+    return verdict
 
 
 def _seed_apply_matrix(state, matrix, qubits, num_qubits):

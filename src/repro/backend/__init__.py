@@ -7,22 +7,26 @@ difference differentiation engines and optional Kraus-channel noise.
 
 Batch API
 ---------
-The hot-path entry points broadcast over a leading batch axis so sweeps
-evaluate many parameter vectors per circuit pass:
+Every execution runs on a ``(B, 2**n)`` stack of amplitude rows; a single
+state is a one-row stack, so no kernel or engine keeps separate
+single-state code:
 
-* ``apply_matrix`` / ``apply_diagonal`` accept ``(B, 2**n)`` amplitude
-  buffers and optional per-element gate stacks;
+* ``apply_matrix`` / ``apply_diagonal`` take ``(B, 2**n)`` amplitude
+  buffers and optional per-row gate stacks, and run a flat state as
+  ``state[None]``;
 * ``StatevectorSimulator.run_batch`` / ``expectation_batch`` evolve all
-  ``B`` rows through one circuit at once;
+  ``B`` rows through one circuit at once (``run`` is a one-row
+  ``run_batch``);
 * ``batch_parameter_shift`` folds every shift term of every requested
   parameter (for one or many base vectors) into a single batched
-  execution, registered in ``GRADIENT_ENGINES``;
+  execution, reduced in memory-bounded chunks (``parameter_shift`` is
+  its one-row call);
 * ``batch_adjoint_gradient`` runs the adjoint backward sweep over a
-  ``(B, 2**n)`` stack (registered as ``batch_adjoint``), and the
+  ``(B, 2**n)`` stack (``adjoint_gradient`` is its one-row call), and the
   ``*_value_and_gradient`` variants also return the expectation read off
   the shared forward pass — the engine behind lock-step training.
 
-Batched results are bit-identical to their sequential counterparts —
+Rows never mix, so a row carries the same bits alone or in any stack —
 batching is a throughput optimization, never a numerics change.
 """
 

@@ -1,8 +1,10 @@
 """Gradient engines for parameterized circuits.
 
-Three interchangeable engines compute ``d <O> / d params``:
+Two exact algorithms compute ``d <O> / d params``, each with one
+implementation that runs a stack of parameter rows; a single parameter
+vector is a one-row stack.
 
-``parameter_shift``
+Parameter shift (``batch_parameter_shift``, ``parameter_shift``)
     The exact hardware-compatible rule.  For gates ``exp(-i theta P / 2)``
     with ``P^2 = I`` it is the classic two-term form
     ``dE/dtheta = (E(theta + pi/2) - E(theta - pi/2)) / 2``; controlled
@@ -10,47 +12,33 @@ Three interchangeable engines compute ``d <O> / d params``:
     rule (``ParametricGate.shift_terms``), so the cost is two (or four)
     circuit executions per differentiated parameter — the natural choice
     for the paper's variance analysis, which differentiates only the last
-    parameter.
+    parameter.  Every shifted vector of every row — all terms of all
+    requested parameters — is folded into one
+    :meth:`StatevectorSimulator.expectation_batch` call, which executes
+    and reduces the fold in memory-bounded chunks.  With ``shots=`` every
+    shifted expectation is sample-estimated instead, each base row
+    drawing from its own generator in fold order.
+    ``parameter_shift`` is the one-row call, with the caller's generator
+    as that row's stream; :func:`batch_parameter_shift_value_and_gradient`
+    also reads per-row losses off the same folded execution, the
+    workhorse of lock-step shot-based training.
 
-``adjoint_gradient``
+Adjoint (``batch_adjoint_gradient``, ``adjoint_gradient``)
     Reverse-mode differentiation through the statevector (Jones & Gacon,
-    2020).  One forward pass plus one backward sweep gives the *full*
-    gradient in ``O(#gates)`` — the engine used for training.  Fixed and
-    bound-parameter gate adjoints are cached on the circuit
-    (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps — one per
-    training iteration — rebuild only the trainable matrices.
-
-``batch_adjoint``
-    The adjoint sweep over a ``(B, 2**n)`` statevector stack: one
-    :meth:`StatevectorSimulator.run_batch` forward pass, then a single
-    backward sweep applying per-row adjoint/derivative stacks
-    (:meth:`ParametricGate.matrix_batch` / ``derivative_batch``) through
-    the broadcasting kernels.  Row ``b`` is bit-identical to
-    ``adjoint_gradient(..., params[b])``; throughput is what changes —
-    this engine powers lock-step multi-trajectory training.
-    :func:`adjoint_value_and_gradient` / :func:`batch_adjoint_value_and_gradient`
-    additionally return the expectation read off the same forward pass, so
-    training loops get loss and full gradient from one execution.
+    2020).  One :meth:`StatevectorSimulator.run_batch` forward pass plus
+    one backward sweep applying per-row adjoint/derivative stacks
+    (:meth:`ParametricGate.matrix_batch` / ``derivative_batch``) gives the
+    *full* gradient of every row in ``O(#gates)`` — the engine used for
+    training.  Fixed and bound-parameter gate adjoints are cached on the
+    circuit (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps —
+    one per training iteration — rebuild only the trainable matrices.
+    ``adjoint_gradient`` is the one-row call.  The ``*_value_and_gradient``
+    variants additionally return the expectation read off the same forward
+    pass, so training loops get loss and full gradient from one execution.
 
 ``finite_difference``
     Numerical fallback that works for any gate; used mainly to cross-check
     the exact engines in tests.
-
-``batch_parameter_shift``
-    The same exact shift rule as ``parameter_shift``, but every shifted
-    parameter vector — all shift terms of all requested parameters, for
-    one or many base parameter vectors — is folded into a single
-    :meth:`StatevectorSimulator.expectation_batch` call.  Results are
-    bit-identical to the sequential rule; throughput is what changes
-    (this engine powers the variance experiment's batched mode).  With
-    ``shots=`` every shifted expectation is sample-estimated instead:
-    one batched execution plus row-wise draws, each base row consuming
-    its own spawned child stream exactly as the sequential
-    ``parameter_shift(..., shots=, seed=<child>)`` would — so batched
-    sampled gradients stay bit-identical to per-row sequential sampling.
-    :func:`batch_parameter_shift_value_and_gradient` additionally reads
-    per-row losses off the same folded execution, the workhorse of
-    lock-step shot-based training.
 
 ``megabatch_parameter_shift`` / ``megabatch_adjoint_gradient``
     The mega-batched forms: rather than many rows of *one* circuit, they
@@ -75,6 +63,7 @@ from repro.backend.observables import Observable
 from repro.backend.simulator import MegaBatchPlan, StatevectorSimulator
 from repro.backend.statevector import Statevector, apply_matrix
 from repro.utils.array_api import FLOAT_DTYPE
+from repro.utils.rng import ensure_rng, resolve_rngs
 
 __all__ = [
     "parameter_shift",
@@ -144,6 +133,18 @@ def _resolve_shift_rules(
     return rules
 
 
+def _coerce_batch(params: Sequence[float]) -> Tuple[np.ndarray, bool]:
+    """Normalize 1-D/2-D ``params`` to ``(B, P)`` plus a was-single flag."""
+    array = np.asarray(params, dtype=FLOAT_DTYPE)
+    if array.ndim not in (1, 2):
+        raise ValueError(
+            f"params must be 1-D or 2-D (batch, num_parameters), "
+            f"got shape {array.shape}"
+        )
+    single = array.ndim == 1
+    return array.reshape(1, -1) if single else array, single
+
+
 def parameter_shift(
     circuit: QuantumCircuit,
     observable: Observable,
@@ -178,33 +179,21 @@ def parameter_shift(
         If a differentiated gate carries no exact shift rule at all; use
         ``adjoint_gradient`` or ``finite_difference`` for such gates.
     """
-    simulator = simulator or StatevectorSimulator()
-    params = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
-    indices = _resolve_indices(circuit, param_indices)
-    rules = _resolve_shift_rules(circuit, indices)
     if shots is not None:
-        # One generator consumed across all shifted evaluations keeps the
-        # per-evaluation samples independent.
-        from repro.utils.rng import ensure_rng
-
-        seed = ensure_rng(seed)
-
-    grads = np.empty(len(indices), dtype=FLOAT_DTYPE)
-    for out_slot, (index, terms) in enumerate(zip(indices, rules)):
-        total = 0.0
-        shifted = params.copy()
-        for coefficient, shift in terms:
-            shifted[index] = params[index] + shift
-            total += coefficient * simulator.expectation(
-                circuit,
-                observable,
-                shifted,
-                initial_state=initial_state,
-                shots=shots,
-                seed=seed,
-            )
-        grads[out_slot] = total
-    return grads
+        # One generator, consumed across all shifted evaluations in rule
+        # order, keeps the per-evaluation samples independent: it is the
+        # one row's stream.
+        seed = [ensure_rng(seed)]
+    return batch_parameter_shift(
+        circuit,
+        observable,
+        np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1),
+        simulator=simulator,
+        param_indices=param_indices,
+        initial_state=initial_state,
+        shots=shots,
+        seed=seed,
+    )
 
 
 def _fold_shifted_rows(
@@ -216,8 +205,8 @@ def _fold_shifted_rows(
     """Append one base row's shifted vectors to ``folded``, rule order.
 
     The single definition of the (parameter, term) fold order shared by
-    the batched and mega-batched shift engines — their bit-identity
-    contract depends on walking shifts exactly like the sequential rule.
+    the batched and mega-batched shift engines: parameters in index
+    order, each parameter's shift terms in rule order.
     """
     for slot, index in enumerate(indices):
         for _, shift in rules[slot]:
@@ -234,9 +223,9 @@ def _recombine_shift_row(
 ) -> int:
     """Fill one base row's gradients from ``estimates[cursor:]``.
 
-    Accumulates each parameter's terms in rule order (the sequential
-    engine's summation order) into ``out`` and returns the advanced
-    cursor; shared by the batched and mega-batched shift engines.
+    Accumulates each parameter's terms in rule order into ``out`` and
+    returns the advanced cursor; shared by the batched and mega-batched
+    shift engines.
     """
     for slot in range(len(rules)):
         total = 0.0
@@ -263,12 +252,11 @@ def _batch_shift_execute(
 
     Builds one execution batch holding, per base row, an optional
     unshifted evaluation (``include_values``) followed by every shifted
-    vector the rules require, in the same (parameter, term) order the
-    sequential engine walks.  Analytic mode evaluates it through
-    ``expectation_batch``; sampled mode runs one batched execution and
-    draws row-wise, each base row's evaluations sharing that row's child
-    generator in sequential-consumption order — the bit-identity contract
-    with ``parameter_shift(..., shots=, seed=<child>)``.
+    vector the rules require, in (parameter, term) order, and evaluates
+    it through ``expectation_batch``, which executes and reduces it one
+    memory-bounded chunk at a time.  Sampled, every evaluation of base
+    row ``b`` draws from that row's generator in fold order, so a base
+    row carries the same bits alone or in any batch.
     """
     evals_per_row = (1 if include_values else 0) + sum(
         len(terms) for terms in rules
@@ -278,26 +266,21 @@ def _batch_shift_execute(
         if include_values:
             folded.append(row.copy())
         _fold_shifted_rows(row, indices, rules, folded)
-    if shots is None:
-        estimates = simulator.expectation_batch(
-            circuit, observable, np.stack(folded), initial_state=initial_state
-        )
-    else:
-        from repro.utils.rng import resolve_rngs
-
-        row_rngs = resolve_rngs(seed, batch.shape[0])
-        states = simulator.run_batch(
-            circuit, np.stack(folded), initial_state=initial_state
-        )
-        # Every evaluation of base row b consumes rng b; the row-major
-        # draw order inside sampled_expectation_rows then matches the
-        # sequential engine's stream consumption exactly.
+    folded_rngs = None
+    if shots is not None:
         folded_rngs = [
-            rng for rng in row_rngs for _ in range(evals_per_row)
+            rng
+            for rng in resolve_rngs(seed, batch.shape[0])
+            for _ in range(evals_per_row)
         ]
-        estimates = simulator.sampled_expectation_rows(
-            states, observable, shots, folded_rngs
-        )
+    estimates = simulator.expectation_batch(
+        circuit,
+        observable,
+        np.stack(folded),
+        initial_state=initial_state,
+        shots=shots,
+        seed=folded_rngs,
+    )
 
     values = np.empty(batch.shape[0], dtype=FLOAT_DTYPE) if include_values else None
     grads = np.empty((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
@@ -325,9 +308,8 @@ def batch_parameter_shift(
     Builds every shifted parameter vector the shift rules require — all
     terms of all requested parameters, for every row of ``params`` — and
     evaluates them in a single batched execution, then recombines the
-    expectations with the rules' coefficients in the same accumulation
-    order as :func:`parameter_shift`, so the result is bit-identical to
-    the sequential engine.
+    expectations with the rules' coefficients in rule order.  Row ``b``
+    carries the same bits as a one-row call on ``params[b]``.
 
     Parameters
     ----------
@@ -365,14 +347,7 @@ def batch_parameter_shift(
         If a differentiated gate carries no exact shift rule.
     """
     simulator = simulator or StatevectorSimulator()
-    array = np.asarray(params, dtype=FLOAT_DTYPE)
-    if array.ndim not in (1, 2):
-        raise ValueError(
-            f"params must be 1-D or 2-D (batch, num_parameters), "
-            f"got shape {array.shape}"
-        )
-    single = array.ndim == 1
-    batch = array.reshape(1, -1) if single else array
+    batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
     rules = _resolve_shift_rules(circuit, indices)
     if not indices:
@@ -414,7 +389,7 @@ def batch_parameter_shift_value_and_gradient(
         returns ``(float, (len(indices),))``.
     """
     simulator = simulator or StatevectorSimulator()
-    batch, single = _coerce_batch(circuit, params)
+    batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
     rules = _resolve_shift_rules(circuit, indices)
     values, grads = _batch_shift_execute(
@@ -566,8 +541,6 @@ def megabatch_parameter_shift(
     if shots is None:
         estimates = observable.expectation_batch(states)
     else:
-        from repro.utils.rng import resolve_rngs
-
         base_rows = sum(batch.shape[0] for batch in batches)
         row_rngs = resolve_rngs(seed, base_rows)
         # Every folded evaluation of a base row consumes that row's
@@ -635,54 +608,6 @@ def finite_difference(
     return grads
 
 
-def _adjoint_sweep(
-    circuit: QuantumCircuit,
-    observable: Observable,
-    params: np.ndarray,
-    simulator: StatevectorSimulator,
-    indices: Sequence[int],
-    initial_state: Optional[Statevector],
-    want_value: bool,
-) -> Tuple[Optional[float], np.ndarray]:
-    """Sequential adjoint forward pass + backward sweep.
-
-    Returns ``(expectation, grads)``; the expectation is read off the
-    forward pass (``None`` unless ``want_value``), so callers needing loss
-    *and* gradient execute the circuit exactly once.
-    """
-    wanted = set(indices)
-    num_qubits = circuit.num_qubits
-    static = circuit.static_matrices()
-
-    # Forward pass.
-    final_state = simulator.run(circuit, params, initial_state)
-    value = observable.expectation(final_state) if want_value else None
-    psi = final_state.data.copy()
-    lam = observable.apply(psi)
-
-    grads_by_index = {}
-    for pos in range(len(circuit.operations) - 1, -1, -1):
-        op = circuit.operations[pos]
-        if op.is_trainable:
-            adjoint = op.matrix(params).conj().T
-        else:
-            adjoint = static[pos][1]
-        # Undo this gate: |psi_k> (state before the gate).
-        psi = apply_matrix(psi, adjoint, op.qubits, num_qubits)
-        if op.is_trainable and op.param_index in wanted:
-            gate = op.gate
-            assert isinstance(gate, ParametricGate)
-            d_matrix = gate.derivative(float(params[op.param_index]))
-            d_psi = apply_matrix(psi, d_matrix, op.qubits, num_qubits)
-            grads_by_index[op.param_index] = 2.0 * float(
-                np.real(np.vdot(lam, d_psi))
-            )
-        lam = apply_matrix(lam, adjoint, op.qubits, num_qubits)
-
-    grads = np.array([grads_by_index.get(i, 0.0) for i in indices], dtype=FLOAT_DTYPE)
-    return value, grads
-
-
 def adjoint_gradient(
     circuit: QuantumCircuit,
     observable: Observable,
@@ -698,15 +623,16 @@ def adjoint_gradient(
     ``2 * Re( <lambda| dU_k/dtheta |psi_k> )`` where ``|psi_k>`` is the state
     *before* the gate and ``<lambda|`` carries the observable back through
     the tail of the circuit.  Exact for any gate exposing ``derivative``.
+    One parameter vector is a one-row :func:`batch_adjoint_gradient`.
     """
-    simulator = simulator or StatevectorSimulator()
-    params = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
-    indices = _resolve_indices(circuit, param_indices)
-    _, grads = _adjoint_sweep(
-        circuit, observable, params, simulator, indices, initial_state,
-        want_value=False,
+    return batch_adjoint_gradient(
+        circuit,
+        observable,
+        np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1),
+        simulator=simulator,
+        param_indices=param_indices,
+        initial_state=initial_state,
     )
-    return grads
 
 
 def adjoint_value_and_gradient(
@@ -723,14 +649,14 @@ def adjoint_value_and_gradient(
     exactly the same bits as ``simulator.expectation(circuit, observable,
     params)``, and the gradient matches :func:`adjoint_gradient`.
     """
-    simulator = simulator or StatevectorSimulator()
-    params = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
-    indices = _resolve_indices(circuit, param_indices)
-    value, grads = _adjoint_sweep(
-        circuit, observable, params, simulator, indices, initial_state,
-        want_value=True,
+    return batch_adjoint_value_and_gradient(
+        circuit,
+        observable,
+        np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1),
+        simulator=simulator,
+        param_indices=param_indices,
+        initial_state=initial_state,
     )
-    return value, grads
 
 
 def _batch_adjoint_sweep(
@@ -744,10 +670,9 @@ def _batch_adjoint_sweep(
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Adjoint forward pass + backward sweep over a ``(B, 2**n)`` stack.
 
-    Per row the arithmetic mirrors :func:`_adjoint_sweep` through the
-    broadcasting kernels, so results are bit-identical to ``B`` sequential
-    sweeps; on the numpy backend the final inner products stay per-row
-    ``vdot`` calls for the same reason.  On a non-numpy backend the whole
+    Rows never mix in the broadcasting kernels, so row ``b`` carries the
+    same bits as a one-row sweep of ``batch[b]``; on the numpy backend the
+    final inner products stay per-row ``vdot`` calls for the same reason.  On a non-numpy backend the whole
     sweep — forward pass, both adjoint trails, and the gradient
     reductions — runs on-namespace; only the ``(B,)`` gradient entries
     cross back per differentiated parameter.
@@ -812,19 +737,10 @@ def _batch_adjoint_sweep(
                     for l, d in zip(lam, d_psi)
                 ]
         lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
+    if len(slot_of) < len(indices):
+        # A repeated index was filled in its last slot only; copy it out.
+        grads = grads[:, [slot_of[index] for index in indices]]
     return values, grads
-
-
-def _coerce_batch(circuit: QuantumCircuit, params: Sequence[float]) -> Tuple[np.ndarray, bool]:
-    """Normalize 1-D/2-D ``params`` to ``(B, P)`` plus a was-single flag."""
-    array = np.asarray(params, dtype=FLOAT_DTYPE)
-    if array.ndim not in (1, 2):
-        raise ValueError(
-            f"params must be 1-D or 2-D (batch, num_parameters), "
-            f"got shape {array.shape}"
-        )
-    single = array.ndim == 1
-    return array.reshape(1, -1) if single else array, single
 
 
 def batch_adjoint_gradient(
@@ -860,7 +776,7 @@ def batch_adjoint_gradient(
         ``adjoint_gradient(circuit, observable, params[b], ...)``.
     """
     simulator = simulator or StatevectorSimulator()
-    batch, single = _coerce_batch(circuit, params)
+    batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
     _, grads = _batch_adjoint_sweep(
         circuit, observable, batch, simulator, indices, initial_state,
@@ -884,7 +800,7 @@ def batch_adjoint_value_and_gradient(
     returns ``(float, (len(indices),))``, else ``((B,), (B, len(indices)))``.
     """
     simulator = simulator or StatevectorSimulator()
-    batch, single = _coerce_batch(circuit, params)
+    batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
     values, grads = _batch_adjoint_sweep(
         circuit, observable, batch, simulator, indices, initial_state,
@@ -1015,9 +931,8 @@ def megabatch_adjoint_gradient(
 
 
 #: Named registry of gradient engines.  The ``batch_*`` engines share the
-#: standard engine signature (and additionally accept ``(B, P)`` parameter
-#: stacks), returning the same values as their sequential counterparts
-#: from one batched execution.
+#: standard engine signature and additionally accept ``(B, P)`` parameter
+#: stacks; the unprefixed names are their one-row calls.
 GRADIENT_ENGINES = {
     "parameter_shift": parameter_shift,
     "batch_parameter_shift": batch_parameter_shift,

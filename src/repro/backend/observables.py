@@ -218,7 +218,7 @@ class PauliString(Observable):
         # eigenvalues_of_bits): the diagonalizing-rotation matrices and the
         # parity sign-table columns are properties of the string, so the
         # sampled-estimation paths look them up here instead of rebuilding
-        # them on every sampled_expectation_rows / _sampled_pauli call.
+        # them on every sampled_expectation_rows call.
         self._rotation_matrices: "Tuple[Tuple[np.ndarray, int], ...] | None" = None
         self._parity_columns: "np.ndarray | None" = None
 

@@ -287,12 +287,7 @@ class PauliTransferSimulator:
         initial_state=None,
     ) -> np.ndarray:
         """Pauli vector ``(4**n,)`` of the noisy output state."""
-        param_array = StatevectorSimulator._coerce_params(circuit, params)
-        row = (
-            np.zeros((1, 0), dtype=FLOAT_DTYPE)
-            if param_array is None
-            else param_array.reshape(1, -1)
-        )
+        row = StatevectorSimulator._params_row(circuit, params)
         return self.run_batch(circuit, row, initial_state)[0]
 
     def run_batch(
@@ -509,18 +504,15 @@ class PauliTransferSimulator:
         seed: SeedLike = None,
     ) -> float:
         """Noisy ``Tr(rho(params) O)``, exact or shot-estimated."""
-        param_array = StatevectorSimulator._coerce_params(circuit, params)
-        row = (
-            np.zeros((1, 0), dtype=FLOAT_DTYPE)
-            if param_array is None
-            else param_array.reshape(1, -1)
-        )
-        states = self.run_batch(circuit, row, initial_state)
-        if shots is None:
-            return float(self._analytic_rows(states, observable)[0])
+        row = StatevectorSimulator._params_row(circuit, params)
         return float(
-            self.sampled_expectation_rows(
-                states, observable, shots, [ensure_rng(seed)]
+            self.expectation_batch(
+                circuit,
+                observable,
+                row,
+                initial_state,
+                shots=shots,
+                seed=None if shots is None else [ensure_rng(seed)],
             )[0]
         )
 
@@ -533,15 +525,33 @@ class PauliTransferSimulator:
         shots: Optional[int] = None,
         seed: "SeedLike | Sequence[SeedLike]" = None,
     ) -> np.ndarray:
-        """Noisy ``<O>`` for every row of ``params_batch`` in one call."""
-        states = self._run_batch_data(circuit, params_batch, initial_state)
+        """Noisy ``<O>`` for every row of ``params_batch`` in one call.
+
+        Rows are executed and reduced in chunks of the shared
+        :func:`~repro.backend.simulator.batch_chunk_rows` policy at the
+        doubled register width, so a stack of any height never holds more
+        than one chunk of ``4**n``-wide Pauli vectors.
+        """
+        batch = StatevectorSimulator._coerce_params_batch(circuit, params_batch)
+        rngs = None if shots is None else resolve_rngs(seed, batch.shape[0])
         backend = self.backend
-        if not backend.is_numpy:
-            states = backend.to_numpy(states)
-        if shots is None:
-            return self._analytic_rows(states, observable)
-        rngs = resolve_rngs(seed, states.shape[0])
-        return self.sampled_expectation_rows(states, observable, shots, rngs)
+        chunk = batch_chunk_rows(2 * circuit.num_qubits, backend)
+        parts = []
+        for start in range(0, batch.shape[0], chunk):
+            states = self._run_batch_data(
+                circuit, batch[start : start + chunk], initial_state
+            )
+            if not backend.is_numpy:
+                states = backend.to_numpy(states)
+            if shots is None:
+                parts.append(self._analytic_rows(states, observable))
+            else:
+                parts.append(
+                    self.sampled_expectation_rows(
+                        states, observable, shots, rngs[start : start + chunk]
+                    )
+                )
+        return np.concatenate(parts)
 
     def sampled_expectation_rows(
         self,

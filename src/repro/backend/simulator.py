@@ -23,17 +23,19 @@ Batched execution
 amplitude buffer through one circuit for ``B`` parameter vectors at once:
 fixed gates are applied to all rows with a single shared matrix, trainable
 gates gather their per-row angles and apply a ``(B, 2**k, 2**k)`` matrix
-stack (see :meth:`ParametricGate.matrix_batch`).  Per row the arithmetic
-matches the sequential :meth:`run` bit for bit, so batched evaluation is a
-pure throughput optimization — the parameter-shift variance sweep uses it
-to fold every method's draws and both shift terms into one call.
+stack (see :meth:`ParametricGate.matrix_batch`).  This is the only
+execution path: :meth:`~StatevectorSimulator.run` is row 0 of a one-row
+``run_batch``, and :meth:`~StatevectorSimulator.unitary` evolves the
+``2**n`` basis states as one stack.  Rows never mix, so a row carries the
+same bits alone or in any stack — the parameter-shift variance sweep
+relies on it to fold every method's draws and both shift terms into one
+call.
 
 The sampled path is batched too: ``expectation_batch(..., shots=, seed=)``
 applies each Pauli term's diagonalizing rotations once to the whole
 ``(B, 2**n)`` stack and then draws row-wise counts from one independent
-generator per row (:meth:`StatevectorSimulator.sampled_expectation_rows`),
-bit-identical per row to the sequential ``expectation(shots=...)`` given
-the same spawned child seeds.
+generator per row (:meth:`StatevectorSimulator.sampled_expectation_rows`);
+the scalar ``expectation(shots=...)`` is row 0 of the same method.
 
 Mega-batched execution
 ----------------------
@@ -46,10 +48,10 @@ once and stores, per trainable slot, the per-circuit gate table; at
 execution time each slot applies one gate-matrix stack per distinct gate
 to that gate's rows.  Because every kernel in this module is per-row
 independent, row ``b`` remains bit-identical to running its own circuit
-through ``run_batch`` (and therefore through the sequential ``run``) —
-mega-batching, like batching, is a pure throughput change.  This is what
-lets the variance experiment fold a grid cell's hundreds of (structure,
-method, shift-term) evaluations into a handful of hundred-row executions.
+through ``run_batch`` (and therefore through ``run``) — mega-batching, like
+batching, is a pure throughput change.  This is what lets the variance
+experiment fold a grid cell's hundreds of (structure, method, shift-term)
+evaluations into a handful of hundred-row executions.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "StatevectorSimulator",
     "MegaBatchPlan",
-    "apply_operation",
     "apply_operation_batch",
     "batch_chunk_rows",
 ]
@@ -112,32 +113,15 @@ def batch_chunk_rows(
     return max(1, chunk_bytes // (16 * 2**num_qubits))
 
 
-def apply_operation(data, op, params, num_qubits, backend=None):
-    """Apply one circuit operation to a flat amplitude buffer.
-
-    Dispatches diagonal gates (CZ, RZ, PHASE, ...) to the cheaper
-    elementwise kernel; everything else goes through the general
-    tensor-contraction kernel.  ``backend`` is forwarded to the kernels
-    (operand matrices are built host-side and staged there).
-    """
-    matrix = op.matrix(params)
-    if getattr(op.gate, "is_diagonal", False):
-        return apply_diagonal(
-            data, np.diagonal(matrix), op.qubits, num_qubits, backend=backend
-        )
-    return apply_matrix(data, matrix, op.qubits, num_qubits, backend=backend)
-
-
 def apply_parametric_stack(data, gate, thetas, qubits, num_qubits, backend=None):
     """Apply one parametric gate with per-row angles to an amplitude stack.
 
     ``thetas`` has one entry per row of ``data``; diagonal gates route
-    through the elementwise kernel exactly as the sequential dispatcher
-    does, so row ``b`` is bit-identical to applying ``gate.matrix(
-    thetas[b])`` through :func:`apply_operation`.  Matrix stacks are
-    built from the host parameter array; on a non-numpy ``backend`` the
-    dense stack is staged by :meth:`ParametricGate.matrix_batch` (and a
-    diagonal stack by the kernel) in one copy per gate/slot.
+    through the elementwise kernel, everything else through the stacked
+    matrix kernel.  Matrix stacks are built from the host parameter
+    array; on a non-numpy ``backend`` the dense stack is staged by
+    :meth:`ParametricGate.matrix_batch` (and a diagonal stack by the
+    kernel) in one copy per gate/slot.
     """
     if getattr(gate, "is_diagonal", False):
         matrices = gate.matrix_batch(thetas)
@@ -153,8 +137,8 @@ def apply_operation_batch(data, op, batch_params, num_qubits, backend=None):
     Trainable gates gather their per-row angles from ``batch_params``
     (shape ``(B, num_parameters)``) and apply a ``(B, 2**k, 2**k)`` matrix
     stack; fixed and bound-parameter gates share one matrix across all
-    rows.  Row ``b`` of the result is bit-identical to
-    ``apply_operation(data[b], op, batch_params[b], num_qubits)``.
+    rows.  Diagonal gates (CZ, RZ, PHASE, ...) take the cheaper
+    elementwise kernel.
     """
     gate = op.gate
     if op.is_trainable:
@@ -388,28 +372,14 @@ class StatevectorSimulator:
             trainable operations.
         initial_state:
             Starting state; defaults to ``|0...0>``.
+
+        One state is a one-row stack: the result is row 0 of
+        :meth:`run_batch`.
         """
-        param_array = self._coerce_params(circuit, params)
-        backend = self.backend
-        if initial_state is None:
-            data = np.zeros(2**circuit.num_qubits, dtype=COMPLEX_DTYPE)
-            data[0] = 1.0
-        else:
-            if initial_state.num_qubits != circuit.num_qubits:
-                raise ValueError(
-                    f"initial state has {initial_state.num_qubits} qubits, "
-                    f"circuit needs {circuit.num_qubits}"
-                )
-            data = initial_state.data.copy()
-        if not backend.is_numpy:
-            data = backend.asarray(data, dtype=backend.complex_dtype)
-        for op in circuit.operations:
-            data = apply_operation(
-                data, op, param_array, circuit.num_qubits, backend=backend
-            )
-        if not backend.is_numpy:
-            data = backend.to_numpy(data)
-        return Statevector(data, validate=False)
+        row = self._params_row(circuit, params)
+        return Statevector(
+            self.run_batch(circuit, row, initial_state)[0], validate=False
+        )
 
     def run_batch(
         self,
@@ -713,7 +683,7 @@ class StatevectorSimulator:
         assembled into one ``(B_dense, 2**k, 2**k)`` array — the kernels
         are per-row independent, so mixing gates in one call carries the
         same bits as per-gate calls); diagonal rows share one
-        :func:`apply_diagonal` call, keeping the sequential dispatcher's
+        :func:`apply_diagonal` call, keeping :func:`apply_operation_batch`'s
         kernel choice per row.  Row classification and operand assembly
         are host-side (they index tiny per-row metadata); each group's
         assembled operand stack is staged to the backend by the kernel in
@@ -787,11 +757,19 @@ class StatevectorSimulator:
         shots: Optional[int] = None,
         seed: SeedLike = None,
     ) -> float:
-        """``<psi(params)|O|psi(params)>``, exact or shot-estimated."""
+        """``<psi(params)|O|psi(params)>``, exact or shot-estimated.
+
+        Sampled, the estimate is row 0 of :meth:`sampled_expectation_rows`
+        on the one-row stack, drawing from ``seed``'s generator.
+        """
         state = self.run(circuit, params, initial_state)
         if shots is None:
             return observable.expectation(state)
-        return self._sampled_expectation(state, observable, shots, seed)
+        return float(
+            self.sampled_expectation_rows(
+                state.data[None], observable, shots, [ensure_rng(seed)]
+            )[0]
+        )
 
     def expectation_batch(
         self,
@@ -805,10 +783,12 @@ class StatevectorSimulator:
         """``<O>`` for every row of ``params_batch`` in one call.
 
         Analytic by default; with ``shots=`` every row is estimated from
-        that many measurement samples instead.  The sampled path runs one
-        batched execution, applies each Pauli term's diagonalizing
-        rotations once to the whole ``(B, 2**n)`` stack, and then draws
-        row-wise counts — one independent generator per row.
+        that many measurement samples instead: each Pauli term's
+        diagonalizing rotations are applied to the whole stack, then
+        row-wise counts are drawn — one independent generator per row.
+        Rows are executed and reduced in chunks of
+        :func:`batch_chunk_rows`, so a stack of any height never holds
+        more than one chunk of states.
 
         Parameters
         ----------
@@ -828,16 +808,25 @@ class StatevectorSimulator:
         sampled mode — the contract the batched shot-based experiment
         paths rely on.
         """
-        states = self._run_batch_data(circuit, params_batch, initial_state)
-        if shots is None:
-            # The observable layer is backend-aware: device stacks reduce
-            # on-namespace and only the (B,) float result crosses back.
-            return observable.expectation_batch(states)
-        backend = self.backend
-        if not backend.is_numpy:
-            states = backend.to_numpy(states)
-        rngs = resolve_rngs(seed, states.shape[0])
-        return self.sampled_expectation_rows(states, observable, shots, rngs)
+        batch = self._coerce_params_batch(circuit, params_batch)
+        rngs = None if shots is None else resolve_rngs(seed, batch.shape[0])
+        chunk = batch_chunk_rows(circuit.num_qubits, self.backend)
+        parts = []
+        for start in range(0, batch.shape[0], chunk):
+            states = self._run_batch_data(
+                circuit, batch[start : start + chunk], initial_state
+            )
+            if shots is None:
+                # The observable layer is backend-aware: device stacks
+                # reduce on-namespace and only the float result crosses.
+                parts.append(observable.expectation_batch(states))
+            else:
+                parts.append(
+                    self.sampled_expectation_rows(
+                        states, observable, shots, rngs[start : start + chunk]
+                    )
+                )
+        return np.concatenate(parts)
 
     def sampled_expectation_rows(
         self,
@@ -851,10 +840,8 @@ class StatevectorSimulator:
         The vectorized work — Pauli-term basis rotations and probability
         matrices — is done once per batch; the multinomial draws then walk
         the rows in order, consuming ``rngs[b]`` for row ``b`` term by
-        term, exactly as the sequential ``expectation(shots=...)`` path
-        would.  Row ``b`` is therefore bit-identical to
-        ``self._sampled_expectation(Statevector(states[b]), observable,
-        shots, rngs[b])``.  ``rngs`` may repeat one generator across
+        term, so row ``b`` carries the same bits alone or in any stack.
+        ``rngs`` may repeat one generator across
         consecutive rows (the batched parameter-shift path shares a
         per-trajectory stream over that trajectory's shifted rows); the
         row-major draw order keeps such shared streams sequentially
@@ -890,10 +877,9 @@ class StatevectorSimulator:
     def _sampling_stages(self, states: np.ndarray, observable: Observable):
         """Per-term draw closures over precomputed probability matrices.
 
-        Each stage maps ``(row, rng, shots) -> float`` and corresponds to
-        one sequential draw of ``_sampled_expectation`` (Pauli terms in
-        order; identity terms consume no randomness), so iterating the
-        stages per row reproduces the sequential stream consumption.
+        Each stage maps ``(row, rng, shots) -> float`` and makes one
+        draw per Pauli term, in term order (identity terms consume no
+        randomness; a projector is one draw over every qubit).
         """
         num_qubits = observable.num_qubits
         if isinstance(observable, Projector):
@@ -953,32 +939,33 @@ class StatevectorSimulator:
     def unitary(
         self, circuit: QuantumCircuit, params: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        """Dense unitary of the whole circuit (tests / small systems only)."""
+        """Dense unitary of the whole circuit (tests / small systems only).
+
+        Column ``j`` is the circuit applied to basis state ``|j>``; the
+        ``2**n`` basis states evolve as one stack of rows.
+        """
         dim = 2**circuit.num_qubits
-        param_array = self._coerce_params(circuit, params)
-        columns = np.eye(dim, dtype=COMPLEX_DTYPE)
-        out = np.empty((dim, dim), dtype=COMPLEX_DTYPE)
-        for col in range(dim):
-            data = columns[:, col].copy()
-            for op in circuit.operations:
-                data = apply_operation(data, op, param_array, circuit.num_qubits)
-            out[:, col] = data
-        return out
+        batch = np.repeat(self._params_row(circuit, params), dim, axis=0)
+        data = np.eye(dim, dtype=COMPLEX_DTYPE)
+        for op in circuit.operations:
+            data = apply_operation_batch(data, op, batch, circuit.num_qubits)
+        return np.ascontiguousarray(data.T)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _coerce_params(
+    def _params_row(
         circuit: QuantumCircuit, params: Optional[Sequence[float]]
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
+        """Validate one parameter vector; return it as a ``(1, P)`` stack."""
         if params is None:
             if circuit.num_parameters:
                 raise ValueError(
                     f"circuit has {circuit.num_parameters} trainable parameters "
                     "but none were supplied"
                 )
-            return None
+            return np.zeros((1, 0), dtype=FLOAT_DTYPE)
         array = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
         if array.size != circuit.num_parameters:
             raise ValueError(
@@ -989,7 +976,7 @@ class StatevectorSimulator:
                 "parameters contain NaN or infinity; an optimizer has "
                 "probably diverged"
             )
-        return array
+        return array.reshape(1, -1)
 
     @staticmethod
     def _coerce_params_batch(
@@ -1014,41 +1001,3 @@ class StatevectorSimulator:
                 "probably diverged"
             )
         return array
-
-    def _sampled_expectation(
-        self,
-        state: Statevector,
-        observable: Observable,
-        shots: int,
-        seed: SeedLike,
-    ) -> float:
-        check_positive_int(shots, "shots")
-        rng = ensure_rng(seed)
-        if isinstance(observable, Projector):
-            bits = state.sample(shots, seed=rng)
-            hits = np.all(bits == np.asarray(observable.bits), axis=1)
-            return float(np.mean(hits))
-        if isinstance(observable, PauliString):
-            return self._sampled_pauli(state, observable, shots, rng)
-        if isinstance(observable, PauliSum):
-            return float(
-                sum(
-                    self._sampled_pauli(state, term, shots, rng)
-                    for term in observable.terms
-                )
-            )
-        raise TypeError(
-            f"shot-based estimation is not implemented for {type(observable).__name__}"
-        )
-
-    @staticmethod
-    def _sampled_pauli(
-        state: Statevector, term: PauliString, shots: int, rng: np.random.Generator
-    ) -> float:
-        if term.is_identity:
-            return term.coefficient
-        rotated = state.data
-        for matrix, qubit in term.rotation_matrices():
-            rotated = apply_matrix(rotated, matrix, [qubit], state.num_qubits)
-        bits = Statevector(rotated, validate=False).sample(shots, seed=rng)
-        return float(np.mean(term.eigenvalues_of_bits(bits)))

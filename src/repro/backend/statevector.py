@@ -5,10 +5,14 @@ Qubit 0 is the most significant bit of the basis-state index (the same
 convention as PennyLane's ``default.qubit``), so ``|10>`` on two qubits is
 index 2.
 
-The hot path — applying a ``k``-qubit gate — reshapes the state into an
-``n``-dimensional tensor of shape ``(2,) * n`` and contracts the gate over
-the targeted axes with :func:`numpy.tensordot`; diagonal gates use a cheaper
-elementwise multiply.
+The hot path — applying a ``k``-qubit gate — runs on a ``(B, 2**n)``
+stack of amplitude rows: the stack is viewed as a ``(B,) + (2,) * n``
+tensor, the targeted axes are transposed up front, and one stacked
+:func:`numpy.matmul` applies the gate to every row (single-qubit gates
+skip the transpose when the target block is wide enough).  Diagonal gates
+use a cheaper elementwise multiply.  A flat ``(2**n,)`` state is a
+one-row stack: the kernels run it as ``state[None]`` and return row 0, so
+one state and a row of any stack carry the same bits by construction.
 
 Array backends
 --------------
@@ -16,25 +20,20 @@ Every kernel also runs on a pluggable array namespace
 (:mod:`repro.utils.array_api`): passing ``backend=`` — or simply passing
 arrays owned by a non-numpy backend — routes the computation through a
 generic on-namespace implementation mirroring the reference transpose
-layout.  Plain ``np.ndarray`` inputs take the exact pre-refactor numpy
-code path (including the probed single-qubit fast path), so the default
-backend stays bit-identical to the seed kernels; non-numpy backends are
-held to the device-tolerance contract documented in
-:mod:`repro.utils.array_api`.  Sampling is host-side always: device
-amplitude stacks are staged through one ``to_numpy`` conversion before
-any generator is consumed.
+layout.  Plain ``np.ndarray`` inputs take the numpy kernels, which are
+the reference; non-numpy backends are held to the device-tolerance
+contract documented in :mod:`repro.utils.array_api`.  Sampling is
+host-side always: device amplitude stacks are staged through one
+``to_numpy`` conversion before any generator is consumed.
 
 Batched execution
 -----------------
-:func:`apply_matrix` and :func:`apply_diagonal` also broadcast over a
-leading batch axis: passing a ``(B, 2**n)`` amplitude buffer (optionally
-with per-element gate matrices ``(B, 2**k, 2**k)`` / diagonals
-``(B, 2**k)``) evolves ``B`` states through the gate in one vectorized
-call.  Per batch element the arithmetic is the same GEMM the sequential
-path performs, so batched and sequential evolution of identical inputs
-produce bit-identical amplitudes — the property the variance experiment's
-``batched`` mode relies on.  :meth:`StatevectorSimulator.run_batch` builds
-on these kernels.
+Passing per-row gate matrices ``(B, 2**k, 2**k)`` / diagonals
+``(B, 2**k)`` applies a different operand to every row in the same call.
+Rows never mix, and the layout a gate takes depends on its geometry, not
+on ``B``, so a row evolves to the same bits alone or in any stack — the
+property the batched and mega-batched engines rely on.
+:meth:`StatevectorSimulator.run_batch` builds on these kernels.
 
 Measurement sampling has a batched form too: :meth:`Statevector.sample_batch`
 / :meth:`Statevector.sample_counts_batch` draw per-row multinomial samples
@@ -111,9 +110,6 @@ def _device_backend(
     return None if owner.is_numpy else owner
 
 
-#: Per-``(num_qubits, qubit)`` verdicts of the runtime probe below.
-_FAST_SINGLE_QUBIT_OK: "dict[Tuple[int, int], bool]" = {}
-
 #: Most ``(2, 2) @ (2, rest)`` slices per row the single-qubit fast path
 #: takes on; each slice is one small matmul dispatch, so many slices of
 #: few amplitudes lose to the transpose layout.  Registers of 10 qubits or
@@ -122,51 +118,6 @@ _FAST_SINGLE_QUBIT_OK: "dict[Tuple[int, int], bool]" = {}
 #: 12/14-qubit batched variance grid 1.07x slower
 #: (``BENCH_batched_adjoint.json``, 2-core x86-64, numpy 2.4 OpenBLAS).
 _FAST_PATH_MAX_SLICES = 64
-
-
-def _fast_single_qubit_ok(num_qubits: int, qubit: int) -> bool:
-    """Whether the single-qubit stacked-matmul layout is bit-safe here.
-
-    For a gate on ``qubit`` the fast path in :func:`apply_matrix`
-    contracts ``(2, 2) @ (2, 2**(n-q-1))`` GEMM slices, while the
-    sequential 1-D path contracts one full-width ``(2, 2) @ (2, 2**(n-1))``
-    GEMM.  Whether those two widths produce identical bits depends on the
-    numpy/BLAS build's per-shape kernel selection, so the first use of
-    each exact ``(num_qubits, qubit)`` geometry probes both layouts —
-    fast slices against the real sequential kernel — on a fixed input
-    and caches the verdict.  A mismatching platform silently falls back
-    to the reference transpose layout instead of breaking the library's
-    batched-equals-sequential contract.
-    """
-    key = (num_qubits, qubit)
-    verdict = _FAST_SINGLE_QUBIT_OK.get(key)
-    if verdict is None:
-        rest = 2 ** (num_qubits - qubit - 1)
-        rng = np.random.default_rng(0x5EED)
-        states = rng.normal(size=(2, 2**num_qubits)) + 1j * rng.normal(
-            size=(2, 2**num_qubits)
-        )
-        matrices = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        blocks = states.reshape(2, 2**qubit, 2, rest)
-        fast_shared = np.matmul(matrices[0], blocks).reshape(2, -1)
-        fast_stacked = np.matmul(matrices[:, None, :, :], blocks).reshape(2, -1)
-        sequential_shared = np.stack(
-            [
-                apply_matrix(states[b], matrices[0], [qubit], num_qubits)
-                for b in range(2)
-            ]
-        )
-        sequential_stacked = np.stack(
-            [
-                apply_matrix(states[b], matrices[b], [qubit], num_qubits)
-                for b in range(2)
-            ]
-        )
-        verdict = np.array_equal(fast_shared, sequential_shared) and np.array_equal(
-            fast_stacked, sequential_stacked
-        )
-        _FAST_SINGLE_QUBIT_OK[key] = verdict
-    return verdict
 
 
 def apply_matrix(
@@ -181,8 +132,9 @@ def apply_matrix(
     Parameters
     ----------
     state:
-        Flat complex array of length ``2**num_qubits``, or a batch of
-        ``B`` such vectors with shape ``(B, 2**num_qubits)``.
+        Flat complex array of length ``2**num_qubits`` (run as a one-row
+        stack), or a batch of ``B`` such vectors with shape
+        ``(B, 2**num_qubits)``.
     matrix:
         ``(2**k, 2**k)`` matrix acting on ``qubits`` (most significant
         gate qubit first), or a per-batch-element stack of shape
@@ -208,17 +160,12 @@ def apply_matrix(
     k = len(qubits)
     if len(set(qubits)) != k:
         raise ValueError(f"target qubits must be distinct, got {tuple(qubits)}")
+    if state.ndim == 1 and matrix.ndim == 2:
+        # One state is a one-row stack: the same kernels, the same bits.
+        return apply_matrix(state[None], matrix, qubits, num_qubits, backend)[0]
     device = _device_backend(state, backend)
     if device is not None:
         return _apply_matrix_device(state, matrix, qubits, num_qubits, device)
-    if state.ndim == 1 and matrix.ndim == 2:
-        tensor = state.reshape((2,) * num_qubits)
-        gate = matrix.reshape((2,) * (2 * k))
-        # Contract gate input axes (the trailing k axes of the reshaped gate)
-        # with the targeted state axes, then move the gate output axes back.
-        tensor = np.tensordot(gate, tensor, axes=(range(k, 2 * k), qubits))
-        tensor = np.moveaxis(tensor, range(k), qubits)
-        return np.ascontiguousarray(tensor).reshape(-1)
 
     batch = _batch_size(state, matrix, matrix.ndim == 3)
     states = state if state.ndim == 2 else np.broadcast_to(state, (batch, state.size))
@@ -226,21 +173,14 @@ def apply_matrix(
         # Single-qubit fast path: viewing the stack as
         # (batch, 2**q, 2, rest) puts the target axis where a stacked
         # matmul contracts it directly — no transpose copies, one output
-        # allocation.  The inner (2, 2) @ (2, rest) GEMM slices must
-        # carry the same bits as the sequential kernel for the library's
-        # bit-identity contract to hold; that is a property of the BLAS
-        # build, so it is verified once per ``rest`` size at runtime
-        # (:func:`_fast_single_qubit_ok`) rather than assumed.  Each
-        # slice costs a fixed dispatch, so narrow blocks (< 8) and rows
-        # of more than ``_FAST_PATH_MAX_SLICES`` slices (targets past
-        # qubit 6, only above 10 qubits) lose to the transpose layout.
+        # allocation.  Each slice costs a fixed dispatch, so narrow
+        # blocks (< 8) and rows of more than ``_FAST_PATH_MAX_SLICES``
+        # slices (targets past qubit 6, only above 10 qubits) lose to the
+        # transpose layout.  Which layout a gate takes never depends on
+        # the batch size, so a row carries the same bits in any stack.
         q = qubits[0]
         rest = 2 ** (num_qubits - q - 1)
-        if (
-            rest >= 8
-            and 2**q <= _FAST_PATH_MAX_SLICES
-            and _fast_single_qubit_ok(num_qubits, q)
-        ):
+        if rest >= 8 and 2**q <= _FAST_PATH_MAX_SLICES:
             blocks = states.reshape(batch, 2**q, 2, rest)
             stacked = (
                 matrix if matrix.ndim == 2 else matrix[:, None, :, :]
@@ -248,8 +188,8 @@ def apply_matrix(
             return np.matmul(stacked, blocks).reshape(batch, -1)
     tensor = states.reshape((batch,) + (2,) * num_qubits)
     # Bring the targeted axes up front (after the batch axis) so every
-    # batch element is the same (2**k, rest) matrix the sequential kernel
-    # contracts — one GEMM per element via the stacked matmul below.
+    # batch element is one (2**k, rest) matrix — one GEMM per element via
+    # the stacked matmul below.
     # Explicit transpose permutations (rather than np.moveaxis) keep the
     # per-gate Python overhead low on this hot path.
     target_set = set(q + 1 for q in qubits)
@@ -272,21 +212,12 @@ def _apply_matrix_device(
 ):
     """Generic on-namespace :func:`apply_matrix`.
 
-    Mirrors the reference transpose layout exactly (never the probed
-    single-qubit fast path — that shortcut's bit-safety is a numpy/BLAS
-    property); host-built operands are staged once per call.
+    Mirrors the reference transpose layout exactly (never the numpy
+    single-qubit fast path); host-built operands are staged once per
+    call.
     """
     k = len(qubits)
     matrix = b.asarray(matrix, dtype=b.complex_dtype)
-    if state.ndim == 1 and matrix.ndim == 2:
-        tensor = b.reshape(state, (2,) * num_qubits)
-        gate = b.reshape(matrix, (2,) * (2 * k))
-        tensor = b.tensordot(
-            gate, tensor, axes=(tuple(range(k, 2 * k)), tuple(qubits))
-        )
-        return b.reshape(
-            b.moveaxis(tensor, tuple(range(k)), tuple(qubits)), (-1,)
-        )
     batch = _batch_size(state, matrix, matrix.ndim == 3)
     states = (
         state
@@ -325,20 +256,15 @@ def apply_diagonal(
     ``backend`` parameter follows :func:`apply_matrix`.
     """
     k = len(qubits)
+    if state.ndim == 1 and diagonal.ndim == 1:
+        return apply_diagonal(
+            state[None], diagonal, qubits, num_qubits, backend
+        )[0]
     device = _device_backend(state, backend)
     if device is not None:
         return _apply_diagonal_device(
             state, diagonal, qubits, num_qubits, device
         )
-    if state.ndim == 1 and diagonal.ndim == 1:
-        tensor = state.reshape((2,) * num_qubits)
-        diag = diagonal.reshape((2,) * k)
-        # Pad with size-1 axes, then move the diagonal's axes onto the target
-        # qubit positions so plain broadcasting applies it elementwise.
-        expanded = np.moveaxis(
-            diag.reshape(diag.shape + (1,) * (num_qubits - k)), range(k), qubits
-        )
-        return (tensor * expanded).reshape(-1)
 
     batch = _batch_size(state, diagonal, diagonal.ndim == 2)
     states = state if state.ndim == 2 else np.broadcast_to(state, (batch, state.size))
@@ -361,11 +287,6 @@ def _apply_diagonal_device(
     """Generic on-namespace :func:`apply_diagonal` (reference layout)."""
     k = len(qubits)
     diagonal = b.asarray(diagonal, dtype=b.complex_dtype)
-    if state.ndim == 1 and diagonal.ndim == 1:
-        tensor = b.reshape(state, (2,) * num_qubits)
-        diag = b.reshape(diagonal, (2,) * k + (1,) * (num_qubits - k))
-        expanded = b.moveaxis(diag, tuple(range(k)), tuple(qubits))
-        return b.reshape(tensor * expanded, (-1,))
     batch = _batch_size(state, diagonal, diagonal.ndim == 2)
     states = (
         state

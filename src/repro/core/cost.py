@@ -166,12 +166,7 @@ class ObservableCost:
             value = self.value(params, shots=shots, seed=rng)
             return value, self.gradient(params, shots=shots, seed=rng)
         if self.gradient_engine in ("adjoint", "batch_adjoint"):
-            fused = (
-                adjoint_value_and_gradient
-                if self.gradient_engine == "adjoint"
-                else batch_adjoint_value_and_gradient
-            )
-            expectation, raw = fused(
+            expectation, raw = adjoint_value_and_gradient(
                 self.circuit, self.observable, params, simulator=self.simulator
             )
             return self.offset + self.scale * expectation, self.scale * raw

@@ -96,7 +96,7 @@ from repro.core.variance import (
 )
 from repro.core import variance as _variance_module
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
-from repro.utils.array_api import get_array_backend
+from repro.utils.array_api import check_array_backend_name, get_array_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
 
@@ -212,9 +212,10 @@ class ExperimentSpec:
         Array backend the statevector kernels run on: ``"numpy"``
         (default, bit-identical to the pre-backend code) or an
         accelerator namespace spec such as ``"torch"`` /
-        ``"torch:cuda:0"`` / ``"cupy"`` — resolved eagerly at ``run()``
-        so a missing optional dependency fails fast with an actionable
-        error.  Non-default values override the config's own ``backend``
+        ``"torch:cuda:0"`` / ``"cupy"``.  An unregistered name is
+        rejected here, at construction; the namespace is resolved
+        eagerly at ``run()`` so a missing optional dependency fails fast
+        with an actionable error.  Non-default values override the config's own ``backend``
         field (mirroring ``shots``) and route to the ``device`` executor
         unless one is named explicitly.
     noise:
@@ -301,11 +302,7 @@ class ExperimentSpec:
         check_positive_int(self.restarts, "restarts")
         if self.shots is not None:
             check_positive_int(self.shots, "shots")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError(
-                f"backend must be a non-empty array-backend spec string, "
-                f"got {self.backend!r}"
-            )
+        check_array_backend_name(self.backend)
         if self.noise is not None:
             # Validate eagerly and canonicalize: a trivial model (identity
             # channels, zero readout error) is bit-identical to noiseless,
@@ -371,11 +368,10 @@ class ExperimentSpec:
             # executor: widest resident batches, no cross-process state.
             return "device"
         if self.kind == "training":
-            # Lock-step is bit-identical to serial.  Its analytic adjoint
-            # sweep is chunked to a bounded working set; shots, noise and
-            # the shift-rule engines instead stack every shifted copy of
-            # every trajectory at once (4**n-wide rows under noise), so
-            # they keep serial's one-state-at-a-time path.
+            # Lock-step is bit-identical to serial, and both run their
+            # folds in chunks of bounded size.  It is the default only
+            # where it is measured faster, analytic adjoint training;
+            # shots, noise and the shift-rule engines keep serial.
             config = self.config or TrainingConfig()
             analytic_adjoint = (
                 self.shots is None

@@ -41,6 +41,7 @@ from repro.core.results import TrainingHistory
 from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS
 from repro.optim import Optimizer, get_optimizer, resolve_optimizer_name
+from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
 
@@ -81,9 +82,10 @@ class TrainingConfig:
     shots: Optional[int] = None
     #: Array backend the statevector kernels run on: ``"numpy"`` (default,
     #: bit-identical to the pre-backend code) or an accelerator namespace
-    #: spec such as ``"torch"`` / ``"torch:cuda:0"`` / ``"cupy"``, resolved
-    #: lazily at run time (see :mod:`repro.utils.array_api`).  Excluded
-    #: from checkpoint fingerprints only at its default.
+    #: spec such as ``"torch"`` / ``"torch:cuda:0"`` / ``"cupy"``.  The
+    #: name is checked against the registry here; the namespace is
+    #: resolved lazily at run time (see :mod:`repro.utils.array_api`).
+    #: Excluded from checkpoint fingerprints only at its default.
     backend: str = "numpy"
     #: Serializable noise-model payload (``NoiseModel.from_dict``
     #: vocabulary).  When set, trajectories run on the batched
@@ -104,11 +106,7 @@ class TrainingConfig:
             )
         if self.shots is not None:
             check_positive_int(self.shots, "shots")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError(
-                f"backend must be a non-empty array-backend spec string, "
-                f"got {self.backend!r}"
-            )
+        check_array_backend_name(self.backend)
         if self.noise is not None:
             model = NoiseModel.from_dict(dict(self.noise))
             self.noise = None if model.is_trivial else model.to_dict()

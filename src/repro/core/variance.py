@@ -57,6 +57,7 @@ from repro.core.cost import make_cost
 from repro.core.results import GradientSamples, VarianceResult
 from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
+from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_in_choices, check_positive_int
 
@@ -124,9 +125,10 @@ class VarianceConfig:
     shots: Optional[int] = None
     #: Array backend the statevector kernels run on: ``"numpy"`` (default,
     #: bit-identical to the pre-backend code) or an accelerator namespace
-    #: spec such as ``"torch"`` / ``"torch:cuda:0"`` / ``"cupy"``, resolved
-    #: lazily at run time (see :mod:`repro.utils.array_api`).  Excluded
-    #: from checkpoint fingerprints only at its default.
+    #: spec such as ``"torch"`` / ``"torch:cuda:0"`` / ``"cupy"``.  The
+    #: name is checked against the registry here; the namespace is
+    #: resolved lazily at run time (see :mod:`repro.utils.array_api`).
+    #: Excluded from checkpoint fingerprints only at its default.
     backend: str = "numpy"
     #: Serializable noise-model payload (``NoiseModel.from_dict``
     #: vocabulary: ``default`` / ``per_gate`` channels plus
@@ -158,11 +160,7 @@ class VarianceConfig:
         check_in_choices(self.fold, ("structure", "shape"), "fold")
         if self.shots is not None:
             check_positive_int(self.shots, "shots")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError(
-                f"backend must be a non-empty array-backend spec string, "
-                f"got {self.backend!r}"
-            )
+        check_array_backend_name(self.backend)
         if self.noise is not None:
             # Validate eagerly and store the canonical payload; trivial
             # models collapse to None (the noiseless path *is* their

@@ -23,8 +23,9 @@ full numpy suite.
 Identity contract
 -----------------
 The numpy backend is the reference: kernels route plain ``np.ndarray``
-inputs through the exact pre-refactor code paths, so numpy results are
-**bit-identical** to the seed kernels.  Non-numpy backends are held to
+inputs through the numpy kernels, whose results are **bit-identical** to
+the seed kernels (``tests/oracles.py`` keeps verbatim copies to hold them
+to it).  Non-numpy backends are held to
 *device tolerance* against numpy on the same seeds: ``allclose`` at
 :data:`DEVICE_RTOL` / :data:`DEVICE_ATOL` (complex128 everywhere; the
 differences come from reduction order and GEMM kernel choice, not
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +67,7 @@ __all__ = [
     "get_array_backend",
     "resolve_array_backend",
     "available_array_backends",
+    "check_array_backend_name",
     "array_backend_status",
     "array_backend_of",
     "backend_spec_with_fallback",
@@ -100,7 +102,7 @@ class ArrayBackend:
     #: Spec name this backend was registered under.
     name: str = "abstract"
     #: True only for the reference numpy backend: kernels route
-    #: ``is_numpy`` backends through the bit-identical pre-refactor code.
+    #: ``is_numpy`` backends through the numpy reference kernels.
     is_numpy: bool = False
     #: Budget for one amplitude chunk in ``batch_chunk_rows`` — small on
     #: the CPU (cache-friendly), large on accelerators (launch-overhead
@@ -148,11 +150,6 @@ class ArrayBackend:
     def permute(self, x: Any, axes: Sequence[int]) -> Any:
         return self.xp.transpose(x, tuple(axes))
 
-    def moveaxis(
-        self, x: Any, source: Sequence[int], destination: Sequence[int]
-    ) -> Any:
-        return self.xp.moveaxis(x, source, destination)
-
     def broadcast_to(self, x: Any, shape: Sequence[int]) -> Any:
         return self.xp.broadcast_to(x, tuple(shape))
 
@@ -179,11 +176,6 @@ class ArrayBackend:
 
     def matmul(self, a: Any, b: Any) -> Any:
         return self.xp.matmul(a, b)
-
-    def tensordot(
-        self, a: Any, b: Any, axes: Tuple[Sequence[int], Sequence[int]]
-    ) -> Any:
-        return self.xp.tensordot(a, b, axes=axes)
 
     def conj(self, x: Any) -> Any:
         return self.xp.conj(x)
@@ -289,13 +281,11 @@ for _op in (
     "copy",
     "reshape",
     "permute",
-    "moveaxis",
     "broadcast_to",
     "tile_rows",
     "concatenate",
     "take_rows",
     "matmul",
-    "tensordot",
     "conj",
     "real",
     "abs_sq",
@@ -311,9 +301,8 @@ class TorchBackend(ArrayBackend):
     """PyTorch namespace (CPU by default, ``"torch:cuda"`` for GPU).
 
     Adapts torch's calling conventions to the numpy semantics the
-    kernels use: ``dims=`` tensordot, ``permute`` members, ``dim=``
-    reductions, ``torch.long`` index tensors, and explicit
-    ``complex128``/``float64`` dtype objects.
+    kernels use: ``permute`` members, ``dim=`` reductions, ``torch.long``
+    index tensors, and explicit ``complex128``/``float64`` dtype objects.
     """
 
     name = "torch"
@@ -375,11 +364,6 @@ class TorchBackend(ArrayBackend):
     def permute(self, x: Any, axes: Sequence[int]) -> Any:
         return x.permute(tuple(int(axis) for axis in axes))
 
-    def moveaxis(
-        self, x: Any, source: Sequence[int], destination: Sequence[int]
-    ) -> Any:
-        return self._torch.movedim(x, list(source), list(destination))
-
     def broadcast_to(self, x: Any, shape: Sequence[int]) -> Any:
         return self._torch.broadcast_to(x, tuple(shape))
 
@@ -398,13 +382,6 @@ class TorchBackend(ArrayBackend):
 
     def matmul(self, a: Any, b: Any) -> Any:
         return self._torch.matmul(a, b)
-
-    def tensordot(
-        self, a: Any, b: Any, axes: Tuple[Sequence[int], Sequence[int]]
-    ) -> Any:
-        return self._torch.tensordot(
-            a, b, dims=(list(axes[0]), list(axes[1]))
-        )
 
     def conj(self, x: Any) -> Any:
         return x.conj()
@@ -544,6 +521,29 @@ def available_array_backends() -> List[str]:
     return sorted(_FACTORIES)
 
 
+def check_array_backend_name(spec: Any) -> str:
+    """Validate a backend spec's name without importing its namespace.
+
+    Configs and specs call this at construction, so a typo fails there
+    with a one-line :class:`ValueError`.  Only the name before ``:`` is
+    checked against the registry; a registered but missing library (torch,
+    cupy) still raises its :class:`ImportError` when the backend is first
+    resolved, which is what graceful fallback relies on.
+    """
+    if not isinstance(spec, str) or not spec:
+        raise ValueError(
+            f"backend must be a non-empty array-backend spec string, "
+            f"got {spec!r}"
+        )
+    name = spec.partition(":")[0]
+    if name not in _FACTORIES:
+        raise ValueError(
+            f"unknown array backend {name!r}; choose from "
+            f"{available_array_backends()}"
+        )
+    return spec
+
+
 def get_array_backend(spec: str = "numpy") -> ArrayBackend:
     """Resolve a backend spec string to a (cached) :class:`ArrayBackend`.
 
@@ -596,12 +596,9 @@ def backend_spec_with_fallback(spec: str) -> str:
     :class:`BackendFallbackWarning`, emitted once per spec per process.
     """
     spec = str(spec)
-    name = spec.partition(":")[0]
-    if name == "numpy":
+    if spec.partition(":")[0] == "numpy":
         return "numpy"
-    if name not in _FACTORIES:
-        # Raise the registry's unknown-name error (fail fast on typos).
-        get_array_backend(spec)
+    check_array_backend_name(spec)  # fail fast on typos
     try:
         get_array_backend(spec)
         return spec

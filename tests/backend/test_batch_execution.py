@@ -13,6 +13,7 @@ Two families of guarantees:
 """
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.ansatz.random_pqc import RandomPQC
@@ -395,7 +396,7 @@ class TestChunkBoundaries:
         )
         assert np.array_equal(blocked, unblocked)
         for b in range(batch):
-            expected = simulator._sampled_expectation(
+            expected = oracles.sampled_expectation(
                 Statevector(states[b], validate=False),
                 observable,
                 32,
@@ -422,3 +423,66 @@ class TestChunkBoundaries:
             states, observable, 16, [np.random.default_rng(3)] * batch
         )
         assert np.array_equal(blocked, unblocked)
+
+
+class TestBoundedFoldedStacks:
+    """A shift-rule fold holds ``2P`` shifted rows per base row.  The
+    reduction must see them one backend chunk at a time — here two rows —
+    and the chunking must not move a bit."""
+
+    NUM_QUBITS = 3
+    CHUNK_ROWS = 2
+
+    @pytest.mark.parametrize("shots", [None, 16], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("kind", ["statevector", "pauli_transfer"])
+    def test_reductions_never_see_more_than_one_chunk(
+        self, monkeypatch, kind, shots
+    ):
+        from repro.backend import NoiseModel, PauliTransferSimulator, depolarizing
+
+        circuit = _random_pqc(self.NUM_QUBITS, 2, seed=31)
+        params = np.random.default_rng(32).normal(
+            size=(2, circuit.num_parameters)
+        )
+        observable = total_z(self.NUM_QUBITS)
+        if kind == "statevector":
+            simulator = StatevectorSimulator()
+            row_width = 2**self.NUM_QUBITS
+        else:
+            simulator = PauliTransferSimulator(
+                NoiseModel(default=depolarizing(0.01), readout_error=0.02)
+            )
+            row_width = 4**self.NUM_QUBITS
+
+        def gradients():
+            return batch_parameter_shift(
+                circuit, observable, params, simulator=simulator,
+                shots=shots, seed=None if shots is None else [7, 8],
+            )
+
+        whole = gradients()
+
+        monkeypatch.setattr(
+            simulator.backend, "chunk_bytes", 16 * row_width * self.CHUNK_ROWS
+        )
+        widths = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def recorded(states, *args, **kwargs):
+                widths.append(len(states))
+                return original(states, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        spy(observable, "expectation_batch")
+        spy(simulator, "sampled_expectation_rows")
+        if kind == "pauli_transfer":
+            spy(simulator, "_analytic_rows")
+        chunked = gradients()
+
+        folded_rows = 2 * params.size
+        assert sum(widths) == folded_rows
+        assert max(widths) <= self.CHUNK_ROWS
+        assert np.array_equal(chunked, whole)

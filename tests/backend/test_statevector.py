@@ -247,19 +247,25 @@ class TestBatchedKernels:
         """At 12 qubits the fast path needs ``rest >= 8`` (targets 0-8),
         and the slice cap (``2**q <= 64``) leaves it targets 0-6; the rest
         take the transpose layout.  Both selections must match the
-        sequential kernel bit for bit at every target."""
+        sequential 1-D kernel bit for bit at every target."""
+        import oracles
+
         import repro.backend.statevector as statevector
 
         if cap is not None:
             monkeypatch.setattr(statevector, "_FAST_PATH_MAX_SLICES", cap)
-        probed = set()
-        probe = statevector._fast_single_qubit_ok
+        # The fast path is the only stacked matmul over a 4-D
+        # (batch, 2**q, 2, rest) view of the states.
+        fast = set()
+        matmul = np.matmul
+        qubit = None
 
-        def spy(num_qubits, qubit):
-            probed.add(qubit)
-            return probe(num_qubits, qubit)
+        def spy(a, b, *args, **kwargs):
+            if np.ndim(b) == 4:
+                fast.add(qubit)
+            return matmul(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(statevector, "_fast_single_qubit_ok", spy)
+        monkeypatch.setattr(np, "matmul", spy)
         rng = np.random.default_rng(12)
         num_qubits = 12
         states = self._random_batch(rng, 3, 2**num_qubits)
@@ -272,13 +278,17 @@ class TestBatchedKernels:
             for b in range(3):
                 assert np.array_equal(
                     shared[b],
-                    apply_matrix(states[b], stack[0], [qubit], num_qubits),
+                    oracles.apply_matrix_1d(
+                        states[b], stack[0], [qubit], num_qubits
+                    ),
                 )
                 assert np.array_equal(
                     per_row[b],
-                    apply_matrix(states[b], stack[b], [qubit], num_qubits),
+                    oracles.apply_matrix_1d(
+                        states[b], stack[b], [qubit], num_qubits
+                    ),
                 )
-        assert probed == fast_targets
+        assert fast == fast_targets
 
     def test_matrix_batch_matches_scalar_matrices(self):
         for name in ("RX", "RY", "RZ", "PHASE", "CRX", "CRY", "CRZ", "RZZ"):

@@ -176,11 +176,10 @@ class TestMissingNamespaceFailsEagerly:
             run(spec)
 
     def test_unknown_backend_is_a_value_error(self):
-        spec = ExperimentSpec(
-            kind="variance", config=_VAR_CONFIG, seed=0, backend="jax"
-        )
         with pytest.raises(ValueError, match="unknown array backend"):
-            run(spec)
+            ExperimentSpec(
+                kind="variance", config=_VAR_CONFIG, seed=0, backend="jax"
+            )
 
 
 class TestEndToEndIdentity:

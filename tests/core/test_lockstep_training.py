@@ -46,16 +46,18 @@ class TestValueAndGradientFusion:
         circuit = repro.QuantumCircuit(2).rx(0).ry(1).cz(0, 1).ry(0)
         cost = make_cost("global", circuit)
         params = np.array([0.3, -0.8, 1.4])
-        calls = {"run": 0}
-        original = StatevectorSimulator.run
+        calls = {"forward": 0}
+        original = StatevectorSimulator._run_batch_data
 
-        def counting_run(self, *args, **kwargs):
-            calls["run"] += 1
+        def counting_forward(self, *args, **kwargs):
+            calls["forward"] += 1
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(StatevectorSimulator, "run", counting_run)
+        monkeypatch.setattr(
+            StatevectorSimulator, "_run_batch_data", counting_forward
+        )
         value, grad = cost.value_and_gradient(params)
-        assert calls["run"] == 1
+        assert calls["forward"] == 1
         monkeypatch.undo()
         assert value == cost.value(params)
         assert np.array_equal(grad, cost.gradient(params))

@@ -82,6 +82,17 @@ class TestEndpoints:
         assert "unknown executor 'nosuch'" in json.loads(excinfo.value.read())["error"]
         assert server.queue.jobs() == []
 
+    def test_unknown_backend_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(
+                f"{server.url}/experiments",
+                dict(_SPEC.to_dict(), backend="nosuch"),
+            )
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "unknown array backend 'nosuch'" in error
+        assert server.queue.jobs() == []
+
     def test_result_before_done_409(self, server, monkeypatch):
         import threading
 

@@ -328,6 +328,20 @@ class TestInputErrors:
         code = main(["run", str(path), "--executor", "nosuch"])
         self._assert_one_line_error(capsys, code, "unknown executor 'nosuch'")
 
+    def test_variance_unknown_backend(self, capsys):
+        code = main(["variance", "--backend", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown array backend 'nosuch'")
+
+    def test_train_unknown_backend(self, capsys):
+        code = main(["train", "--backend", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown array backend 'nosuch'")
+
+    def test_run_unknown_backend(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "training"}')
+        code = main(["run", str(path), "--backend", "nosuch"])
+        self._assert_one_line_error(capsys, code, "unknown array backend 'nosuch'")
+
     def test_serve_unknown_executor_exits_before_binding(
         self, capsys, tmp_path, monkeypatch
     ):

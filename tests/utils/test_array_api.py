@@ -17,6 +17,7 @@ from repro.utils.array_api import (
     array_backend_of,
     array_backend_status,
     available_array_backends,
+    check_array_backend_name,
     get_array_backend,
     is_device_array,
     register_array_backend,
@@ -63,6 +64,36 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown array backend"):
             get_array_backend("tensorflow")
+
+    def test_name_check_rejects_unknown_and_empty_names(self):
+        for spec in ("tensorflow", "tensorflow:0", ":cuda"):
+            with pytest.raises(ValueError, match="unknown array backend"):
+                check_array_backend_name(spec)
+        for spec in ("", None, 3):
+            with pytest.raises(ValueError, match="non-empty"):
+                check_array_backend_name(spec)
+
+    def test_name_check_never_imports_the_namespace(self, monkeypatch):
+        def unreachable(device):
+            raise AssertionError("the backend factory ran")
+
+        from repro.utils import array_api
+
+        for name in available_array_backends():
+            monkeypatch.setitem(array_api._FACTORIES, name, unreachable)
+            assert check_array_backend_name(name) == name
+            assert check_array_backend_name(f"{name}:1") == f"{name}:1"
+
+    def test_configs_and_specs_reject_unknown_backends(self):
+        from repro.core import ExperimentSpec, TrainingConfig, VarianceConfig
+
+        for build in (
+            lambda: VarianceConfig(backend="nosuch"),
+            lambda: TrainingConfig(backend="nosuch"),
+            lambda: ExperimentSpec(kind="training", backend="nosuch"),
+        ):
+            with pytest.raises(ValueError, match="unknown array backend 'nosuch'"):
+                build()
 
     def test_numpy_rejects_device_suffix(self):
         with pytest.raises(ValueError, match="no devices"):
