@@ -45,13 +45,23 @@ gate-sequence shape (same wires, same parameter slots, same fixed layers —
 see :func:`repro.ansatz.random_pqc.circuit_shape_key`) evolve together in
 one ``(B, 2**n)`` stack.  A :class:`MegaBatchPlan` validates the bucket
 once and stores, per trainable slot, the per-circuit gate table; at
-execution time each slot applies one gate-matrix stack per distinct gate
-to that gate's rows.  Because every kernel in this module is per-row
-independent, row ``b`` remains bit-identical to running its own circuit
-through ``run_batch`` (and therefore through ``run``) — mega-batching, like
-batching, is a pure throughput change.  This is what lets the variance
-experiment fold a grid cell's hundreds of (structure, method, shift-term)
-evaluations into a handful of hundred-row executions.
+execution time each slot applies one per-row operand stack to its dense
+(RX, RY) rows and one to its diagonal (RZ) rows.  Because every kernel in
+this module is per-row independent, row ``b`` remains bit-identical to
+running its own circuit through ``run_batch`` (and therefore through
+``run``) — mega-batching, like batching, is a pure throughput change.
+This is what lets the variance experiment fold a grid cell's hundreds of
+(structure, method, shift-term) evaluations into a handful of hundred-row
+executions.
+
+The stack evolves one cache-sized chunk at a time between two
+caller-owned buffers: every kernel writes into the spare buffer
+(``out=``) and the two swap, so a chunk allocates nothing per gate.  A
+slot that mixes dense and diagonal rows does not scatter them back: it
+permutes the chunk so its dense rows come first (one row gather), runs
+each kernel on its half in place of the other buffer, and carries the
+composed row order on; one row scatter at the end of the chunk restores
+the caller's order.
 """
 
 from __future__ import annotations
@@ -113,22 +123,54 @@ def batch_chunk_rows(
     return max(1, chunk_bytes // (16 * 2**num_qubits))
 
 
-def apply_parametric_stack(data, gate, thetas, qubits, num_qubits, backend=None):
+def apply_parametric_stack(
+    data, gate, thetas, qubits, num_qubits, backend=None, out=None
+):
     """Apply one parametric gate with per-row angles to an amplitude stack.
 
     ``thetas`` has one entry per row of ``data``; diagonal gates route
     through the elementwise kernel, everything else through the stacked
-    matrix kernel.  Matrix stacks are built from the host parameter
-    array; on a non-numpy ``backend`` the dense stack is staged by
-    :meth:`ParametricGate.matrix_batch` (and a diagonal stack by the
-    kernel) in one copy per gate/slot.
+    matrix kernel (``out`` is handed to either).  Matrix stacks are built
+    from the host parameter array; on a non-numpy ``backend`` the dense
+    stack is staged by :meth:`ParametricGate.matrix_batch` (and a
+    diagonal stack by the kernel) in one copy per gate/slot.
     """
     if getattr(gate, "is_diagonal", False):
         matrices = gate.matrix_batch(thetas)
         diagonals = np.diagonal(matrices, axis1=-2, axis2=-1)
-        return apply_diagonal(data, diagonals, qubits, num_qubits, backend=backend)
+        return apply_diagonal(
+            data, diagonals, qubits, num_qubits, backend=backend, out=out
+        )
     matrices = gate.matrix_batch(thetas, backend=backend)
-    return apply_matrix(data, matrices, qubits, num_qubits, backend=backend)
+    return apply_matrix(
+        data, matrices, qubits, num_qubits, backend=backend, out=out
+    )
+
+
+def _apply_gate_group(
+    data, gates, codes, thetas, diagonal, qubits, num_qubits, backend, out
+):
+    """Apply a slot's per-row gates to ``data``, all dense or all diagonal.
+
+    Row ``i`` gets ``gates[codes[i]]`` at angle ``thetas[i]``.  The
+    per-gate matrix stacks are assembled host-side into one contiguous
+    operand stack (the kernels are per-row independent, so one mixed
+    call carries the same bits as per-gate calls) and applied in one
+    kernel call writing ``out``.
+    """
+    dim = gates[0].dim
+    shape = (codes.size, dim) if diagonal else (codes.size, dim, dim)
+    operands = np.empty(shape, dtype=COMPLEX_DTYPE)
+    for code, gate in enumerate(gates):
+        sel = np.flatnonzero(codes == code)
+        if sel.size == 0:
+            continue
+        matrices = gate.matrix_batch(thetas[sel])
+        operands[sel] = (
+            np.diagonal(matrices, axis1=-2, axis2=-1) if diagonal else matrices
+        )
+    kernel = apply_diagonal if diagonal else apply_matrix
+    kernel(data, operands, qubits, num_qubits, backend=backend, out=out)
 
 
 def apply_operation_batch(data, op, batch_params, num_qubits, backend=None):
@@ -140,22 +182,29 @@ def apply_operation_batch(data, op, batch_params, num_qubits, backend=None):
     rows.  Diagonal gates (CZ, RZ, PHASE, ...) take the cheaper
     elementwise kernel.
     """
-    gate = op.gate
     if op.is_trainable:
         return apply_parametric_stack(
             data,
-            gate,
+            op.gate,
             batch_params[:, op.param_index],
             op.qubits,
             num_qubits,
             backend=backend,
         )
+    return _apply_fixed_operation(data, op, num_qubits, backend)
+
+
+def _apply_fixed_operation(data, op, num_qubits, backend=None, out=None):
+    """Apply a fixed or bound-parameter operation: one shared operand."""
     matrix = op.matrix(None)
-    if getattr(gate, "is_diagonal", False):
+    if getattr(op.gate, "is_diagonal", False):
         return apply_diagonal(
-            data, np.diagonal(matrix), op.qubits, num_qubits, backend=backend
+            data, np.diagonal(matrix), op.qubits, num_qubits,
+            backend=backend, out=out,
         )
-    return apply_matrix(data, matrix, op.qubits, num_qubits, backend=backend)
+    return apply_matrix(
+        data, matrix, op.qubits, num_qubits, backend=backend, out=out
+    )
 
 
 #: Diagonal entries that multiply amplitudes exactly (components 0/±1),
@@ -488,14 +537,15 @@ class StatevectorSimulator:
         every circuit in a :class:`MegaBatchPlan`'s shape bucket.  Fixed
         operations apply one shared matrix to all rows (fused entangler
         runs apply their precomputed diagonal in one elementwise pass);
-        at each trainable slot the rows split into at most two groups —
-        dense gates, sharing one per-row matrix stack, and diagonal
-        gates, sharing one per-row diagonal stack — so the drawn gate,
-        like the angle, is row data.  Rows evolve independently through
-        exactly the kernels :meth:`run_batch` dispatches per gate, so row
-        ``b`` equals ``self.run_batch(plan.circuits[row_circuits[b]],
-        params_batch[b:b+1])[0]`` bit for bit (up to the sign of
-        exactly-zero amplitudes under fused diagonals — see
+        at each trainable slot the rows are permuted into at most two
+        groups — dense gates, sharing one per-row matrix stack, and
+        diagonal gates, sharing one per-row diagonal stack — so the drawn
+        gate, like the angle, is row data.  The permutation is undone
+        once, when the result is written.  Rows evolve independently
+        through exactly the kernels :meth:`run_batch` dispatches per
+        gate, so row ``b`` equals ``self.run_batch(plan.circuits[
+        row_circuits[b]], params_batch[b:b+1])[0]`` bit for bit (up to
+        the sign of exactly-zero amplitudes under fused diagonals — see
         :class:`MegaBatchPlan`): mega-batching is a pure throughput
         change, the contract the variance engine's shape-bucket fold
         relies on.
@@ -546,8 +596,15 @@ class StatevectorSimulator:
         and accepts a per-row ``initial_state`` already resident there —
         the substrate that keeps a whole mega-batch slot sweep (and the
         shift-rule engines' prefix/suffix resumptions) device-resident
-        end to end.  The stack is never mutated in place, so a device
-        ``initial_state`` may be aliased rather than copied.
+        end to end.
+
+        The rows run in :func:`batch_chunk_rows` chunks, one after the
+        other, between two chunk-sized buffers allocated once per call:
+        each chunk copies its initial rows into one buffer, every kernel
+        writes the other (``out=``) and the two swap, and one
+        ``put_rows`` writes the chunk into the freshly allocated result in
+        the caller's row order.  ``initial_state`` is only read, so the
+        result never aliases it.
         """
         batch_array = self._coerce_params_batch(plan.template, params_batch)
         rows = np.asarray(row_circuits, dtype=np.intp).reshape(-1)
@@ -563,6 +620,7 @@ class StatevectorSimulator:
             )
         num_qubits = plan.num_qubits
         batch = batch_array.shape[0]
+        dim = 2**num_qubits
         num_ops = len(plan.template.operations)
         stop = num_ops if stop is None else int(stop)
         start = int(start)
@@ -571,69 +629,9 @@ class StatevectorSimulator:
                 f"invalid operation range [{start}, {stop}) for a circuit "
                 f"with {num_ops} operations"
             )
-        backend = self.backend
-        per_row_initial = initial_state is not None and not isinstance(
-            initial_state, Statevector
-        )
-        if per_row_initial and tuple(initial_state.shape) != (
-            batch,
-            2**num_qubits,
-        ):
-            raise ValueError(
-                f"per-row initial states must be (batch, {2**num_qubits}), "
-                f"got shape {tuple(initial_state.shape)}"
-            )
-        # Same memory-aware chunking as run_batch: large stacks evolve in
-        # cache-resident row chunks; rows are independent, so chunk
-        # boundaries are invisible to the results.
-        chunk = batch_chunk_rows(num_qubits, backend)
-        if batch > chunk:
-            return backend.concatenate(
-                [
-                    self._run_megabatch_data(
-                        plan,
-                        batch_array[first : first + chunk],
-                        rows[first : first + chunk],
-                        initial_state[first : first + chunk]
-                        if per_row_initial
-                        else initial_state,
-                        start,
-                        stop,
-                    )
-                    for first in range(0, batch, chunk)
-                ]
-            )
-        if initial_state is None:
-            if backend.is_numpy:
-                data = np.zeros((batch, 2**num_qubits), dtype=COMPLEX_DTYPE)
-            else:
-                data = backend.zeros(
-                    (batch, 2**num_qubits), backend.complex_dtype
-                )
-            data[:, 0] = 1.0
-        elif per_row_initial:
-            if backend.is_numpy:
-                data = np.array(initial_state, dtype=COMPLEX_DTYPE)
-            else:
-                data = backend.asarray(
-                    initial_state, dtype=backend.complex_dtype
-                )
-        else:
-            if initial_state.num_qubits != num_qubits:
-                raise ValueError(
-                    f"initial state has {initial_state.num_qubits} qubits, "
-                    f"circuit needs {num_qubits}"
-                )
-            if backend.is_numpy:
-                data = np.tile(initial_state.data, (batch, 1))
-            else:
-                data = backend.tile_rows(
-                    backend.asarray(
-                        initial_state.data, dtype=backend.complex_dtype
-                    ),
-                    batch,
-                )
-        for kind, lo, hi, payload in plan.steps:
+        steps = []
+        for step in plan.steps:
+            lo, hi = step[1], step[2]
             if hi <= start or lo >= stop:
                 continue
             if lo < start or hi > stop:
@@ -641,112 +639,122 @@ class StatevectorSimulator:
                     f"operation range [{start}, {stop}) splits the fused "
                     f"diagonal run covering operations [{lo}, {hi})"
                 )
-            if kind == "op":
-                data = apply_operation_batch(
-                    data, payload, batch_array, num_qubits, backend=backend
+            steps.append(step)
+        backend = self.backend
+        complex_dtype = backend.complex_dtype
+        per_row_initial = initial_state is not None and not isinstance(
+            initial_state, Statevector
+        )
+        if per_row_initial:
+            if tuple(initial_state.shape) != (batch, dim):
+                raise ValueError(
+                    f"per-row initial states must be (batch, {dim}), "
+                    f"got shape {tuple(initial_state.shape)}"
                 )
-            elif kind == "fused_diag":
-                if backend.is_numpy:
-                    data = data * payload
-                else:
-                    data = data * backend.asarray(
-                        payload, dtype=backend.complex_dtype
-                    )
+            initial = backend.asarray(initial_state, dtype=complex_dtype)
+        elif initial_state is not None:
+            if initial_state.num_qubits != num_qubits:
+                raise ValueError(
+                    f"initial state has {initial_state.num_qubits} qubits, "
+                    f"circuit needs {num_qubits}"
+                )
+            initial = backend.asarray(initial_state.data, dtype=complex_dtype)
+        # Same memory-aware chunking as run_batch: the stack evolves in
+        # cache-resident row chunks; rows are independent, so chunk
+        # boundaries are invisible to the results.
+        chunk = batch_chunk_rows(num_qubits, backend)
+        result = backend.zeros((batch, dim), complex_dtype)
+        buffer = backend.zeros((min(chunk, batch), dim), complex_dtype)
+        spare_buffer = backend.empty_like(buffer)
+        all_qubits = range(num_qubits)
+        for first in range(0, batch, chunk):
+            last = min(first + chunk, batch)
+            data = buffer[: last - first]
+            spare = spare_buffer[: last - first]
+            if initial_state is None:
+                data[...] = 0
+                data[:, 0] = 1.0
             else:
-                data = self._apply_megabatch_slot(
-                    plan,
-                    lo,
-                    payload,
-                    data,
-                    batch_array,
-                    rows,
-                    num_qubits,
-                    backend,
-                )
-        return data
+                data[...] = initial[first:last] if per_row_initial else initial
+            # order[i]: the caller's row that data[i] holds.
+            order = np.arange(first, last)
+            for kind, lo, _, payload in steps:
+                if kind == "slot":
+                    data, spare, order = self._apply_megabatch_slot(
+                        plan, lo, payload, data, spare, batch_array, rows,
+                        order, backend,
+                    )
+                    continue
+                if kind == "fused_diag":
+                    apply_diagonal(
+                        data, payload, all_qubits, num_qubits,
+                        backend=backend, out=spare,
+                    )
+                else:
+                    _apply_fixed_operation(
+                        data, payload, num_qubits, backend, out=spare
+                    )
+                data, spare = spare, data
+            backend.put_rows(result, order, data)
+        return result
 
     @staticmethod
     def _apply_megabatch_slot(
         plan: MegaBatchPlan,
         pos: int,
         op,
-        data: np.ndarray,
+        data,
+        spare,
         batch_array: np.ndarray,
         rows: np.ndarray,
-        num_qubits: int,
+        order: np.ndarray,
         backend: ArrayBackend,
-    ) -> np.ndarray:
-        """Apply one trainable slot with per-row gates to the stack.
+    ):
+        """Apply one trainable slot with per-row gates to a chunk.
 
-        Rows whose drawn gate is dense share a single stacked
-        :func:`apply_matrix` call (their per-gate matrix stacks are
-        assembled into one ``(B_dense, 2**k, 2**k)`` array — the kernels
-        are per-row independent, so mixing gates in one call carries the
-        same bits as per-gate calls); diagonal rows share one
-        :func:`apply_diagonal` call, keeping :func:`apply_operation_batch`'s
-        kernel choice per row.  Row classification and operand assembly
-        are host-side (they index tiny per-row metadata); each group's
-        assembled operand stack is staged to the backend by the kernel in
-        one copy, and the gather/scatter of the state rows themselves
-        runs on-namespace.
+        ``data[i]`` holds the caller's row ``order[i]``; its angle and
+        gate code are looked up through ``order``.  Returns ``(data,
+        spare, order)`` for the next step.  A slot whose chunk rows are
+        all dense or all diagonal runs one kernel from ``data`` into
+        ``spare`` (the buffers swap).  A mixed slot gathers ``data`` into
+        ``spare`` in stable dense-first order, then runs the dense kernel
+        into the leading rows of ``data`` and the diagonal kernel into the
+        rest, and hands the composed order on — rows are not scattered
+        back.
+        Operand assembly is host-side (it indexes tiny per-row metadata);
+        each kernel stages its operand stack to the backend in one copy.
         """
+        num_qubits = plan.num_qubits
         gates, codes = plan.slot_gates[pos]
-        thetas = batch_array[:, op.param_index]
+        thetas = batch_array[order, op.param_index]
         if len(gates) == 1:
-            return apply_parametric_stack(
-                data, gates[0], thetas, op.qubits, num_qubits, backend=backend
+            apply_parametric_stack(
+                data, gates[0], thetas, op.qubits, num_qubits,
+                backend=backend, out=spare,
             )
-        batch = data.shape[0]
-        row_codes = codes[rows]
-        diagonal_of_code = plan.slot_diagonal[pos]
-        row_is_diagonal = diagonal_of_code[row_codes]
-        dim = gates[0].dim
-        out = backend.empty_like(data)
-        for want_diagonal in (False, True):
-            group = [
-                code
-                for code in range(len(gates))
-                if bool(diagonal_of_code[code]) is want_diagonal
-            ]
-            if not group:
-                continue
-            if len(group) == len(gates):
-                idx = None  # whole stack, skip the gather/scatter
-                group_codes = row_codes
-            else:
-                idx = np.flatnonzero(row_is_diagonal == want_diagonal)
-                if idx.size == 0:
-                    continue
-                group_codes = row_codes[idx]
-            group_thetas = thetas if idx is None else thetas[idx]
-            if want_diagonal:
-                operands = np.empty((group_codes.size, dim), dtype=COMPLEX_DTYPE)
-            else:
-                operands = np.empty(
-                    (group_codes.size, dim, dim), dtype=COMPLEX_DTYPE
-                )
-            for code in group:
-                sel = np.flatnonzero(group_codes == code)
-                if sel.size == 0:
-                    continue
-                matrices = gates[code].matrix_batch(group_thetas[sel])
-                if want_diagonal:
-                    operands[sel] = np.diagonal(matrices, axis1=-2, axis2=-1)
-                else:
-                    operands[sel] = matrices
-            group_data = data if idx is None else backend.take_rows(data, idx)
-            if want_diagonal:
-                applied = apply_diagonal(
-                    group_data, operands, op.qubits, num_qubits, backend=backend
-                )
-            else:
-                applied = apply_matrix(
-                    group_data, operands, op.qubits, num_qubits, backend=backend
-                )
-            if idx is None:
-                return applied
-            backend.put_rows(out, idx, applied)
-        return out
+            return spare, data, order
+        row_codes = codes[rows[order]]
+        row_is_diagonal = plan.slot_diagonal[pos][row_codes]
+        num_diagonal = int(np.count_nonzero(row_is_diagonal))
+        if num_diagonal in (0, order.size):
+            _apply_gate_group(
+                data, gates, row_codes, thetas, num_diagonal > 0, op.qubits,
+                num_qubits, backend, spare,
+            )
+            return spare, data, order
+        perm = np.argsort(row_is_diagonal, kind="stable")
+        backend.take_rows(data, perm, out=spare)
+        order, row_codes, thetas = order[perm], row_codes[perm], thetas[perm]
+        dense = order.size - num_diagonal
+        _apply_gate_group(
+            spare[:dense], gates, row_codes[:dense], thetas[:dense], False,
+            op.qubits, num_qubits, backend, data[:dense],
+        )
+        _apply_gate_group(
+            spare[dense:], gates, row_codes[dense:], thetas[dense:], True,
+            op.qubits, num_qubits, backend, data[dense:],
+        )
+        return data, spare, order
 
     def expectation(
         self,

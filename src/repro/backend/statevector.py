@@ -35,6 +35,19 @@ on ``B``, so a row evolves to the same bits alone or in any stack — the
 property the batched and mega-batched engines rely on.
 :meth:`StatevectorSimulator.run_batch` builds on these kernels.
 
+Output buffers
+--------------
+:func:`apply_matrix` and :func:`apply_diagonal` take ``out=``: a
+caller-owned C-contiguous ``(B, 2**n)`` complex128 array the result is
+written into (and which is returned).  Anything else raises
+:class:`ValueError`, because reshaping it would write into a silent copy.
+The numpy kernels hand ``out`` straight to :func:`numpy.matmul` /
+:func:`numpy.multiply` (the transposing layout copies its result in with
+:func:`numpy.copyto`), so the bytes equal the allocating call's; with
+``out=None`` numpy allocates exactly as before.  Device kernels compute
+as usual and assign into ``out``.  The mega-batch loop runs every chunk
+between two such buffers, which ends per-gate allocation churn.
+
 Measurement sampling has a batched form too: :meth:`Statevector.sample_batch`
 / :meth:`Statevector.sample_counts_batch` draw per-row multinomial samples
 from one ``(B, 2**k)`` marginal probability matrix
@@ -110,6 +123,27 @@ def _device_backend(
     return None if owner.is_numpy else owner
 
 
+def _check_out(out, batch: int, dim: int, dtype) -> None:
+    """Reject an ``out`` buffer a kernel cannot write in place."""
+    flags = getattr(out, "flags", None)
+    contiguous = flags.c_contiguous if flags is not None else out.is_contiguous()
+    if tuple(out.shape) != (batch, dim) or out.dtype != dtype or not contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous ({batch}, {dim}) {dtype} array, got "
+            f"shape {tuple(out.shape)}, dtype {out.dtype}"
+            + ("" if contiguous else ", not contiguous")
+        )
+
+
+def _device_result(result, out, num_qubits: int, b: ArrayBackend):
+    """A device kernel's ``result``, or ``out`` after assigning it there."""
+    if out is None:
+        return result
+    _check_out(out, int(result.shape[0]), 2**num_qubits, b.complex_dtype)
+    out[...] = result
+    return out
+
+
 #: Most ``(2, 2) @ (2, rest)`` slices per row the single-qubit fast path
 #: takes on; each slice is one small matmul dispatch, so many slices of
 #: few amplitudes lose to the transpose layout.  Registers of 10 qubits or
@@ -126,6 +160,7 @@ def apply_matrix(
     qubits: Sequence[int],
     num_qubits: int,
     backend: Optional[ArrayBackend] = None,
+    out=None,
 ) -> np.ndarray:
     """Apply a ``k``-qubit unitary to ``state`` and return the new vector.
 
@@ -150,24 +185,33 @@ def apply_matrix(
         it is inferred from ``state``'s type; numpy takes the reference
         path, anything else the generic on-namespace path (``matrix``
         is staged with ``backend.asarray`` when host-built).
+    out:
+        Optional C-contiguous ``(B, 2**num_qubits)`` complex128 buffer
+        that receives the result (see the module docstring); a flat
+        state is ``B = 1`` and gets row 0 of ``out`` back.
 
     Returns
     -------
     numpy.ndarray
         The evolved amplitudes, with the same leading batch axis (if any)
-        as the inputs.
+        as the inputs — ``out`` itself when given.
     """
     k = len(qubits)
     if len(set(qubits)) != k:
         raise ValueError(f"target qubits must be distinct, got {tuple(qubits)}")
     if state.ndim == 1 and matrix.ndim == 2:
         # One state is a one-row stack: the same kernels, the same bits.
-        return apply_matrix(state[None], matrix, qubits, num_qubits, backend)[0]
+        return apply_matrix(
+            state[None], matrix, qubits, num_qubits, backend, out
+        )[0]
     device = _device_backend(state, backend)
     if device is not None:
-        return _apply_matrix_device(state, matrix, qubits, num_qubits, device)
+        result = _apply_matrix_device(state, matrix, qubits, num_qubits, device)
+        return _device_result(result, out, num_qubits, device)
 
     batch = _batch_size(state, matrix, matrix.ndim == 3)
+    if out is not None:
+        _check_out(out, batch, 2**num_qubits, COMPLEX_DTYPE)
     states = state if state.ndim == 2 else np.broadcast_to(state, (batch, state.size))
     if k == 1:
         # Single-qubit fast path: viewing the stack as
@@ -185,7 +229,10 @@ def apply_matrix(
             stacked = (
                 matrix if matrix.ndim == 2 else matrix[:, None, :, :]
             )
-            return np.matmul(stacked, blocks).reshape(batch, -1)
+            if out is None:
+                return np.matmul(stacked, blocks).reshape(batch, -1)
+            np.matmul(stacked, blocks, out=out.reshape(blocks.shape))
+            return out
     tensor = states.reshape((batch,) + (2,) * num_qubits)
     # Bring the targeted axes up front (after the batch axis) so every
     # batch element is one (2**k, rest) matrix — one GEMM per element via
@@ -204,7 +251,10 @@ def apply_matrix(
     tensor = tensor.transpose(forward).reshape(batch, 2**k, -1)
     tensor = np.matmul(matrix, tensor)
     tensor = tensor.reshape((batch,) + (2,) * num_qubits).transpose(inverse)
-    return np.ascontiguousarray(tensor).reshape(batch, -1)
+    if out is None:
+        return np.ascontiguousarray(tensor).reshape(batch, -1)
+    np.copyto(out.reshape(tensor.shape), tensor)
+    return out
 
 
 def _apply_matrix_device(
@@ -248,25 +298,29 @@ def apply_diagonal(
     qubits: Sequence[int],
     num_qubits: int,
     backend: Optional[ArrayBackend] = None,
+    out=None,
 ) -> np.ndarray:
     """Apply a diagonal gate given its diagonal entries (length ``2**k``).
 
     Accepts the same batched layouts as :func:`apply_matrix`: ``state``
     may be ``(B, 2**n)`` and ``diagonal`` may be ``(B, 2**k)``.  The
-    ``backend`` parameter follows :func:`apply_matrix`.
+    ``backend`` and ``out`` parameters follow :func:`apply_matrix`.
     """
     k = len(qubits)
     if state.ndim == 1 and diagonal.ndim == 1:
         return apply_diagonal(
-            state[None], diagonal, qubits, num_qubits, backend
+            state[None], diagonal, qubits, num_qubits, backend, out
         )[0]
     device = _device_backend(state, backend)
     if device is not None:
-        return _apply_diagonal_device(
+        result = _apply_diagonal_device(
             state, diagonal, qubits, num_qubits, device
         )
+        return _device_result(result, out, num_qubits, device)
 
     batch = _batch_size(state, diagonal, diagonal.ndim == 2)
+    if out is not None:
+        _check_out(out, batch, 2**num_qubits, COMPLEX_DTYPE)
     states = state if state.ndim == 2 else np.broadcast_to(state, (batch, state.size))
     tensor = states.reshape((batch,) + (2,) * num_qubits)
     lead = diagonal.shape[0] if diagonal.ndim == 2 else 1
@@ -278,7 +332,10 @@ def apply_diagonal(
     for destination, source in sorted(zip((q + 1 for q in qubits), range(1, k + 1))):
         order.insert(destination, source)
     expanded = diag.transpose(order)
-    return (tensor * expanded).reshape(batch, -1)
+    if out is None:
+        return (tensor * expanded).reshape(batch, -1)
+    np.multiply(tensor, expanded, out=out.reshape(tensor.shape))
+    return out
 
 
 def _apply_diagonal_device(

@@ -477,8 +477,11 @@ def _print_variance_outcome(outcome, output: Optional[str]) -> None:
     print()
     print(variance_table(outcome.result))
     print()
-    print(decay_table(outcome.fits, outcome.improvements))
-    print(f"ranking (best decay first): {outcome.ranking}")
+    if outcome.fits:
+        print(decay_table(outcome.fits, outcome.improvements))
+        print(f"ranking (best decay first): {outcome.ranking}")
+    else:
+        print("no decay fit: it needs at least two qubit counts")
     if output:
         print(f"saved to {save_result(outcome, output)}")
 

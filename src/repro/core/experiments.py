@@ -131,8 +131,13 @@ class FullReproductionOutcome:
 def variance_outcome_from_result(
     result: VarianceResult,
 ) -> VarianceExperimentOutcome:
-    """Derive the paper's headline metrics from a raw variance result."""
-    fits = fit_all_methods(result)
+    """Derive the paper's headline metrics from a raw variance result.
+
+    A decay fit needs at least two distinct widths.  A one-width run is
+    still data: its outcome has the variances and empty ``fits``,
+    ``improvements`` and ``ranking``.
+    """
+    fits = fit_all_methods(result) if len(set(result.qubit_counts)) > 1 else {}
     # The improvement table needs a positive random-baseline decay rate;
     # degenerate (tiny/noisy) runs fall back to an empty table rather than
     # failing the whole experiment.

@@ -146,6 +146,11 @@ class VarianceConfig:
             raise ValueError("qubit_counts must be non-empty")
         for q in self.qubit_counts:
             check_positive_int(int(q), "qubit count")
+        counts = [int(q) for q in self.qubit_counts]
+        if len(set(counts)) != len(counts):
+            raise ValueError(
+                f"qubit_counts must not repeat a count, got {tuple(counts)}"
+            )
         check_positive_int(self.num_circuits, "num_circuits")
         check_positive_int(self.num_layers, "num_layers")
         if not self.methods:

@@ -98,10 +98,15 @@ class ParameterShape:
 class Initializer(abc.ABC):
     """Strategy that samples a PQC's initial trainable parameters.
 
-    Subclasses implement :meth:`sample_layer`; :meth:`sample` stacks one
-    draw per layer in the circuit's canonical ordering (layer-major, then
-    qubit, then gate within qubit), producing a flat vector compatible with
-    the ansatz builders in :mod:`repro.ansatz`.
+    Subclasses implement :meth:`sample_layers`, which draws every layer's
+    angles at once; :meth:`sample` calls it once for the circuit's depth
+    and flattens the result in the canonical ordering (layer-major, then
+    qubit, then gate within qubit), producing a flat vector compatible
+    with the ansatz builders in :mod:`repro.ansatz`.  A layer stack must
+    consume the generator exactly as one draw per layer in turn would;
+    numpy's generators fill a ``size=(count, n)`` draw element by element,
+    so one such call meets that for every built-in scheme except the
+    resampled truncated normals, which loop per layer.
     """
 
     #: Registry name; subclasses override.
@@ -111,11 +116,11 @@ class Initializer(abc.ABC):
         self.fan_mode = fan_mode
 
     @abc.abstractmethod
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        """Draw the angles for one ansatz layer (flat, length
-        ``shape.params_per_layer``)."""
+        """Draw the angles of ``count`` ansatz layers as a
+        ``(count, shape.params_per_layer)`` array."""
 
     def sample(self, shape: ParameterShape, seed: SeedLike = None) -> np.ndarray:
         """Draw the full flat parameter vector for a circuit.
@@ -128,14 +133,14 @@ class Initializer(abc.ABC):
             Seed or generator for reproducible draws.
         """
         rng = ensure_rng(seed)
-        layers = [self.sample_layer(shape, rng) for _ in range(shape.num_layers)]
-        out = np.concatenate(layers)
-        if out.shape != (shape.num_parameters,):
+        layers = np.asarray(self.sample_layers(shape, rng, shape.num_layers))
+        expected = (shape.num_layers, shape.params_per_layer)
+        if layers.shape != expected:
             raise RuntimeError(
-                f"{type(self).__name__}.sample_layer returned wrong size: "
-                f"expected {shape.params_per_layer} per layer"
+                f"{type(self).__name__}.sample_layers returned shape "
+                f"{layers.shape}, expected {expected}"
             )
-        return out
+        return layers.reshape(-1)
 
     def describe(self, shape: ParameterShape) -> str:
         """One-line human-readable description for reports."""

@@ -77,9 +77,9 @@ class BetaInitializer(Initializer):
             float(np.mean(normalized)), float(np.var(normalized)), scale=scale
         )
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         return self.scale * rng.beta(
-            self.alpha, self.beta, size=shape.params_per_layer
+            self.alpha, self.beta, size=(count, shape.params_per_layer)
         )

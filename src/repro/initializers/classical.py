@@ -57,10 +57,12 @@ class RandomUniform(Initializer):
         self.low = float(low)
         self.high = float(high)
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=shape.params_per_layer)
+        return rng.uniform(
+            self.low, self.high, size=(count, shape.params_per_layer)
+        )
 
 
 class _ScaledNormal(Initializer):
@@ -69,12 +71,12 @@ class _ScaledNormal(Initializer):
     def _variance(self, fan_in: int, fan_out: int) -> float:
         raise NotImplementedError
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         fan_in, fan_out = shape.fans(self.fan_mode)
         stddev = np.sqrt(self._variance(fan_in, fan_out))
-        return rng.normal(0.0, stddev, size=shape.params_per_layer)
+        return rng.normal(0.0, stddev, size=(count, shape.params_per_layer))
 
 
 class _ScaledUniform(Initializer):
@@ -83,12 +85,12 @@ class _ScaledUniform(Initializer):
     def _limit(self, fan_in: int, fan_out: int) -> float:
         raise NotImplementedError
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         fan_in, fan_out = shape.fans(self.fan_mode)
         limit = self._limit(fan_in, fan_out)
-        return rng.uniform(-limit, limit, size=shape.params_per_layer)
+        return rng.uniform(-limit, limit, size=(count, shape.params_per_layer))
 
 
 class XavierNormal(_ScaledNormal):
@@ -156,10 +158,12 @@ class Normal(Initializer):
             raise ValueError(f"stddev must be non-negative, got {stddev}")
         self.stddev = float(stddev)
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        return rng.normal(0.0, self.stddev, size=shape.params_per_layer)
+        return rng.normal(
+            0.0, self.stddev, size=(count, shape.params_per_layer)
+        )
 
 
 class Uniform(Initializer):
@@ -174,10 +178,12 @@ class Uniform(Initializer):
         self.low = float(low)
         self.high = float(high)
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=shape.params_per_layer)
+        return rng.uniform(
+            self.low, self.high, size=(count, shape.params_per_layer)
+        )
 
 
 class Zeros(Initializer):
@@ -185,10 +191,10 @@ class Zeros(Initializer):
 
     name = "zeros"
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        return np.zeros(shape.params_per_layer)
+        return np.zeros((count, shape.params_per_layer))
 
 
 class Constant(Initializer):
@@ -200,7 +206,7 @@ class Constant(Initializer):
         super().__init__()
         self.value = float(value)
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        return np.full(shape.params_per_layer, self.value)
+        return np.full((count, shape.params_per_layer), self.value)

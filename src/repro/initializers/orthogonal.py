@@ -17,6 +17,13 @@ the parameter tensor:
 Entries of a Haar semi-orthogonal matrix have magnitude ``~1/sqrt(rows)``,
 so like Xavier/He/LeCun the angles shrink with circuit width — the property
 that keeps the circuit away from the 2-design regime.
+
+:meth:`Orthogonal.sample_layers` draws every layer's matrix at once: one
+``rng.normal`` call fills the ``(count, rows, cols)`` Gaussian stack in
+the order per-layer draws would, and one stacked :func:`numpy.linalg.qr`
+factors each matrix exactly as a per-matrix call does (a property of the
+numpy/LAPACK build that ``tests/initializers/test_layer_stack_oracle.py``
+asserts).
 """
 
 from __future__ import annotations
@@ -28,6 +35,20 @@ from repro.initializers.base import Initializer, ParameterShape
 __all__ = ["Orthogonal", "haar_orthogonal_matrix"]
 
 
+def _haar_orthogonal_stack(
+    count: int, rows: int, cols: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` independent Haar ``rows x cols`` semi-orthogonal matrices."""
+    transpose = rows < cols
+    shape = (count, cols, rows) if transpose else (count, rows, cols)
+    gaussian = rng.normal(size=shape)
+    q, r = np.linalg.qr(gaussian)
+    # Sign correction makes the distribution Haar (uniform) rather than
+    # biased by the QR convention.
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return np.swapaxes(q, -2, -1) if transpose else q
+
+
 def haar_orthogonal_matrix(
     rows: int, cols: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -35,14 +56,7 @@ def haar_orthogonal_matrix(
 
     If ``rows >= cols`` the columns are orthonormal; otherwise the rows are.
     """
-    transpose = rows < cols
-    shape = (cols, rows) if transpose else (rows, cols)
-    gaussian = rng.normal(size=shape)
-    q, r = np.linalg.qr(gaussian)
-    # Sign correction makes the distribution Haar (uniform) rather than
-    # biased by the QR convention.
-    q = q * np.sign(np.diagonal(r))
-    return q.T if transpose else q
+    return _haar_orthogonal_stack(1, rows, cols, rng)[0]
 
 
 class Orthogonal(Initializer):
@@ -54,10 +68,10 @@ class Orthogonal(Initializer):
         super().__init__()
         self.gain = float(gain)
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         rows = shape.num_qubits
         cols = shape.params_per_qubit
-        matrix = haar_orthogonal_matrix(rows, cols, rng)
-        return (self.gain * matrix).reshape(-1)
+        matrices = _haar_orthogonal_stack(count, rows, cols, rng)
+        return (self.gain * matrices).reshape(count, -1)

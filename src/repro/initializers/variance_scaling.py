@@ -86,20 +86,20 @@ class VarianceScaling(Initializer):
             return float(fan_out)
         return (fan_in + fan_out) / 2.0
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         variance = self.scale / self._fan(shape)
         size = shape.params_per_layer
         if self.distribution == "normal":
-            return rng.normal(0.0, np.sqrt(variance), size=size)
+            return rng.normal(0.0, np.sqrt(variance), size=(count, size))
         if self.distribution == "uniform":
             limit = np.sqrt(3.0 * variance)
-            return rng.uniform(-limit, limit, size=size)
+            return rng.uniform(-limit, limit, size=(count, size))
         # Truncated normal at +-2 sigma of the *pre-truncation* scale,
         # rescaled so the post-truncation variance equals ``variance``.
         stddev = np.sqrt(variance) / _TRUNC_STD_FACTOR
-        return _sample_truncated(rng, stddev, size)
+        return _sample_truncated_layers(rng, stddev, count, size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -119,12 +119,23 @@ class TruncatedNormal(Initializer):
             raise ValueError(f"stddev must be non-negative, got {stddev}")
         self.stddev = float(stddev)
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         if self.stddev == 0.0:
-            return np.zeros(shape.params_per_layer)
-        return _sample_truncated(rng, self.stddev, shape.params_per_layer)
+            return np.zeros((count, shape.params_per_layer))
+        return _sample_truncated_layers(
+            rng, self.stddev, count, shape.params_per_layer
+        )
+
+
+def _sample_truncated_layers(
+    rng: np.random.Generator, stddev: float, count: int, size: int
+) -> np.ndarray:
+    """``count`` layers of :func:`_sample_truncated`, one at a time: a
+    layer's resampling draws come before the next layer's draws, so one
+    stacked draw would change the stream."""
+    return np.stack([_sample_truncated(rng, stddev, size) for _ in range(count)])
 
 
 def _sample_truncated(

@@ -49,30 +49,30 @@ class WarmStart(Initializer):
         if not np.all(np.isfinite(self.trained_params)):
             raise ValueError("trained_params contain NaN or infinity")
         self.fill = fill or Zeros()
-        self._cursor = 0
 
-    def sample_layer(
-        self, shape: ParameterShape, rng: np.random.Generator
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator, count: int
     ) -> np.ndarray:
+        """The first ``count`` layers: whole trained layers, then one
+        :meth:`Initializer.sample_layers` draw of the fill for the rest."""
         size = shape.params_per_layer
-        start = self._cursor
-        self._cursor += size
-        if start >= self.trained_params.size:
-            return self.fill.sample_layer(shape, rng)
-        chunk = self.trained_params[start : start + size]
-        if chunk.size < size:
+        trained, left = divmod(self.trained_params.size, size)
+        if left:
             raise ValueError(
                 "trained_params length is not a whole number of target "
-                f"layers: layer needs {size} angles, found {chunk.size} left"
+                f"layers: layer needs {size} angles, found {left} left"
             )
-        return chunk.copy()
+        trained = min(trained, count)
+        layers = [self.trained_params[: trained * size].reshape(trained, size)]
+        if trained < count:
+            layers.append(self.fill.sample_layers(shape, rng, count - trained))
+        return np.concatenate(layers)
 
     def sample(self, shape: ParameterShape, seed=None) -> np.ndarray:
-        """Draw the full vector (resets the copy cursor each call)."""
+        """Draw the full vector; ``trained_params`` must fit the circuit."""
         if self.trained_params.size > shape.num_parameters:
             raise ValueError(
                 f"trained_params has {self.trained_params.size} angles but "
                 f"the target circuit only has {shape.num_parameters}"
             )
-        self._cursor = 0
         return super().sample(shape, seed)

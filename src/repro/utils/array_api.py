@@ -166,8 +166,24 @@ class ArrayBackend:
         """Namespace integer index array from a host index array."""
         return self.xp.asarray(idx)
 
-    def take_rows(self, x: Any, idx: Any) -> Any:
-        return x[self.index_array(idx)]
+    def take_rows(self, x: Any, idx: Any, out: Any = None) -> Any:
+        """Rows ``x[idx]`` (negative rows count from the end), gathered
+        into ``out`` and returned when it is given."""
+        if out is None:
+            return x[self.index_array(idx)]
+        if not self.is_numpy:
+            out[...] = x[self.index_array(idx)]
+            return out
+        idx = np.asarray(idx)
+        rows = len(x)
+        if idx.size and (idx.min() < -rows or idx.max() >= rows):
+            raise IndexError(
+                f"row index out of range for {rows} rows "
+                f"(got {idx.min()}..{idx.max()})"
+            )
+        # In range, "wrap" is fancy indexing; unlike the default "raise"
+        # it writes ``out`` directly instead of through a buffer copy.
+        return np.take(x, idx, axis=0, out=out, mode="wrap")
 
     def put_rows(self, x: Any, idx: Any, values: Any) -> None:
         x[self.index_array(idx)] = values
@@ -263,7 +279,7 @@ def _loopback_wrap(fn: Callable) -> Callable:
     @functools.wraps(fn)
     def wrapped(self, *args, **kwargs):
         out = fn(self, *args, **kwargs)
-        if isinstance(out, np.ndarray):
+        if isinstance(out, np.ndarray) and type(out) is not LoopbackArray:
             return out.view(LoopbackArray)
         return out
 

@@ -173,6 +173,70 @@ class TestPrimitiveConformance:
         _device_close(backend.to_numpy(device), reference)
 
 
+class TestOutBuffers:
+    """``out=``: a kernel writes the allocating call's bytes into a
+    caller-owned buffer and returns it."""
+
+    WIDE = 12
+    #: Every single-qubit target (both single-qubit layouts) plus
+    #: two-qubit targets in and out of order.
+    TARGETS = [[q] for q in range(WIDE)] + [[0, 11], [5, 2], [10, 11]]
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        rng = np.random.default_rng(17)
+        shape = (3, 2**self.WIDE)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+    @pytest.mark.parametrize(
+        "kernel", [apply_matrix, apply_diagonal], ids=["dense", "diagonal"]
+    )
+    def test_out_holds_the_allocating_bytes(self, states, name, per_row, kernel):
+        backend = get_array_backend(name)
+        data = backend.asarray(states, dtype=backend.complex_dtype)
+        out = backend.zeros(states.shape, backend.complex_dtype)
+        rng = np.random.default_rng(19)
+        for qubits in self.TARGETS:
+            dim = 2 ** len(qubits)
+            shape = (dim,) if kernel is apply_diagonal else (dim, dim)
+            if per_row:
+                shape = (states.shape[0],) + shape
+            operand = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            expected = kernel(data, operand, qubits, self.WIDE, backend=backend)
+            written = kernel(
+                data, operand, qubits, self.WIDE, backend=backend, out=out
+            )
+            assert written is out
+            assert (
+                backend.to_numpy(out).tobytes()
+                == backend.to_numpy(expected).tobytes()
+            ), qubits
+
+    @pytest.mark.parametrize("name", ["numpy", "loopback"])
+    @pytest.mark.parametrize(
+        "kernel", [apply_matrix, apply_diagonal], ids=["dense", "diagonal"]
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((16, 3), dtype=np.complex128).T,
+            np.zeros((4, 16), dtype=np.complex128),
+            np.zeros((3, 16), dtype=np.complex64),
+        ],
+        ids=["not-contiguous", "wrong-shape", "wrong-dtype"],
+    )
+    def test_unusable_out_raises(self, name, kernel, bad):
+        backend = get_array_backend(name)
+        states = backend.asarray(np.ones((3, 16), dtype=np.complex128))
+        operand = np.ones(2) if kernel is apply_diagonal else np.eye(2)
+        if name == "loopback":
+            bad = bad.view(type(states))
+        with pytest.raises(ValueError, match="out must be"):
+            kernel(states, operand, [1], 4, backend=backend, out=bad)
+
+
 class TestNumpyBitIdentity:
     """StatevectorSimulator(backend="numpy") must equal the default exactly."""
 

@@ -40,6 +40,19 @@ class TestVarianceExperiment:
         outcome = run_variance_experiment(config, seed=0)
         assert outcome.improvements == {}
 
+    def test_one_width_has_variances_but_no_fits(self):
+        config = VarianceConfig(
+            qubit_counts=(3,), num_circuits=4, num_layers=3, methods=("random",)
+        )
+        outcome = run_variance_experiment(config, seed=0)
+        assert outcome.result.qubit_counts == [3]
+        assert len(outcome.result.variance_series("random")) == 1
+        assert outcome.fits == {}
+        assert outcome.improvements == {}
+        assert outcome.ranking == []
+        restored = VarianceExperimentOutcome.from_dict(outcome.to_dict())
+        assert restored.fits == {} and restored.ranking == []
+
     def test_round_trip(self):
         outcome = run_variance_experiment(_VAR_CONFIG, seed=1)
         restored = VarianceExperimentOutcome.from_dict(outcome.to_dict())

@@ -34,6 +34,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             VarianceConfig(qubit_counts=())
 
+    def test_rejects_repeated_qubit_counts(self):
+        with pytest.raises(ValueError, match="must not repeat a count"):
+            VarianceConfig(qubit_counts=(3, 4, 3))
+
     def test_rejects_zero_circuits(self):
         with pytest.raises(ValueError):
             VarianceConfig(num_circuits=0)

@@ -82,14 +82,9 @@ class TestInitializerContract:
         class MarkerInit(Normal):
             """Emits the layer index so the flat ordering is observable."""
 
-            def __init__(self):
-                super().__init__(stddev=0.0)
-                self._layer = 0
-
-            def sample_layer(self, shape, rng):
-                out = np.full(shape.params_per_layer, float(self._layer))
-                self._layer += 1
-                return out
+            def sample_layers(self, shape, rng, count):
+                layer = np.arange(count, dtype=float)[:, None]
+                return np.repeat(layer, shape.params_per_layer, axis=1)
 
         shape = ParameterShape(num_layers=3, num_qubits=2, params_per_qubit=2)
         params = MarkerInit().sample(shape, seed=0)
@@ -104,8 +99,8 @@ class TestInitializerContract:
 
     def test_wrong_layer_size_detected(self):
         class BrokenInit(Normal):
-            def sample_layer(self, shape, rng):
-                return np.zeros(shape.params_per_layer + 1)
+            def sample_layers(self, shape, rng, count):
+                return np.zeros((count, shape.params_per_layer + 1))
 
         shape = ParameterShape(num_layers=2, num_qubits=2)
         with pytest.raises(RuntimeError):

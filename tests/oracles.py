@@ -1,4 +1,4 @@
-"""Sequential one-state reference code, kept as an oracle for the old bits.
+"""Sequential reference code, kept as an oracle for the old bits.
 
 The library runs one state as a one-row ``(1, 2**n)`` stack through the
 batched kernels and engines.  Before that, it carried a second, sequential
@@ -12,6 +12,12 @@ entry point still carries exactly the bits they produced.
 
 Nothing here calls a library gate kernel: observables whose ``apply``
 would (Pauli strings and sums) are applied through the 1-D kernels below.
+
+The initializers likewise once drew their angles one layer at a time
+(``Initializer.sample_layer``); that loop and every per-layer body live
+on in :func:`initializer_sample`, which
+``tests/initializers/test_layer_stack_oracle.py`` holds the one-call
+layer-stack draws to.
 """
 
 from __future__ import annotations
@@ -311,3 +317,105 @@ def parameter_shift(
             )
         grads[out_slot] = total
     return grads
+
+
+# -- per-layer initializer draws ---------------------------------------------
+
+
+def haar_orthogonal_matrix(rows, cols, rng):
+    """The per-matrix Haar draw: one Gaussian draw and one QR per layer."""
+    transpose = rows < cols
+    shape = (cols, rows) if transpose else (rows, cols)
+    gaussian = rng.normal(size=shape)
+    q, r = np.linalg.qr(gaussian)
+    q = q * np.sign(np.diagonal(r))
+    return q.T if transpose else q
+
+
+def _sample_truncated(rng, stddev, size):
+    out = rng.normal(0.0, stddev, size=size)
+    bound = 2.0 * stddev
+    bad = np.abs(out) > bound
+    while np.any(bad):
+        out[bad] = rng.normal(0.0, stddev, size=int(bad.sum()))
+        bad = np.abs(out) > bound
+    return out
+
+
+def sample_layer(init, shape, rng, layer=0):
+    """One layer's angles, as each initializer's ``sample_layer`` drew them.
+
+    ``layer`` is the layer's index in the circuit; only ``WarmStart``,
+    which copied trained layers through a cursor, reads it.
+    """
+    from repro.initializers import (
+        BetaInitializer,
+        Constant,
+        Normal,
+        Orthogonal,
+        RandomUniform,
+        TruncatedNormal,
+        Uniform,
+        VarianceScaling,
+        WarmStart,
+        Zeros,
+    )
+    from repro.initializers.classical import _ScaledNormal, _ScaledUniform
+    from repro.initializers.variance_scaling import _TRUNC_STD_FACTOR
+
+    size = shape.params_per_layer
+    if isinstance(init, WarmStart):
+        start = layer * size
+        if start >= init.trained_params.size:
+            return sample_layer(init.fill, shape, rng, layer)
+        chunk = init.trained_params[start : start + size]
+        if chunk.size < size:
+            raise ValueError(
+                "trained_params length is not a whole number of target "
+                f"layers: layer needs {size} angles, found {chunk.size} left"
+            )
+        return chunk.copy()
+    if isinstance(init, (RandomUniform, Uniform)):
+        return rng.uniform(init.low, init.high, size=size)
+    if isinstance(init, _ScaledNormal):
+        fan_in, fan_out = shape.fans(init.fan_mode)
+        stddev = np.sqrt(init._variance(fan_in, fan_out))
+        return rng.normal(0.0, stddev, size=size)
+    if isinstance(init, _ScaledUniform):
+        fan_in, fan_out = shape.fans(init.fan_mode)
+        limit = init._limit(fan_in, fan_out)
+        return rng.uniform(-limit, limit, size=size)
+    if isinstance(init, Normal):
+        return rng.normal(0.0, init.stddev, size=size)
+    if isinstance(init, Zeros):
+        return np.zeros(size)
+    if isinstance(init, Constant):
+        return np.full(size, init.value)
+    if isinstance(init, BetaInitializer):
+        return init.scale * rng.beta(init.alpha, init.beta, size=size)
+    if isinstance(init, Orthogonal):
+        matrix = haar_orthogonal_matrix(
+            shape.num_qubits, shape.params_per_qubit, rng
+        )
+        return (init.gain * matrix).reshape(-1)
+    if isinstance(init, TruncatedNormal):
+        if init.stddev == 0.0:
+            return np.zeros(size)
+        return _sample_truncated(rng, init.stddev, size)
+    if isinstance(init, VarianceScaling):
+        variance = init.scale / init._fan(shape)
+        if init.distribution == "normal":
+            return rng.normal(0.0, np.sqrt(variance), size=size)
+        if init.distribution == "uniform":
+            limit = np.sqrt(3.0 * variance)
+            return rng.uniform(-limit, limit, size=size)
+        stddev = np.sqrt(variance) / _TRUNC_STD_FACTOR
+        return _sample_truncated(rng, stddev, size)
+    raise TypeError(f"no per-layer oracle for {type(init).__name__}")
+
+
+def initializer_sample(init, shape, seed=None):
+    """The per-layer ``Initializer.sample``: one draw per layer, in turn."""
+    rng = ensure_rng(seed)
+    layers = range(shape.num_layers)
+    return np.concatenate([sample_layer(init, shape, rng, i) for i in layers])

@@ -93,6 +93,16 @@ class TestEndpoints:
         assert "unknown array backend 'nosuch'" in error
         assert server.queue.jobs() == []
 
+    def test_repeated_qubit_counts_400(self, server):
+        body = _SPEC.to_dict()
+        body["config"] = dict(body["config"], qubit_counts=[3, 3])
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{server.url}/experiments", body)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "must not repeat a count" in error
+        assert server.queue.jobs() == []
+
     def test_result_before_done_409(self, server, monkeypatch):
         import threading
 

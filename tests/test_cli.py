@@ -62,6 +62,22 @@ class TestVarianceCommand:
         assert "decay_rate" in out
         assert "random" in out and "zeros" in out
 
+    def test_one_width_prints_variances_without_a_fit(self, capsys):
+        code = main(
+            [
+                "variance",
+                "--qubits", "3",
+                "--circuits", "4",
+                "--layers", "3",
+                "--methods", "random",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "q=3" in out
+        assert "decay_rate" not in out
+        assert "no decay fit: it needs at least two qubit counts" in out
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "variance.json"
         code = main(
@@ -285,6 +301,10 @@ class TestInputErrors:
     def test_variance_unknown_method(self, capsys):
         code = main(["variance", "--methods", "nosuch"])
         self._assert_one_line_error(capsys, code, "unknown initializer 'nosuch'")
+
+    def test_variance_repeated_qubit_counts(self, capsys):
+        code = main(["variance", "--qubits", "3", "3"])
+        self._assert_one_line_error(capsys, code, "must not repeat a count")
 
     def test_train_unknown_method(self, capsys, monkeypatch):
         import repro.core.training as training_module

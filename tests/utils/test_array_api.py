@@ -179,6 +179,40 @@ class TestNumpyBackend:
         assert backend.to_numpy(x) is x
 
 
+def _row_backends():
+    params = [pytest.param(name, id=name) for name in ("numpy", "loopback")]
+    for name in ("torch", "cupy"):
+        marks = [] if _installed(name) else [
+            pytest.mark.skip(reason=f"optional namespace {name!r} not installed")
+        ]
+        params.append(pytest.param(name, id=name, marks=marks))
+    return params
+
+
+class TestTakeRowsInto:
+    """``take_rows(x, idx, out=)`` gathers into a caller-owned buffer."""
+
+    @pytest.mark.parametrize("name", _row_backends())
+    def test_equals_fancy_indexing_with_negative_rows(self, name):
+        backend = get_array_backend(name)
+        host = np.arange(24, dtype=COMPLEX_DTYPE).reshape(6, 4) * (1 - 2j)
+        x = backend.asarray(host)
+        idx = np.array([5, -1, 0, -6, 2, 2, -3])
+        out = backend.zeros((idx.size, 4), backend.complex_dtype)
+        gathered = backend.take_rows(x, idx, out=out)
+        assert gathered is out
+        assert np.array_equal(backend.to_numpy(out), host[idx])
+
+    @pytest.mark.parametrize("name", _row_backends())
+    @pytest.mark.parametrize("row", [6, -7])
+    def test_out_of_range_row_raises(self, name, row):
+        backend = get_array_backend(name)
+        x = backend.asarray(np.zeros((6, 4), dtype=COMPLEX_DTYPE))
+        out = backend.zeros((2, 4), backend.complex_dtype)
+        with pytest.raises(IndexError):
+            backend.take_rows(x, np.array([0, row]), out=out)
+
+
 class TestLoopbackBackend:
     def test_asarray_tags_and_to_numpy_untags(self):
         backend = get_array_backend("loopback")
