@@ -23,7 +23,10 @@ import numpy as np
 from repro.backend.gates import FixedGate, Gate, ParametricGate, get_gate
 from repro.utils.validation import check_positive_int, check_qubit_index
 
-__all__ = ["Operation", "QuantumCircuit"]
+__all__ = ["Operation", "QuantumCircuit", "is_exact_unit_diagonal"]
+
+#: Diagonal entries that multiply amplitudes exactly (components 0/±1).
+_EXACT_UNITS = (1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,21 @@ class Operation:
         return self.gate.matrix()
 
 
+def is_exact_unit_diagonal(op: Operation) -> bool:
+    """True for a non-trainable diagonal operation whose entries are exact units.
+
+    CZ, Z and S qualify; T or a bound PHASE do not.  Multiplying by 0, ±1
+    or ±i is exact, so applying such a diagonal elementwise — alone,
+    conjugated, or fused with others like it — gives the same values as
+    its dense matrix.  Only the sign of an exactly-zero amplitude may
+    differ, which ``np.array_equal`` (the library's equality) ignores.
+    """
+    if op.is_trainable or not getattr(op.gate, "is_diagonal", False):
+        return False
+    diagonal = np.diagonal(op.matrix(None))
+    return bool(np.all(np.isin(diagonal, _EXACT_UNITS)))
+
+
 class QuantumCircuit:
     """An ordered sequence of gate applications on ``num_qubits`` wires.
 
@@ -95,9 +113,10 @@ class QuantumCircuit:
         self.num_qubits = num_qubits
         self.operations: List[Operation] = []
         self._num_parameters = 0
-        # Lazily-built {position: (matrix, adjoint)} for non-trainable
-        # operations; see static_matrices().
+        # Lazily-built caches for non-trainable operations, keyed by the
+        # operation sequence; see static_matrices().
         self._static_matrices: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None
+        self._unit_diagonal_adjoints: Optional[Dict[int, np.ndarray]] = None
         self._static_matrices_key: Optional[Tuple[Operation, ...]] = None
 
     # ------------------------------------------------------------------
@@ -328,13 +347,29 @@ class QuantumCircuit:
         key = tuple(self.operations)
         if self._static_matrices_key != key:
             cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+            units: Dict[int, np.ndarray] = {}
             for pos, op in enumerate(key):
                 if not op.is_trainable:
                     matrix = op.matrix(None)
                     cache[pos] = (matrix, matrix.conj().T)
+                    if is_exact_unit_diagonal(op):
+                        units[pos] = np.diagonal(matrix).conj()
             self._static_matrices = cache
+            self._unit_diagonal_adjoints = units
             self._static_matrices_key = key
         return self._static_matrices
+
+    def unit_diagonal_adjoints(self) -> Dict[int, np.ndarray]:
+        """Cached ``{position: conjugated diagonal}`` for exact-unit diagonals.
+
+        Covers the non-trainable operations :func:`is_exact_unit_diagonal`
+        accepts (a CZ chain, Z, S).  The adjoint engines undo these with
+        the elementwise kernel, as the forward pass applies them, so the
+        predicate runs once per circuit rather than once per sweep.  Built
+        and invalidated together with :meth:`static_matrices`.
+        """
+        self.static_matrices()
+        return self._unit_diagonal_adjoints
 
     def draw(self, params: Optional[np.ndarray] = None, max_width: int = 120) -> str:
         """Render a plain-text sketch of the circuit, one line per qubit."""

@@ -32,6 +32,12 @@ Adjoint (``batch_adjoint_gradient``, ``adjoint_gradient``)
     training.  Fixed and bound-parameter gate adjoints are cached on the
     circuit (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps —
     one per training iteration — rebuild only the trainable matrices.
+    Fixed diagonals whose entries are exact units (a CZ chain, Z, S; see
+    :meth:`QuantumCircuit.unit_diagonal_adjoints`) are undone with the
+    elementwise kernel and their conjugated diagonal, as the forward pass
+    applies them: multiplying by 0, ±1 or ±i is exact, so the values equal
+    the dense adjoint's.  Other fixed gates, T and bound PHASE included,
+    keep the dense adjoint.
     ``adjoint_gradient`` is the one-row call.  The ``*_value_and_gradient``
     variants additionally return the expectation read off the same forward
     pass, so training loops get loss and full gradient from one execution.
@@ -61,7 +67,7 @@ from repro.backend.circuit import QuantumCircuit
 from repro.backend.gates import ParametricGate
 from repro.backend.observables import Observable
 from repro.backend.simulator import MegaBatchPlan, StatevectorSimulator
-from repro.backend.statevector import Statevector, apply_matrix
+from repro.backend.statevector import Statevector, apply_diagonal, apply_matrix
 from repro.utils.array_api import FLOAT_DTYPE
 from repro.utils.rng import ensure_rng, resolve_rngs
 
@@ -699,6 +705,7 @@ def _batch_adjoint_sweep(
         values = np.concatenate([v for v, _ in parts]) if want_values else None
         return values, np.concatenate([g for _, g in parts])
     static = circuit.static_matrices()
+    unit_adjoints = circuit.unit_diagonal_adjoints()
     device = not b.is_numpy
 
     # Forward pass: one batched execution for all rows, left resident on
@@ -719,11 +726,14 @@ def _batch_adjoint_sweep(
             thetas = batch[:, op.param_index]
             gate = op.gate
             assert isinstance(gate, ParametricGate)
+            undo = apply_matrix
             adjoint = gate.matrix_batch(thetas).conj().transpose(0, 2, 1)
+        elif pos in unit_adjoints:
+            undo, adjoint = apply_diagonal, unit_adjoints[pos]
         else:
-            adjoint = static[pos][1]
+            undo, adjoint = apply_matrix, static[pos][1]
         # Undo this gate on every row: |psi_k> (states before the gate).
-        psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
+        psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
         if op.is_trainable and op.param_index in slot_of:
             d_matrices = gate.derivative_batch(thetas)
             d_psi = apply_matrix(psi, d_matrices, op.qubits, num_qubits, backend=b)
@@ -736,7 +746,7 @@ def _batch_adjoint_sweep(
                     2.0 * float(np.real(np.vdot(l, d)))
                     for l, d in zip(lam, d_psi)
                 ]
-        lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
+        lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
     if len(slot_of) < len(indices):
         # A repeated index was filled in its last slot only; copy it out.
         grads = grads[:, [slot_of[index] for index in indices]]
@@ -828,7 +838,8 @@ def megabatch_adjoint_gradient(
     the rows partition by their circuit's drawn gate, and each partition
     applies that gate's per-row adjoint / derivative stacks through the
     broadcasting kernels; fixed operations use the plan template's cached
-    static adjoints on the whole stack.  Rows evolve independently, so
+    static adjoints on the whole stack (exact-unit diagonals elementwise,
+    as in :func:`batch_adjoint_gradient`).  Rows evolve independently, so
     entry ``s`` is bit-identical to ``batch_adjoint_gradient(circuits[s],
     observable, params_batches[s], ...)``.
 
@@ -850,6 +861,7 @@ def megabatch_adjoint_gradient(
     indices = _resolve_indices(plan.template, param_indices)
     num_qubits = plan.num_qubits
     static = plan.template.static_matrices()
+    unit_adjoints = plan.template.unit_diagonal_adjoints()
     b = simulator.backend
     device = not b.is_numpy
 
@@ -872,9 +884,12 @@ def megabatch_adjoint_gradient(
     for pos in range(len(plan.template.operations) - 1, -1, -1):
         op = plan.template.operations[pos]
         if not op.is_trainable:
-            adjoint = static[pos][1]
-            psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
-            lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
+            if pos in unit_adjoints:
+                undo, adjoint = apply_diagonal, unit_adjoints[pos]
+            else:
+                undo, adjoint = apply_matrix, static[pos][1]
+            psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
+            lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
             continue
         gates, codes = plan.slot_gates[pos]
         thetas = batch[:, op.param_index]

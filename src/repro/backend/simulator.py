@@ -70,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.circuit import QuantumCircuit
+from repro.backend.circuit import QuantumCircuit, is_exact_unit_diagonal
 from repro.backend.gates import ParametricGate
 from repro.backend.observables import Observable, PauliString, PauliSum, Projector
 from repro.backend.statevector import (
@@ -207,12 +207,6 @@ def _apply_fixed_operation(data, op, num_qubits, backend=None, out=None):
     )
 
 
-#: Diagonal entries that multiply amplitudes exactly (components 0/±1),
-#: making fused products of such diagonals value-identical to sequential
-#: application — the condition for entangler-chain fusion.
-_EXACT_UNITS = (1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
-
-
 class MegaBatchPlan:
     """Validated execution plan for a *shape bucket* of circuits.
 
@@ -227,7 +221,8 @@ class MegaBatchPlan:
       :meth:`StatevectorSimulator.run_megabatch` apply different gates
       and angles to different rows of a single amplitude stack;
     * maximal runs of fixed diagonal operations whose entries are exact
-      units (components 0/±1 — e.g. a CZ entangling chain) are fused
+      units (components 0/±1 — e.g. a CZ entangling chain; see
+      :func:`~repro.backend.circuit.is_exact_unit_diagonal`) are fused
       into one precomputed full-space diagonal, applied in a single
       elementwise pass.  Multiplying by such units is exact, so the
       fused pass is value-identical to applying the run gate by gate
@@ -313,10 +308,10 @@ class MegaBatchPlan:
                 steps.append(("slot", pos, pos + 1, op))
                 pos += 1
                 continue
-            if self._fusable_diagonal(op):
+            if is_exact_unit_diagonal(op):
                 stop = pos
                 fused = np.ones(2**self.num_qubits, dtype=COMPLEX_DTYPE)
-                while stop < len(ops) and self._fusable_diagonal(ops[stop]):
+                while stop < len(ops) and is_exact_unit_diagonal(ops[stop]):
                     diagonal = np.diagonal(ops[stop].matrix(None))
                     fused = apply_diagonal(
                         fused, diagonal, ops[stop].qubits, self.num_qubits
@@ -328,13 +323,6 @@ class MegaBatchPlan:
             steps.append(("op", pos, pos + 1, op))
             pos += 1
         return steps
-
-    @staticmethod
-    def _fusable_diagonal(op) -> bool:
-        if op.is_trainable or not getattr(op.gate, "is_diagonal", False):
-            return False
-        diagonal = np.diagonal(op.matrix(None))
-        return bool(np.all(np.isin(diagonal, _EXACT_UNITS)))
 
     @staticmethod
     def _check_same_shape(

@@ -8,9 +8,11 @@ index 2.
 The hot path — applying a ``k``-qubit gate — runs on a ``(B, 2**n)``
 stack of amplitude rows: the stack is viewed as a ``(B,) + (2,) * n``
 tensor, the targeted axes are transposed up front, and one stacked
-:func:`numpy.matmul` applies the gate to every row (single-qubit gates
-skip the transpose when the target block is wide enough).  Diagonal gates
-use a cheaper elementwise multiply.  A flat ``(2**n,)`` state is a
+:func:`numpy.matmul` applies the gate to every row (a single-qubit gate
+skips the transpose when the contiguous block after its target holds at
+least 64 amplitudes).  Every layout left-multiplies the amplitudes by the
+gate, one GEMM per slice, so the layout never changes a bit.  Diagonal
+gates use a cheaper elementwise multiply.  A flat ``(2**n,)`` state is a
 one-row stack: the kernels run it as ``state[None]`` and return row 0, so
 one state and a row of any stack carry the same bits by construction.
 
@@ -146,12 +148,43 @@ def _device_result(result, out, num_qubits: int, b: ArrayBackend):
 
 #: Most ``(2, 2) @ (2, rest)`` slices per row the single-qubit fast path
 #: takes on; each slice is one small matmul dispatch, so many slices of
-#: few amplitudes lose to the transpose layout.  Registers of 10 qubits or
-#: fewer never exceed 64 slices on the fast path, so the cap leaves them
-#: as they were.  Lifting it made a 14-qubit lock-step panel 1.21x and a
-#: 12/14-qubit batched variance grid 1.07x slower
+#: few amplitudes lose to the transpose layout.  Up to 13 qubits
+#: ``_FAST_PATH_MIN_REST`` already stops the fast path by qubit 6, so the
+#: cap binds from 14 qubits up.  Lifting it made a 14-qubit lock-step
+#: panel 1.21x and a 12/14-qubit batched variance grid 1.07x slower
 #: (``BENCH_batched_adjoint.json``, 2-core x86-64, numpy 2.4 OpenBLAS).
 _FAST_PATH_MAX_SLICES = 64
+
+#: Fewest amplitudes in the contiguous block after the target (``rest``)
+#: for which the single-qubit fast path wins.  Each of its ``B * 2**q``
+#: slices is one ZGEMM with 0.3-0.5 us of fixed cost, which a block of
+#: 8-32 amplitudes cannot amortize.  Fast-path time over transpose time,
+#: range over B = 1, 6, 64 and a full 8 MiB chunk (above 1 the transpose
+#: wins; 2-core x86-64, numpy 2.4.6, scipy-openblas 0.3.31):
+#:
+#:     qubits  q2         q3         q4         q5         q6
+#:     8       0.51-1.09  0.65-2.28  0.93-3.37
+#:     10      0.54-0.80  0.65-0.99  0.78-1.49  1.12-2.46  1.90-4.34
+#:     12      0.53-0.75  0.63-0.82  0.67-0.94  0.82-1.44  1.30-2.16
+#:
+#: At 14 qubits targets 3-8 read 0.16-0.89, and at 16 qubits every
+#: target reads at most 0.86: transposing rows of 256 KiB or more is what
+#: costs there.
+_FAST_PATH_MIN_REST = 64
+
+
+def _check_targets(qubits: Sequence[int], num_qubits: int) -> None:
+    """Reject targets that are repeated or outside ``[0, num_qubits)``."""
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            break
+    else:
+        if len(set(qubits)) == len(qubits):
+            return
+    raise ValueError(
+        f"target qubits {tuple(qubits)} must be distinct indices in "
+        f"[0, {num_qubits})"
+    )
 
 
 def apply_matrix(
@@ -177,7 +210,8 @@ def apply_matrix(
         is shared across the batch; a 3-D matrix with a 1-D state
         broadcasts the state.
     qubits:
-        Distinct target qubit indices.
+        Distinct target qubit indices in ``[0, num_qubits)``; anything
+        else raises :class:`ValueError`.
     num_qubits:
         Total number of qubits in ``state``.
     backend:
@@ -196,9 +230,8 @@ def apply_matrix(
         The evolved amplitudes, with the same leading batch axis (if any)
         as the inputs — ``out`` itself when given.
     """
+    _check_targets(qubits, num_qubits)
     k = len(qubits)
-    if len(set(qubits)) != k:
-        raise ValueError(f"target qubits must be distinct, got {tuple(qubits)}")
     if state.ndim == 1 and matrix.ndim == 2:
         # One state is a one-row stack: the same kernels, the same bits.
         return apply_matrix(
@@ -217,14 +250,15 @@ def apply_matrix(
         # Single-qubit fast path: viewing the stack as
         # (batch, 2**q, 2, rest) puts the target axis where a stacked
         # matmul contracts it directly — no transpose copies, one output
-        # allocation.  Each slice costs a fixed dispatch, so narrow
-        # blocks (< 8) and rows of more than ``_FAST_PATH_MAX_SLICES``
-        # slices (targets past qubit 6, only above 10 qubits) lose to the
-        # transpose layout.  Which layout a gate takes never depends on
-        # the batch size, so a row carries the same bits in any stack.
+        # allocation.  Each slice costs a fixed dispatch, so blocks under
+        # ``_FAST_PATH_MIN_REST`` amplitudes and rows of more than
+        # ``_FAST_PATH_MAX_SLICES`` slices lose to the transpose layout.
+        # Which layout a gate takes depends on the geometry only, never
+        # on the batch size, and both compute one left-multiplying GEMM
+        # per slice, so a row carries the same bits in any stack.
         q = qubits[0]
         rest = 2 ** (num_qubits - q - 1)
-        if rest >= 8 and 2**q <= _FAST_PATH_MAX_SLICES:
+        if rest >= _FAST_PATH_MIN_REST and 2**q <= _FAST_PATH_MAX_SLICES:
             blocks = states.reshape(batch, 2**q, 2, rest)
             stacked = (
                 matrix if matrix.ndim == 2 else matrix[:, None, :, :]
@@ -304,8 +338,10 @@ def apply_diagonal(
 
     Accepts the same batched layouts as :func:`apply_matrix`: ``state``
     may be ``(B, 2**n)`` and ``diagonal`` may be ``(B, 2**k)``.  The
-    ``backend`` and ``out`` parameters follow :func:`apply_matrix`.
+    ``qubits``, ``backend`` and ``out`` parameters follow
+    :func:`apply_matrix`.
     """
+    _check_targets(qubits, num_qubits)
     k = len(qubits)
     if state.ndim == 1 and diagonal.ndim == 1:
         return apply_diagonal(

@@ -237,6 +237,31 @@ class TestOutBuffers:
             kernel(states, operand, [1], 4, backend=backend, out=bad)
 
 
+class TestTargetChecks:
+    """Repeated or out-of-range targets raise one ``ValueError`` before
+    any reshape, on the reference path and on every device route."""
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize(
+        "kernel", [apply_matrix, apply_diagonal], ids=["dense", "diagonal"]
+    )
+    @pytest.mark.parametrize(
+        "qubits", [[1, 1], [3], [5], [-1], [0, 3]],
+        ids=["repeated", "past-end", "far-past-end", "negative", "one-bad"],
+    )
+    def test_bad_targets_raise(self, name, kernel, qubits):
+        backend = get_array_backend(name)
+        states = backend.asarray(
+            np.ones((2, 8), dtype=np.complex128), dtype=backend.complex_dtype
+        )
+        dim = 2 ** len(qubits)
+        operand = np.ones(dim) if kernel is apply_diagonal else np.eye(dim)
+        with pytest.raises(ValueError, match="must be distinct indices"):
+            kernel(states, operand, qubits, 3, backend=backend)
+        with pytest.raises(ValueError, match="must be distinct indices"):
+            kernel(states[0], operand, qubits, 3, backend=backend)
+
+
 class TestNumpyBitIdentity:
     """StatevectorSimulator(backend="numpy") must equal the default exactly."""
 

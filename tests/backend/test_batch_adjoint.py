@@ -11,13 +11,16 @@ Same guarantee families as the batched-execution suite:
   random PQCs (slow-marked property sweep).
 
 Also covered here: the vectorized ``ParametricGate.derivative_batch``
-stacks and the circuit-level static (matrix, adjoint) cache the adjoint
-engines lean on.
+stacks, the circuit-level static (matrix, adjoint) cache the adjoint
+engines lean on, and which kernel undoes each fixed gate.
 """
+
+import importlib.util
 
 import numpy as np
 import pytest
 
+import oracles
 from repro.ansatz.random_pqc import RandomPQC
 from repro.backend import (
     PARAMETRIC_GATES,
@@ -34,6 +37,10 @@ from repro.backend import (
     total_z,
     zero_projector,
 )
+from repro.backend import gradients
+from repro.backend.gradients import megabatch_adjoint_gradient
+from repro.backend.simulator import MegaBatchPlan
+from repro.utils.array_api import DEVICE_ATOL, DEVICE_RTOL
 
 
 def _random_pqc(num_qubits, num_layers, seed):
@@ -102,6 +109,18 @@ class TestStaticMatrixCache:
         clone = circuit.copy()
         assert clone.static_matrices() is not cache
         assert set(clone.static_matrices()) == {0}
+
+    def test_unit_diagonal_adjoints_cover_the_exact_unit_diagonals(self):
+        circuit = QuantumCircuit(3).cz(0, 1).s(2).t(0).z(1).rz(2).h(0)
+        circuit.append("PHASE", (1,), value=np.pi / 2)
+        units = circuit.unit_diagonal_adjoints()
+        assert set(units) == {0, 1, 3}  # CZ, S and Z; not T, RZ, H, PHASE
+        for pos, diagonal in units.items():
+            adjoint = circuit.static_matrices()[pos][1]
+            assert np.array_equal(diagonal, np.diagonal(adjoint))
+        assert circuit.unit_diagonal_adjoints() is units
+        circuit.s(0)
+        assert set(circuit.unit_diagonal_adjoints()) == {0, 1, 3, 7}
 
 
 class TestBatchAdjointBitIdentity:
@@ -281,6 +300,128 @@ class TestValueAndGradient:
         )
         assert value == sequential[0]
         assert np.array_equal(grad, sequential[1])
+
+
+def _backends():
+    params = [pytest.param(name, id=name) for name in ("numpy", "loopback")]
+    marks = []
+    if importlib.util.find_spec("torch") is None:
+        marks.append(
+            pytest.mark.skip(reason="optional namespace 'torch' not installed")
+        )
+    params.append(pytest.param("torch", id="torch", marks=marks))
+    return params
+
+
+class TestFixedAdjointRouting:
+    """Fixed diagonals with exact-unit entries (CZ, Z, S) are undone with
+    the elementwise kernel; T, H and CX keep the dense adjoint.  Rows
+    equal the sequential oracle bit for bit on numpy (to device tolerance
+    elsewhere); 20 rows at 10 qubits cross the 16-row adjoint chunk."""
+
+    NUM_QUBITS = 10
+
+    def _circuit(self, rotation):
+        circuit = QuantumCircuit(self.NUM_QUBITS)
+        for q in range(self.NUM_QUBITS):
+            circuit.append(rotation, (q,))
+        for q in range(self.NUM_QUBITS - 1):
+            circuit.cz(q, q + 1)
+        circuit.s(2).t(5).h(7).cx(3, 8).z(9)
+        for q in range(self.NUM_QUBITS):
+            circuit.append("RY", (q,))
+        return circuit
+
+    @pytest.fixture()
+    def undo_calls(self, monkeypatch):
+        calls = []
+
+        def spy(kind, kernel):
+            def wrapper(state, operand, qubits, *args, **kwargs):
+                calls.append((kind, tuple(qubits), np.asarray(operand)))
+                return kernel(state, operand, qubits, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            gradients, "apply_matrix", spy("dense", gradients.apply_matrix)
+        )
+        monkeypatch.setattr(
+            gradients, "apply_diagonal", spy("diagonal", gradients.apply_diagonal)
+        )
+        return calls
+
+    def _assert_routing(self, circuit, calls):
+        def undone(kind, op, operand):
+            return sum(
+                1 for k, qubits, a in calls
+                if k == kind and qubits == op.qubits and np.array_equal(a, operand)
+            )
+
+        for op in circuit.operations:
+            if op.is_trainable:
+                continue
+            adjoint = op.matrix(None).conj().T
+            dense, diagonal = (
+                undone("dense", op, adjoint),
+                undone("diagonal", op, np.diagonal(adjoint)),
+            )
+            if op.gate.name in ("CZ", "Z", "S"):
+                assert diagonal > 0 and dense == 0, op
+            else:
+                assert dense > 0 and diagonal == 0, op
+
+    def _check(self, backend_name, result, expected):
+        if backend_name == "numpy":
+            assert np.array_equal(result, expected)
+        else:
+            np.testing.assert_allclose(
+                result, expected, rtol=DEVICE_RTOL, atol=DEVICE_ATOL
+            )
+
+    @pytest.mark.parametrize("backend_name", _backends())
+    @pytest.mark.parametrize("rows", [1, 6, 20])
+    def test_lockstep_sweep(self, undo_calls, backend_name, rows):
+        circuit = self._circuit("RX")
+        observable = zero_projector(self.NUM_QUBITS)
+        params = np.random.default_rng(rows).uniform(
+            -np.pi, np.pi, (rows, circuit.num_parameters)
+        )
+        values, grads = batch_adjoint_value_and_gradient(
+            circuit, observable, params,
+            simulator=StatevectorSimulator(backend=backend_name),
+        )
+        self._assert_routing(circuit, undo_calls)
+        for b in range(rows):
+            value, grad = oracles.adjoint_value_and_gradient(
+                circuit, observable, params[b]
+            )
+            self._check(backend_name, values[b], value)
+            self._check(backend_name, grads[b], grad)
+
+    @pytest.mark.parametrize("backend_name", _backends())
+    @pytest.mark.parametrize("rows", [1, 6, 20])
+    def test_megabatch_sweep(self, undo_calls, backend_name, rows):
+        sizes = [rows] if rows == 1 else [rows // 2, rows - rows // 2]
+        circuits = [self._circuit(r) for r in ("RX", "RY")[: len(sizes)]]
+        observable = total_z(self.NUM_QUBITS)
+        rng = np.random.default_rng(100 + rows)
+        batches = [
+            rng.uniform(-np.pi, np.pi, (size, circuits[0].num_parameters))
+            for size in sizes
+        ]
+        blocks = megabatch_adjoint_gradient(
+            circuits, observable, batches,
+            simulator=StatevectorSimulator(backend=backend_name),
+            plan=MegaBatchPlan(circuits),
+        )
+        self._assert_routing(circuits[0], undo_calls)
+        for circuit, batch, block in zip(circuits, batches, blocks):
+            for params, grad in zip(batch, block):
+                self._check(
+                    backend_name, grad,
+                    oracles.adjoint_gradient(circuit, observable, params),
+                )
 
 
 class TestObservableApplyBatch:

@@ -121,27 +121,44 @@ def _observables(num_qubits):
 
 
 class TestKernels:
-    @pytest.mark.parametrize(
-        "cap", [None, 2**WIDE], ids=["capped", "uncapped"]
-    )
-    def test_apply_matrix_at_every_target_of_a_wide_register(
-        self, monkeypatch, cap
+    @pytest.mark.parametrize("cap", [None, 2**14], ids=["capped", "uncapped"])
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+    def test_apply_matrix_at_every_target_of_every_width(
+        self, monkeypatch, cap, rows, per_row
     ):
-        """Targets 0-6 take the fast path, 7-8 only when the slice cap is
-        lifted, 9-11 never (``rest < 8``); every one must match the
-        full-width sequential GEMM."""
+        """Every single-qubit target of 2 to 14 qubits, so each layout and
+        every switch between them (``rest`` against 64, ``2**q`` against
+        the slice cap) meets the full-width sequential GEMM.  One row is
+        a flat state; per-row operands give every row its own matrix."""
         import repro.backend.statevector as statevector
 
         if cap is not None:
             monkeypatch.setattr(statevector, "_FAST_PATH_MAX_SLICES", cap)
         rng = np.random.default_rng(12)
-        state = _random_state(rng, WIDE)
-        for name, matrix in _single_qubit_matrices(rng).items():
-            for qubit in range(WIDE):
-                assert np.array_equal(
-                    apply_matrix(state, matrix, [qubit], WIDE),
-                    oracles.apply_matrix_1d(state, matrix, [qubit], WIDE),
-                ), (name, qubit)
+        ry = PARAMETRIC_GATES["RY"]
+        for width in range(2, 15):
+            states = np.stack([_random_state(rng, width) for _ in range(rows)])
+            if per_row:
+                operands = [
+                    ry.matrix_batch(rng.uniform(-np.pi, np.pi, rows)),
+                    np.stack([_random_unitary(rng, 2) for _ in range(rows)]),
+                ]
+            else:
+                operands = list(_single_qubit_matrices(rng).values())
+            for operand in operands:
+                for qubit in range(width):
+                    out = apply_matrix(
+                        states[0] if rows == 1 else states, operand, [qubit], width
+                    ).reshape(rows, -1)
+                    for b in range(rows):
+                        matrix = operand[b] if per_row else operand
+                        assert np.array_equal(
+                            out[b],
+                            oracles.apply_matrix_1d(
+                                states[b], matrix, [qubit], width
+                            ),
+                        ), (width, qubit, b)
 
     def test_apply_matrix_multi_qubit_targets(self):
         rng = np.random.default_rng(13)

@@ -238,13 +238,13 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize(
         "cap, fast_targets",
-        [(None, set(range(7))), (2**12, set(range(9)))],
+        [(None, set(range(7))), (2**14, set(range(8)))],
         ids=["capped", "uncapped"],
     )
     def test_single_qubit_rows_at_every_target_of_a_wide_register(
         self, monkeypatch, cap, fast_targets
     ):
-        """At 12 qubits the fast path needs ``rest >= 8`` (targets 0-8),
+        """At 14 qubits the fast path needs ``rest >= 64`` (targets 0-7),
         and the slice cap (``2**q <= 64``) leaves it targets 0-6; the rest
         take the transpose layout.  Both selections must match the
         sequential 1-D kernel bit for bit at every target."""
@@ -267,7 +267,7 @@ class TestBatchedKernels:
 
         monkeypatch.setattr(np, "matmul", spy)
         rng = np.random.default_rng(12)
-        num_qubits = 12
+        num_qubits = 14
         states = self._random_batch(rng, 3, 2**num_qubits)
         ry = PARAMETRIC_GATES["RY"]
         thetas = rng.uniform(0, 2 * np.pi, 3)
