@@ -8,20 +8,21 @@ Demonstrates the ``ExperimentSpec`` API end to end:
 
 1. describe the Fig. 5a variance study declaratively and run it with
    ``repro.run``;
-2. re-run the *same* spec on a different executor (process pool) and
+2. re-run the *same* spec on a different executor (process pool,
+   optionally checkpointing shards so an interrupted grid resumes) and
    verify the seeded results are bit-identical;
-3. save the spec to JSON — the file is what ``python -m repro run
-   SPEC.json`` executes — and reload it;
-4. optionally checkpoint shards so an interrupted grid resumes;
+3. compare the mega-batched ``fold="shape"`` with the per-structure
+   fold: same seeded bits, hundreds of rows per stacked call;
+4. move the kernels onto another array backend (``backend="torch"``,
+   skipped when torch is not installed);
 5. run the same study under a Kraus noise model (the batched
    Pauli-transfer path) and see how fingerprints keep noisy and
    noiseless results apart;
-6. submit the spec to an in-process ``repro serve`` instance twice and
+6. save the spec to JSON — the file is what ``python -m repro run
+   SPEC.json`` executes — and reload it;
+7. submit the spec to an in-process ``repro serve`` instance twice and
    watch the second submission come back as an O(1) cache hit with
-   byte-identical result payloads;
-7. run the same study distributed — ``executor="remote"`` hands work
-   units to pull-based ``repro worker`` loops over HTTP leases — and
-   verify the distributed bytes match the single-host ones.
+   byte-identical result payloads.
 """
 
 import argparse
@@ -238,80 +239,6 @@ def main() -> None:
                 f"served payloads byte-identical: "
                 f"{payload_one == payload_two}"
             )
-
-    # 8. Distributed execution: `executor="remote"` makes the server a
-    #    lease coordinator — `repro worker` processes pull units over
-    #    HTTP, execute them locally, and push fingerprinted results
-    #    back.  Here the workers are in-process loops (the CLI command
-    #    runs the same `run_worker` function); a fresh store keeps the
-    #    run from cache-hitting step 7, and the distributed payload is
-    #    byte-identical to the single-host one because every unit
-    #    carries its own pre-reserved RNG children.
-    import threading
-
-    from repro.service.dispatch import run_worker
-
-    remote_spec = ExperimentSpec(
-        kind="variance", config=config, seed=args.seed, executor="remote"
-    )
-    with tempfile.TemporaryDirectory() as store_dir:
-        with ExperimentServer(store=store_dir) as server:
-            print(f"coordinator on {server.url}; attaching 2 workers")
-            stop = threading.Event()
-            workers = [
-                threading.Thread(
-                    target=run_worker,
-                    args=(server.url,),
-                    kwargs={
-                        "worker_id": f"example-w{i}",
-                        "poll_interval": 0.05,
-                        "allow_exit": False,
-                        "should_stop": stop.is_set,
-                    },
-                    daemon=True,
-                )
-                for i in range(2)
-            ]
-            for worker in workers:
-                worker.start()
-            try:
-                body = json.dumps(remote_spec.to_dict()).encode("utf-8")
-                request = urllib.request.Request(
-                    server.url + "/experiments",
-                    data=body,
-                    method="POST",
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request) as response:
-                    job = json.loads(response.read())
-                while job["state"] not in ("done", "failed"):
-                    _time.sleep(0.05)
-                    with urllib.request.urlopen(
-                        f"{server.url}/experiments/{job['job_id']}"
-                    ) as response:
-                        job = json.loads(response.read())
-                with urllib.request.urlopen(
-                    f"{server.url}/experiments/{job['job_id']}/result"
-                ) as response:
-                    remote_payload = response.read()
-                with urllib.request.urlopen(
-                    f"{server.url}/healthz"
-                ) as response:
-                    dispatch = json.loads(response.read())["dispatch"]
-            finally:
-                stop.set()
-                for worker in workers:
-                    worker.join(timeout=10.0)
-    print(
-        f"remote run: state={job['state']}, "
-        f"{dispatch['leases_granted']} leases to "
-        f"{len(dispatch['workers'])} workers, "
-        f"{dispatch['results_accepted']} results accepted"
-    )
-    print(
-        f"distributed bytes identical to single-host serving: "
-        f"{remote_payload == payload_one}"
-    )
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eight subcommands cover the paper's workflow end to end:
+Seven subcommands cover the paper's workflow end to end:
 
 ``variance``
     Fig. 5a — gradient-variance decay study with the improvement table.
@@ -20,14 +20,6 @@ Eight subcommands cover the paper's workflow end to end:
     ``SIGTERM`` drains gracefully: new submissions get 503, in-flight
     jobs finish within ``--drain-timeout``, unfinished ones persist to
     the store and resume on the next ``repro serve``.
-``worker``
-    Remote execution worker: connects to a coordinator (``repro serve``
-    or the ``remote`` executor's embedded dispatch server), leases work
-    units, executes them under the shared retry policy, and pushes
-    fingerprinted results back.  Leases are heartbeat-renewed; a worker
-    that dies mid-unit simply loses its lease and the unit is
-    re-dispatched elsewhere, byte-identically.  Run any number of these
-    against one coordinator, on any host that can reach it.
 ``store``
     Inspect (``store stats``) or garbage-collect (``store gc``) a
     result-cache directory without starting the server.
@@ -59,7 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -367,64 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the unfinished queue and exiting (default: 30)",
     )
     serve.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        help="seconds before an unheartbeated remote work lease is "
-        "reclaimed and re-dispatched (default: REPRO_LEASE_TTL or 15)",
-    )
-    serve.add_argument(
         "--verbose",
         action="store_true",
         help="log every HTTP request to stderr",
-    )
-
-    worker = sub.add_parser(
-        "worker", help="run a remote execution worker against a coordinator"
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="URL",
-        help="coordinator base URL (the `repro serve listening on ...` "
-        "address, e.g. http://127.0.0.1:8425)",
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable identity reported to the coordinator "
-        "(default: HOSTNAME-PID)",
-    )
-    worker.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="seconds between lease polls while idle (default: 0.5)",
-    )
-    worker.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        help="exit cleanly after this many consecutive idle seconds "
-        "(default: poll forever)",
-    )
-    worker.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="worker-side retry budget per leased unit (default: "
-        "REPRO_MAX_ATTEMPTS / REPRO_RETRY, or 3)",
-    )
-    worker.add_argument(
-        "--once",
-        action="store_true",
-        help="execute at most one unit (or return immediately when the "
-        "coordinator is idle), then exit",
-    )
-    worker.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log each lease, result and reconnect to stdout",
     )
 
     store_cmd = sub.add_parser(
@@ -497,17 +434,32 @@ def _print_training_outcome(outcome, output: Optional[str]) -> None:
         print(f"saved to {save_result(outcome, output)}")
 
 
-def _input_error(error: ValueError) -> int:
-    """Report input rejected while building a config or spec: one line on
-    stderr and exit status 2, as argparse does for its own usage errors."""
+def _input_error(error: Union[Exception, str]) -> int:
+    """Report input rejected before any work starts: one line on stderr
+    and exit status 2, as argparse does for its own usage errors."""
     print(f"error: {error}", file=sys.stderr)
     return 2
+
+
+def _check_env_fault_plan() -> None:
+    """Parse ``REPRO_FAULT_PLAN`` before any work starts.
+
+    Executors read it when they are built, after the input checks, so a
+    malformed plan would otherwise stop a run with a traceback.
+    """
+    from repro.reliability import FaultPlan
+
+    try:
+        FaultPlan.from_env()
+    except (OSError, ValueError) as error:
+        raise ValueError(f"REPRO_FAULT_PLAN: {error}") from None
 
 
 def _cmd_variance(args: argparse.Namespace) -> int:
     import repro
 
     try:
+        _check_env_fault_plan()
         spec = _variance_spec(args)
     except ValueError as error:
         return _input_error(error)
@@ -546,6 +498,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     import repro
 
     try:
+        _check_env_fault_plan()
         spec = _training_spec(args)
     except ValueError as error:
         return _input_error(error)
@@ -599,8 +552,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core import ExperimentSpec
 
     try:
+        _check_env_fault_plan()
         spec = ExperimentSpec.from_file(args.spec)
-    except ValueError as error:
+    except (OSError, TypeError, ValueError) as error:
+        # TypeError: the spec's own field checks (POST /experiments
+        # answers 400 for the same payloads).
         return _input_error(error)
     if spec.kind == "sweep" and args.output:
         # Fail fast: don't burn the whole sweep before reporting this.
@@ -654,6 +610,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ExperimentServer, ResultStore
 
     try:
+        _check_env_fault_plan()
         store = ResultStore(
             args.store,
             max_bytes=args.store_max_bytes,
@@ -670,7 +627,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             job_timeout=args.job_timeout,
             stall_timeout=args.stall_timeout,
             drain_timeout=args.drain_timeout,
-            lease_ttl=args.lease_ttl,
         )
     except ValueError as error:
         # Bad options (e.g. an unknown --executor) fail before the port
@@ -690,23 +646,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.service.dispatch import run_worker
-
-    return run_worker(
-        args.connect,
-        worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
-        max_idle=args.max_idle,
-        retry=args.max_attempts,
-        once=args.once,
-        verbose=args.verbose,
-    )
-
-
 def _cmd_store(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.service import ResultStore
 
+    # ResultStore creates its layout, so a mistyped path would report an
+    # empty store and leave a new directory behind.
+    if not Path(args.store).is_dir():
+        return _input_error(f"no result store at {args.store!r}")
     store = ResultStore(args.store)
     if args.store_command == "stats":
         stats = store.stats()
@@ -738,7 +686,12 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     from repro.ansatz import HardwareEfficientAnsatz
     from repro.core import global_identity_cost
 
-    circuit = HardwareEfficientAnsatz(args.qubits, args.layers).build()
+    if args.resolution < 2:
+        return _input_error(f"resolution must be >= 2, got {args.resolution}")
+    try:
+        circuit = HardwareEfficientAnsatz(args.qubits, args.layers).build()
+    except ValueError as error:
+        return _input_error(error)
     cost = global_identity_cost(circuit)
     rng = np.random.default_rng(args.seed)
     anchor = rng.uniform(0, 2 * np.pi, circuit.num_parameters)
@@ -793,7 +746,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "run": _cmd_run,
     "serve": _cmd_serve,
-    "worker": _cmd_worker,
     "store": _cmd_store,
     "landscape": _cmd_landscape,
     "info": _cmd_info,

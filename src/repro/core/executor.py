@@ -2,7 +2,7 @@
 
 An :class:`Executor` schedules a list of :class:`WorkUnit` items — picklable
 ``(id, function, args)`` triples produced by the spec layer — and returns
-their outputs in unit order.  Five registered strategies cover the
+their outputs in unit order.  Four registered strategies cover the
 library's workloads:
 
 ``serial``
@@ -31,22 +31,10 @@ library's workloads:
     to serial regardless of worker count or completion order.  Variance
     units are shape-bucket slices here too: each worker mega-folds its
     own slice of the bucket, and slicing is invisible to results.
-``remote``
-    Distributes units to pull-based worker *processes on other hosts*
-    through the lease/heartbeat/result protocol of
-    :mod:`repro.service.dispatch`.  Inside ``repro serve`` it registers
-    its units on the queue's shared
-    :class:`~repro.service.dispatch.DispatchBoard` (workers connect to
-    the serve URL); standalone ``repro.run`` boots an embedded
-    coordinator plus local ``repro worker`` subprocesses.  Dead
-    workers' leases expire and are re-dispatched through the same retry
-    budget as every other failure; because units carry pre-reserved RNG
-    children and results are keyed by content fingerprint, recovered
-    multi-host runs stay byte-identical to single-host ones.
 
-Two more registry names are aliases kept so stored specs, scripts and
-``--executor`` values still resolve: ``async`` runs ``process_pool`` and
-``device`` runs ``lockstep``.
+Three more registry names are aliases kept so stored specs, scripts and
+``--executor`` values still resolve: ``async`` and ``remote`` run
+``process_pool``, and ``device`` runs ``lockstep``.
 
 Every executor streams through one contract: :meth:`Executor.map_units`
 calls ``on_result`` once per unit the moment its output lands, so the
@@ -82,10 +70,7 @@ backs ``repro info`` and the CLI's ``--workers`` routing.
 
 from __future__ import annotations
 
-import itertools
 import os
-import subprocess
-import sys
 import threading
 import time
 import warnings
@@ -109,7 +94,6 @@ from typing import (
 )
 
 from repro.reliability.faults import (
-    NETWORK_KINDS,
     FaultAction,
     FaultPlan,
     WorkerCrash,
@@ -127,7 +111,6 @@ __all__ = [
     "BatchedExecutor",
     "LockstepExecutor",
     "ProcessPoolExecutor",
-    "RemoteExecutor",
     "EXECUTORS",
     "register_executor",
     "executor_class",
@@ -723,7 +706,8 @@ class ProcessPoolExecutor(Executor):
     charged against the retry budget of the responsible units (see
     :meth:`Executor._note_pool_breakage`).  An abort cancels the units
     still queued on the pool; only those already handed to a worker
-    process run to completion.  Also registered as ``async``.
+    process run to completion.  Also registered as ``async`` and
+    ``remote``.
     """
 
     name = "process_pool"
@@ -849,311 +833,7 @@ class ProcessPoolExecutor(Executor):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-#: Monotonic source of standalone remote-run job keys (os.getpid() is
-#: appended, so keys stay unique across forked test processes too).
-_REMOTE_RUN_COUNTER = itertools.count(1)
-
-#: Fault kinds executed worker-side (shipped inside leases); the
-#: network kinds stay coordinator-side, the corruption kinds stay in
-#: the parent's checkpoint/store write paths.
-_REMOTE_WORKER_FAULT_KINDS = ("transient", "kill", "slow")
-
-
-@register_executor
-class RemoteExecutor(Executor):
-    """Distributes work units to pull-based workers over HTTP leases.
-
-    The scheduling half of :mod:`repro.service.dispatch`: ``_execute``
-    registers its units on a :class:`~repro.service.dispatch.
-    DispatchBoard` and consumes completion/expiry/failure events, while
-    ``repro worker`` processes — possibly on other hosts — lease units,
-    execute them through the shared :class:`~repro.reliability.
-    RetryPolicy` path, and push fingerprinted results back.
-
-    Two modes, chosen by how the executor is *bound* (see
-    :meth:`bind_remote`, called by :func:`repro.core.spec.run` and the
-    ``repro serve`` job queue after planning):
-
-    * **Service mode** — bound to the serving queue's shared board;
-      workers connect to the ``repro serve`` URL from anywhere.
-    * **Standalone mode** — no board supplied; ``_execute`` boots an
-      embedded dispatch HTTP server plus ``self.workers`` local
-      ``repro worker`` subprocesses, so ``ExperimentSpec(
-      executor="remote")`` works under plain :func:`repro.run` too.
-
-    Reliability semantics match every other executor: an expired lease
-    (dead/partitioned worker) is charged as one attempt and routed
-    through :meth:`Executor._after_failure` — re-dispatched while the
-    budget allows (``"reclaim"`` events fire per reclaim), quarantined
-    or raised after.  A worker that *reports* failure already drove the
-    unit through the retry policy locally, so its verdict arrives as a
-    non-retryable :class:`~repro.service.dispatch.RemoteExecutionError`
-    and quarantines immediately rather than being granted a second
-    budget.  Checkpoints, ``FailureReport``, and fault-plan corruption
-    kinds run parent-side exactly as elsewhere; compute fault kinds
-    ship inside leases and fire in the worker; network kinds fire on
-    the board.
-
-    Requires a seeded spec: content fingerprints are both the result
-    cache key and the idempotency token, and transient
-    (non-serializable) seeds have neither.
-    """
-
-    name = "remote"
-    variance_batched: ClassVar[Optional[bool]] = True
-
-    def __init__(
-        self,
-        workers: int = 0,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        retry: Any = None,
-        fault_plan: Any = None,
-    ):
-        super().__init__(
-            workers=int(workers) or os.cpu_count() or 1,
-            checkpoint_dir=checkpoint_dir,
-            retry=retry,
-            fault_plan=fault_plan,
-        )
-
-    def circuits_per_shard(self, num_circuits: int) -> Optional[int]:
-        # Same granularity policy as the process pool: ~2 shards per
-        # worker per qubit count, so slow hosts can be routed around
-        # and reclaims re-dispatch small pieces.
-        return max(1, -(-num_circuits // (2 * self.workers)))
-
-    # -- binding -----------------------------------------------------------
-
-    def bind_remote(self, spec: Any, plan: Any, board: Any = None) -> None:
-        """Attach the spec/plan context ``_execute`` dispatches from.
-
-        Called after planning by :func:`repro.core.spec.run` (no board:
-        standalone mode) and by the serve queue (its shared board).
-        Binding is thread-local, like all run state.
-        """
-        from repro.service.dispatch import worker_spec_payload
-
-        if not plan.unit_fingerprints:
-            raise ValueError(
-                "the remote executor requires a seeded spec: unit content "
-                "fingerprints are the dispatch idempotency tokens, and "
-                "transient seeds have none"
-            )
-        self._local.remote_bound = {
-            "spec_payload": worker_spec_payload(spec, plan, self),
-            "fingerprints": dict(plan.unit_fingerprints),
-            "board": board,
-        }
-
-    # -- worker subprocess management (standalone mode) --------------------
-
-    def _spawn_worker(self, url: str, serial: int) -> subprocess.Popen:
-        import repro
-
-        env = dict(os.environ)
-        # Faults are resolved and routed by the coordinator (compute
-        # kinds travel inside leases); a worker loading the plan from
-        # the environment would double-inject them.
-        env.pop("REPRO_FAULT_PLAN", None)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
-        )
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "worker",
-                "--connect",
-                url,
-                "--worker-id",
-                f"local-{os.getpid()}-{serial}",
-                "--poll-interval",
-                "0.05",
-                "--max-idle",
-                "120",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-
-    def _respawn_dead_workers(
-        self, procs: List[subprocess.Popen], url: str, serials: Iterator[int]
-    ) -> List[subprocess.Popen]:
-        """Replace exited worker subprocesses while work remains.
-
-        An injected ``kill`` fault genuinely ``os._exit``\\ s the worker
-        mid-lease; without respawning, enough kills would strand the
-        run with zero workers and only lease expiry to save it.
-        """
-        alive = []
-        for proc in procs:
-            if proc.poll() is None:
-                alive.append(proc)
-            else:
-                alive.append(self._spawn_worker(url, next(serials)))
-        return alive
-
-    # -- execution ---------------------------------------------------------
-
-    def _execute(
-        self, units: Sequence[WorkUnit]
-    ) -> Iterator[Tuple[WorkUnit, Any]]:
-        if not units:
-            return
-        from repro.service.dispatch import (
-            DispatchBoard,
-            RemoteExecutionError,
-            SpecMismatch,
-            make_dispatch_server,
-        )
-
-        bound = getattr(self._local, "remote_bound", None)
-        if bound is None:
-            raise RuntimeError(
-                "the remote executor must be bound to a spec before "
-                "executing (drive it through repro.run(...) or repro "
-                "serve, not map_units directly)"
-            )
-        ctx = self._run
-        fingerprints: Dict[str, str] = bound["fingerprints"]
-        missing = [u.unit_id for u in units if not fingerprints.get(u.unit_id)]
-        if missing:
-            raise ValueError(
-                f"units {missing[:3]} have no content fingerprint; remote "
-                f"dispatch cannot address their results"
-            )
-        ship: Dict[str, List[dict]] = {}
-        net: Dict[str, List[FaultAction]] = {}
-        for unit_id, actions in ctx.faults.items():
-            compute = [
-                action.to_dict()
-                for action in actions
-                if action.kind in _REMOTE_WORKER_FAULT_KINDS
-            ]
-            network = [
-                action for action in actions if action.kind in NETWORK_KINDS
-            ]
-            if compute:
-                ship[unit_id] = compute
-            if network:
-                net[unit_id] = network
-
-        board = bound["board"]
-        owns_board = board is None
-        server = None
-        procs: List[subprocess.Popen] = []
-        serials = itertools.count(0)
-        url = ""
-        if owns_board:
-            board = DispatchBoard()
-            server = make_dispatch_server(board)
-            host, port = server.server_address[:2]
-            url = f"http://{host}:{port}"
-            threading.Thread(
-                target=server.serve_forever,
-                name="repro-dispatch-server",
-                daemon=True,
-            ).start()
-        job_key = f"run-{next(_REMOTE_RUN_COUNTER):06d}-{os.getpid()}"
-        pending: Dict[str, WorkUnit] = {unit.unit_id: unit for unit in units}
-        try:
-            board.register_job(
-                job_key,
-                bound["spec_payload"],
-                [
-                    (unit.unit_id, fingerprints[unit.unit_id], ship.get(unit.unit_id))
-                    for unit in units
-                ],
-                net,
-            )
-            if owns_board:
-                procs = [
-                    self._spawn_worker(url, next(serials))
-                    for _ in range(self.workers)
-                ]
-            while pending:
-                self._abort_check()
-                for event in board.wait_events(job_key, _ABORT_POLL_SECONDS):
-                    unit_id = event["unit_id"]
-                    unit = pending.get(unit_id)
-                    if unit is None:
-                        continue
-                    ctx.unit_started.setdefault(unit_id, time.monotonic())
-                    kind = event["kind"]
-                    if kind == "done":
-                        ctx.attempts[unit_id] = max(
-                            int(event.get("attempts") or 1),
-                            ctx.attempts.get(unit_id, 0),
-                            1,
-                        )
-                        del pending[unit_id]
-                        yield unit, event["output"]
-                    elif kind == "expired":
-                        attempt = int(event["attempt"])
-                        ctx.attempts[unit_id] = max(
-                            attempt, ctx.attempts.get(unit_id, 0)
-                        )
-                        self._emit(
-                            "reclaim",
-                            {
-                                "unit_id": unit_id,
-                                "worker_id": event.get("worker_id"),
-                                "attempt": attempt,
-                            },
-                        )
-                        crash = WorkerCrash(
-                            f"lease on {unit_id} expired (worker "
-                            f"{event.get('worker_id')!r} stopped "
-                            f"heartbeating at attempt {attempt}); reclaimed"
-                        )
-                        if self._after_failure(unit, crash, attempt) == "retry":
-                            board.requeue(job_key, unit_id)
-                        else:
-                            board.mark_failed(job_key, unit_id)
-                            del pending[unit_id]
-                    elif kind == "failed":
-                        attempt = max(int(event.get("attempts") or 1), 1)
-                        ctx.attempts[unit_id] = max(
-                            attempt, ctx.attempts.get(unit_id, 0)
-                        )
-                        message = (
-                            f"{event.get('error_type')}: "
-                            f"{event.get('error_message')} (worker "
-                            f"{event.get('worker_id')!r})"
-                        )
-                        if event.get("error_type") == "SpecMismatch":
-                            error: Exception = SpecMismatch(message)
-                        else:
-                            error = RemoteExecutionError(
-                                f"remote unit {unit_id} failed: {message}"
-                            )
-                        if self._after_failure(unit, error, attempt) == "retry":
-                            board.requeue(job_key, unit_id)
-                        else:
-                            board.mark_failed(job_key, unit_id)
-                            del pending[unit_id]
-                if owns_board and pending:
-                    procs = self._respawn_dead_workers(procs, url, serials)
-        finally:
-            board.unregister_job(job_key)
-            if owns_board:
-                for proc in procs:
-                    proc.terminate()
-                for proc in procs:
-                    try:
-                        proc.wait(timeout=5)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait(timeout=5)
-                if server is not None:
-                    server.shutdown()
-                    server.server_close()
-
-
 # Names kept so stored specs, scripts and ``--executor`` values resolve.
 EXECUTORS["async"] = ProcessPoolExecutor
+EXECUTORS["remote"] = ProcessPoolExecutor
 EXECUTORS["device"] = LockstepExecutor

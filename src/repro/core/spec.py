@@ -67,10 +67,10 @@ round-trip through JSON, and the CLI runs a saved file directly::
 
 Executors live in a registry (:mod:`repro.core.executor`): ``serial``
 (sequential reference path), ``batched`` (variance default), ``lockstep``
-(batched + lock-step training; analytic training default),
-``process_pool`` (multi-process sharding) and ``remote`` (leased to
-``repro worker`` processes).  ``async`` and ``device`` are aliases of
-``process_pool`` and ``lockstep``.  ``repro info`` lists them all.
+(batched + lock-step training; analytic training default) and
+``process_pool`` (multi-process sharding).  ``async`` and ``remote`` are
+aliases of ``process_pool``, and ``device`` of ``lockstep``.  ``repro
+info`` lists them all.
 """
 
 from __future__ import annotations
@@ -819,11 +819,6 @@ def run(
         fault_plan=spec.fault_plan,
     )
     plan = plan_experiment(spec, executor)
-    # Dispatch-style executors (``remote``) need the spec/plan context —
-    # not just the unit list — to ship work to other processes.
-    bind_remote = getattr(executor, "bind_remote", None)
-    if bind_remote is not None:
-        bind_remote(spec, plan)
     on_result = None
     if verbose:
 

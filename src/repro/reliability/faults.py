@@ -6,7 +6,7 @@ position (``"#3"`` = fourth unit of the run) — to ordered
 *attempts* for its unit, so the whole failure schedule is a pure
 function of ``(unit, attempt)``: the same plan produces the same
 crashes, the same retries, and therefore the same final bytes under the
-serial, process-pool and remote executors, in one process or many.
+in-process and process-pool executors, in one process or many.
 
 Supported action kinds:
 
@@ -28,28 +28,6 @@ Supported action kinds:
 ``corrupt_shard``
     Same, for the unit's entry in the service's shard store (applied by
     the job queue after ``put_shard``) — exercises store quarantine.
-
-Four *network* kinds target the remote-dispatch layer
-(:mod:`repro.service.dispatch`) and are applied coordinator-side by the
-:class:`~repro.service.dispatch.DispatchBoard` rather than around the
-unit function (:func:`call_with_faults` ignores them, so a plan mixing
-compute and network faults still travels to workers safely):
-
-``drop_lease``
-    The unit's lease is granted internally but the response is dropped
-    (HTTP 503) for the first ``times`` grants — the worker never learns
-    about the lease, it expires, and the reclaim/re-dispatch path runs.
-``drop_result``
-    The first ``times`` result uploads for the unit are rejected with
-    503 without being stored — exercises the worker's upload retry loop
-    and at-least-once delivery.
-``partition``
-    The first ``times`` lease requests or result uploads touching the
-    unit fail with 503 and no side effect — a link cut between worker
-    and coordinator.
-``slow_network``
-    Responses touching the unit are delayed ``seconds`` before being
-    sent for the first ``times`` touches (lease-deadline pressure).
 
 Plans are enabled programmatically (``fault_plan=`` on an executor or
 spec), or globally via the ``REPRO_FAULT_PLAN`` environment variable
@@ -79,7 +57,6 @@ __all__ = [
     "FaultAction",
     "FaultPlan",
     "InjectedFault",
-    "NETWORK_KINDS",
     "WorkerCrash",
     "call_with_faults",
     "corrupt_file",
@@ -91,14 +68,7 @@ _KINDS = (
     "slow",
     "corrupt_checkpoint",
     "corrupt_shard",
-    "drop_lease",
-    "drop_result",
-    "partition",
-    "slow_network",
 )
-
-#: Kinds applied by the dispatch coordinator, not around the unit fn.
-NETWORK_KINDS = ("drop_lease", "drop_result", "partition", "slow_network")
 
 #: Exit status used by injected worker kills, distinctive in pool logs.
 KILL_EXIT_CODE = 13
@@ -158,9 +128,20 @@ class FaultAction:
             raise ValueError(f"unknown fault action field(s) {unknown}")
         return cls(
             kind=str(payload.get("kind", "")),
-            times=int(payload.get("times", 1)),
-            seconds=float(payload.get("seconds", 0.0)),
+            times=_number(payload, "times", 1, int),
+            seconds=_number(payload, "seconds", 0.0, float),
         )
+
+
+def _number(payload: Mapping[str, Any], key: str, default: Any, cast: Any) -> Any:
+    """``cast(payload[key])``, with a non-number reported as ValueError."""
+    value = payload.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"fault {key!r} must be a number, got {value!r}"
+        ) from None
 
 
 class FaultPlan:

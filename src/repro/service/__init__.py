@@ -1,7 +1,7 @@
 """Experiment service: async jobs, HTTP serving, content-addressed cache.
 
-Four cooperating layers turn the batch-oriented :func:`repro.run` path
-into a long-running, multi-host service:
+Three cooperating layers turn the batch-oriented :func:`repro.run` path
+into a long-running service:
 
 * :class:`ResultStore` — a content-addressed cache keyed by the public
   :meth:`ExperimentSpec.fingerprint` (whole results) and by
@@ -13,41 +13,22 @@ into a long-running, multi-host service:
   partial-result assembly for quarantined jobs, job timeouts with
   heartbeat-based stall detection, and drain/persist/restore for
   graceful shutdown.
-* :class:`DispatchBoard` / :func:`run_worker` — the lease-based remote
-  work-distribution layer (:mod:`repro.service.dispatch`): the board
-  leases work units to pull-based ``repro worker`` processes with
-  heartbeat-renewed deadlines, reclaims and re-dispatches the leases of
-  dead workers, and accepts results idempotently by content
-  fingerprint, so ``executor="remote"`` grids stay byte-identical to
-  single-host runs through worker crashes and network chaos.
 * :class:`ExperimentServer` — the stdlib-HTTP front end behind the
-  ``repro serve`` CLI command, serving the job API and the ``/work/*``
-  dispatch protocol; ``SIGTERM`` drains in-flight jobs and rejects new
-  submissions with 503 (:class:`ServiceUnavailable`).
+  ``repro serve`` CLI command, serving the job API; ``SIGTERM`` drains
+  in-flight jobs and rejects new submissions with 503
+  (:class:`ServiceUnavailable`).
 """
 
-from repro.service.dispatch import (
-    DispatchBoard,
-    RemoteExecutionError,
-    SpecMismatch,
-    make_dispatch_server,
-    run_worker,
-)
 from repro.service.jobs import Job, JobQueue, ServiceError, ServiceUnavailable
 from repro.service.server import ExperimentServer, make_server
 from repro.service.store import ResultStore
 
 __all__ = [
-    "DispatchBoard",
     "ExperimentServer",
     "Job",
     "JobQueue",
-    "RemoteExecutionError",
     "ResultStore",
     "ServiceError",
     "ServiceUnavailable",
-    "SpecMismatch",
-    "make_dispatch_server",
     "make_server",
-    "run_worker",
 ]

@@ -42,14 +42,7 @@ submission racing a SIGTERM drain either lands before the flag flips
 between a job finishing and the queue state being persisted and end up
 executed twice.
 
-**Remote execution.**  The queue owns a :class:`~repro.service.dispatch.
-DispatchBoard`; jobs whose spec resolves to the ``remote`` executor are
-bound to it, so their units are leased out to ``repro worker`` processes
-through the server's ``/work/*`` endpoints instead of running on local
-cores.  Reclaimed leases surface per job (``reclaimed_leases`` in status
-JSON) and fleet-wide (the ``dispatch`` block of ``/healthz``).
-
-**Progress events.**  Every unit completion, retry, reclaim, quarantine
+**Progress events.**  Every unit completion, retry, quarantine
 and state change appends to the job's monotonically numbered event log;
 :meth:`Job.events_since` long-polls it (the ``GET
 /experiments/<id>/events?since=N`` endpoint), and
@@ -74,7 +67,6 @@ from repro.core.executor import executor_class, get_executor
 from repro.core.spec import ExperimentSpec, plan_experiment
 from repro.reliability.faults import corrupt_file
 from repro.reliability.policy import ExecutionAborted
-from repro.service.dispatch import DispatchBoard
 from repro.service.store import ResultStore
 
 __all__ = ["Job", "JobQueue", "ServiceError", "ServiceUnavailable"]
@@ -114,8 +106,6 @@ class Job:
     #: Quarantined units: ``{unit_id, attempts, error_type, error_message}``.
     failed_units: List[dict] = field(default_factory=list)
     pool_rebuilds: int = 0
-    #: Remote leases lost to dead/partitioned workers and re-dispatched.
-    reclaimed_leases: int = 0
     error: Optional[str] = None
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
@@ -197,7 +187,6 @@ class Job:
                 "total_retries": int(sum(self.retried_units.values())),
                 "failed_units": list(self.failed_units),
                 "pool_rebuilds": self.pool_rebuilds,
-                "reclaimed_leases": self.reclaimed_leases,
                 "heartbeat_age": (
                     None
                     if self.heartbeat_at is None or self.state != "running"
@@ -226,7 +215,6 @@ class JobQueue:
         retry: Any = None,
         job_timeout: Optional[float] = None,
         stall_timeout: Optional[float] = None,
-        lease_ttl: Optional[float] = None,
     ):
         if executor is not None:
             executor_class(executor)
@@ -250,10 +238,6 @@ class JobQueue:
         self._counter = itertools.count(1)
         self._started = False
         self._draining = False
-        #: Lease ledger for ``remote``-executor jobs: their units are
-        #: leased to ``repro worker`` processes through the server's
-        #: ``/work/*`` endpoints instead of running on local cores.
-        self.dispatch = DispatchBoard(lease_ttl=lease_ttl)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -613,12 +597,6 @@ class JobQueue:
         job.total_units = len(plan.units)
         job.unit_order = [unit.unit_id for unit in plan.units]
         job.unit_fingerprints = dict(plan.unit_fingerprints)
-        # Remote jobs lease their units to workers through the queue's
-        # shared board (the server's /work/* endpoints) instead of
-        # executing on this host's cores.
-        bind_remote = getattr(executor, "bind_remote", None)
-        if bind_remote is not None:
-            bind_remote(spec, plan, board=self.dispatch)
         # Resolve the chaos plan (if any) once so corrupt_shard actions
         # can fire parent-side as shards land in the store.
         fault_actions = (
@@ -666,13 +644,6 @@ class JobQueue:
                     "rebuilds", job.pool_rebuilds + 1
                 )
                 job.record_event("pool_rebuild")
-            elif kind == "reclaim":
-                job.reclaimed_leases += 1
-                job.record_event(
-                    "reclaim",
-                    unit_id=payload.get("unit_id", ""),
-                    worker_id=payload.get("worker_id"),
-                )
             elif kind == "quarantine":
                 job.record_event(
                     "quarantine", unit_id=payload.get("unit_id", "")

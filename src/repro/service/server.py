@@ -1,7 +1,7 @@
 """``repro serve`` — a long-running experiment service over stdlib HTTP.
 
 The server wires a :class:`~repro.service.jobs.JobQueue` (and its
-:class:`~repro.service.store.ResultStore`) behind three JSON endpoints:
+:class:`~repro.service.store.ResultStore`) behind these JSON endpoints:
 
 ``POST /experiments``
     Body: an :meth:`ExperimentSpec.to_dict` payload.  Responds ``202``
@@ -26,26 +26,18 @@ The server wires a :class:`~repro.service.jobs.JobQueue` (and its
 ``GET /experiments/<id>/events?since=N``
     Long-poll progress stream: blocks (up to ``?timeout=S``, default 25,
     capped at 30) until the job records events numbered past ``N`` —
-    unit completions (with ``cached`` flags), retries, lease reclaims,
+    unit completions (with ``cached`` flags), retries, pool rebuilds,
     quarantines, state changes — then returns them with the headline
     counters snapshotted per event.  Terminal jobs return immediately,
     so pollers never hang on finished work; pass the response's
     ``next_since`` as the next request's ``since``.
 
-``POST /work/lease`` / ``POST /work/heartbeat`` / ``POST /work/<fp>/result``
-    The remote-worker dispatch protocol (:mod:`repro.service.dispatch`),
-    routed onto the queue's shared :class:`~repro.service.dispatch.
-    DispatchBoard`.  ``repro worker --connect URL`` processes — local or
-    on other hosts — lease units of ``executor="remote"`` jobs through
-    these, heartbeat their leases, and push fingerprinted results back.
-
 ``GET /experiments`` lists all jobs; ``GET /healthz`` reports liveness,
-store statistics, queue-wide retry-budget metrics
+store statistics and queue-wide retry-budget metrics
 (:meth:`JobQueue.retry_metrics`: jobs by state, total retries,
-retried/quarantined unit counts, pool rebuilds) and the dispatch
-board's lease counters (granted/active/reclaimed leases, duplicate and
-dropped results, connected workers).  Everything is standard library
-(:class:`http.server.ThreadingHTTPServer`) — no new dependencies.
+retried/quarantined unit counts, pool rebuilds).  Everything is
+standard library (:class:`http.server.ThreadingHTTPServer`) — no new
+dependencies.
 
 **Graceful shutdown.**  :meth:`ExperimentServer.shutdown_gracefully`
 (wired to ``SIGTERM``/``SIGINT`` in the foreground ``repro serve`` path)
@@ -69,7 +61,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.service.dispatch import handle_work_request
 from repro.service.jobs import JobQueue, ServiceError, ServiceUnavailable
 from repro.service.store import ResultStore
 
@@ -129,7 +120,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "status": "ok",
                     "store": queue.store.stats(),
                     "retries": queue.retry_metrics(),
-                    "dispatch": queue.dispatch.stats(),
                 },
             )
             return
@@ -197,16 +187,6 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, TypeError) as error:
             self._error(400, f"request body is not valid JSON: {error}")
             return
-        if path.startswith("/work/") or path == "/work":
-            status, body = handle_work_request(
-                self.server.queue.dispatch, path, payload
-            )
-            try:
-                self._send_json(status, body)
-            except (BrokenPipeError, ConnectionResetError):
-                # Worker vanished mid-response; its lease will expire.
-                self.close_connection = True
-            return
         if path != "/experiments":
             self._error(404, f"no route for POST {self.path}")
             return
@@ -237,7 +217,6 @@ def make_server(
     retry=None,
     job_timeout: Optional[float] = None,
     stall_timeout: Optional[float] = None,
-    lease_ttl: Optional[float] = None,
 ) -> _ServiceHTTPServer:
     """Build (but do not start) the HTTP server over a fresh job queue."""
     queue = JobQueue(
@@ -247,7 +226,6 @@ def make_server(
         retry=retry,
         job_timeout=job_timeout,
         stall_timeout=stall_timeout,
-        lease_ttl=lease_ttl,
     )
     server = _ServiceHTTPServer((host, port), _Handler)
     server.queue = queue
@@ -277,7 +255,6 @@ class ExperimentServer:
         job_timeout: Optional[float] = None,
         stall_timeout: Optional[float] = None,
         drain_timeout: float = 30.0,
-        lease_ttl: Optional[float] = None,
     ):
         self._server = make_server(
             store,
@@ -289,7 +266,6 @@ class ExperimentServer:
             retry=retry,
             job_timeout=job_timeout,
             stall_timeout=stall_timeout,
-            lease_ttl=lease_ttl,
         )
         self.drain_timeout = float(drain_timeout)
         self._thread: Optional[threading.Thread] = None

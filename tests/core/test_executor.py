@@ -17,6 +17,7 @@ from repro.core.executor import (
     ShardCheckpoint,
     WorkUnit,
     available_executors,
+    executor_class,
     get_executor,
     register_executor,
 )
@@ -461,19 +462,25 @@ class TestProcessPool:
 
 
 class TestAliases:
-    """``async`` and ``device`` are registry aliases, not classes.
+    """``async``, ``remote`` and ``device`` are registry aliases, not classes.
 
     ``TestRegistry.test_builtins_registered`` pins that
-    :func:`available_executors` still lists both names.
+    :func:`available_executors` still lists all three names.
     """
 
     def test_aliases_resolve_to_their_targets(self):
         assert type(get_executor("async", workers=2)) is ProcessPoolExecutor
+        assert executor_class("remote") is ProcessPoolExecutor
         assert type(get_executor("device")) is LockstepExecutor
 
     @pytest.mark.parametrize(
         "alias, target, kind",
-        [("async", "process_pool", "variance"), ("device", "lockstep", "training")],
+        [
+            ("async", "process_pool", "variance"),
+            ("remote", "process_pool", "variance"),
+            ("remote", "serial", "variance"),
+            ("device", "lockstep", "training"),
+        ],
     )
     def test_alias_spec_matches_target_bytes(self, tmp_path, alias, target, kind):
         from repro.core.training import TrainingConfig

@@ -10,8 +10,10 @@ from repro.reliability.faults import FaultAction, call_with_faults, corrupt_file
 
 class TestFaultAction:
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultAction(kind="explode")
+        retired = ("drop_lease", "drop_result", "partition", "slow_network")
+        for kind in ("explode", *retired):
+            with pytest.raises(ValueError, match=f"unknown fault kind '{kind}'"):
+                FaultAction(kind=kind)
         with pytest.raises(ValueError, match="times"):
             FaultAction(kind="transient", times=0)
         with pytest.raises(ValueError, match="seconds"):
@@ -27,6 +29,19 @@ class TestFaultAction:
         assert FaultAction.from_dict(action.to_dict()) == action
         with pytest.raises(ValueError, match="unknown fault action field"):
             FaultAction.from_dict({"kind": "transient", "time": 1})
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"kind": "kill", "times": None}, "fault 'times' must be a number"),
+            ({"kind": "kill", "times": [2]}, "fault 'times' must be a number"),
+            ({"kind": "slow", "seconds": None}, "fault 'seconds' must be a number"),
+            ({"kind": "slow", "seconds": "x"}, "fault 'seconds' must be a number"),
+        ],
+    )
+    def test_non_numeric_fields_are_value_errors(self, payload, match):
+        with pytest.raises(ValueError, match=match):
+            FaultAction.from_dict(payload)
 
 
 class TestFaultPlan:

@@ -59,11 +59,19 @@ class TestEndpoints:
         assert code == 200
         assert payload["status"] == "ok"
         assert "shards" in payload["store"]
+        assert "dispatch" not in payload
 
     def test_unknown_routes_404(self, server):
-        for method, path in (("GET", "/nope"), ("GET", "/experiments/ghost")):
+        for method, path in (
+            ("GET", "/nope"),
+            ("GET", "/experiments/ghost"),
+            ("POST", "/work/lease"),
+        ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url + path)
+                if method == "GET":
+                    _get(server.url + path)
+                else:
+                    _post(server.url + path, {"worker_id": "w"})
             assert excinfo.value.code == 404
 
     def test_bad_submission_400(self, server):
@@ -164,6 +172,24 @@ class TestServedResults:
                 direct.result.samples[key].gradients,
                 served.result.samples[key].gradients,
             ), key
+
+    def test_remote_resubmission_hits_process_pool_result(self, server):
+        # ``remote`` is an alias of ``process_pool``: same fingerprint,
+        # so the resubmission is served from the first run's bytes.
+        pooled = dict(_SPEC.to_dict(), executor="process_pool")
+        _, first = _post(f"{server.url}/experiments", pooled)
+        assert _poll_done(server, first["job_id"])["state"] == "done"
+        code, second = _post(
+            f"{server.url}/experiments", dict(pooled, executor="remote")
+        )
+        assert code == 200
+        assert second["cache_hit"] is True
+        assert second["fingerprint"] == first["fingerprint"]
+        payloads = [
+            _get(f"{server.url}/experiments/{job['job_id']}/result", raw=True)[1]
+            for job in (first, second)
+        ]
+        assert payloads[0] == payloads[1]
 
     def test_progress_counters_in_status(self, server):
         _, job = _post(f"{server.url}/experiments", _SPEC.to_dict())

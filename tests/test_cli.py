@@ -381,6 +381,116 @@ class TestInputErrors:
         )
         self._assert_one_line_error(capsys, code, "unknown executor 'nosuch'")
 
+    @pytest.mark.parametrize(
+        "name, match",
+        [("missing.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_run_unreadable_spec_path(self, capsys, tmp_path, name, match):
+        code = main(["run", str(tmp_path / name)])
+        self._assert_one_line_error(capsys, code, match)
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ('"config": {"num_circuits": "x"}', "num_circuits must be an int"),
+            ('"seed": "abc"', "cannot decode seed payload 'abc'"),
+            ('"retry": "x"', "cannot build a RetryPolicy from str"),
+            ('"noise": [1]', "cannot convert dictionary update sequence"),
+            (
+                '"fault_plan": {"units": {"#0": [{"kind": "kill", "times": null}]}}',
+                "fault 'times' must be a number, got None",
+            ),
+        ],
+        ids=["num_circuits", "seed", "retry", "noise", "fault_times"],
+    )
+    def test_run_spec_field_type_errors(self, capsys, tmp_path, payload, match):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "variance", %s}' % payload)
+        code = main(["run", str(path)])
+        self._assert_one_line_error(capsys, code, match)
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--qubits", "0"], "num_qubits must be positive"),
+            (["--layers", "0"], "num_layers must be positive"),
+            (["--resolution", "0"], "resolution must be >= 2, got 0"),
+            (["--resolution", "1"], "resolution must be >= 2, got 1"),
+        ],
+    )
+    def test_landscape_bad_grid(self, capsys, flags, match):
+        code = main(["landscape", *flags])
+        self._assert_one_line_error(capsys, code, match)
+
+    @pytest.mark.parametrize(
+        "subcommand", [["stats"], ["gc", "--max-bytes", "1"]], ids=["stats", "gc"]
+    )
+    def test_store_missing_directory(self, capsys, tmp_path, subcommand):
+        missing = tmp_path / "missing"
+        code = main(["store", *subcommand, "--store", str(missing)])
+        self._assert_one_line_error(capsys, code, "no result store at")
+        assert not missing.exists()
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["worker", "--connect", "http://127.0.0.1:1"], "invalid choice: 'worker'"),
+            (["serve", "--lease-ttl", "3"], "unrecognized arguments: --lease-ttl"),
+        ],
+        ids=["worker", "lease_ttl"],
+    )
+    def test_retired_remote_worker_options(self, capsys, argv, match):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            (
+                '{"units": {"#0": [{"kind": "drop_lease"}]}}',
+                "REPRO_FAULT_PLAN: unknown fault kind 'drop_lease'",
+            ),
+            (
+                '{"units": {"#0": [{"kind": "nosuch"}]}}',
+                "REPRO_FAULT_PLAN: unknown fault kind 'nosuch'",
+            ),
+            (
+                '{"units": {"#0": [{"kind": "kill", "times": null}]}}',
+                "REPRO_FAULT_PLAN: fault 'times' must be a number, got None",
+            ),
+        ],
+        ids=["drop_lease", "nosuch", "times_null"],
+    )
+    @pytest.mark.parametrize("command", ["variance", "train", "run", "serve"])
+    def test_env_fault_plan_checked_before_work(
+        self, capsys, tmp_path, monkeypatch, plan, match, command
+    ):
+        import repro.service.server as server_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("repro serve bound a port")
+
+        monkeypatch.setattr(server_module, "_ServiceHTTPServer", unreachable)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"kind": "training", "config": '
+            '{"num_qubits": 2, "num_layers": 1, "iterations": 1}}'
+        )
+        store = tmp_path / "store"
+        argv = {
+            "variance": ["variance", "--qubits", "2", "--circuits", "2"],
+            "train": ["train", "--qubits", "2", "--iterations", "1"],
+            "run": ["run", str(spec)],
+            "serve": ["serve", "--port", "0", "--store", str(store)],
+        }[command]
+        code = main(argv)
+        self._assert_one_line_error(capsys, code, match)
+        assert not store.exists()
+
     def test_execution_errors_keep_their_traceback(self, monkeypatch):
         import repro.core.variance as vmod
 
