@@ -10,7 +10,10 @@ end-to-end HTTP latency for each, prints the comparison, emits
 ``BENCH_service_cache.json`` at the repo root, and asserts:
 
 * the exact resubmission is a cache hit served >= 10x faster than the
-  cold run, with a byte-identical response payload;
+  cold run, with a byte-identical response payload.  It is timed as the
+  median of ``CACHED_REPEATS`` resubmissions, each of which must be a
+  cache hit with the cold bytes: one cached sample (2-8 ms) against one
+  cold run (~70 ms at smoke scale) straddled the bar;
 * the subset spec executes zero new shards (every unit comes from the
   shard tier) and its outcome is bit-identical to a direct ``serial``
   run of the same spec.
@@ -23,6 +26,7 @@ CI::
 
 import argparse
 import json
+import statistics
 import tempfile
 import time
 import urllib.request
@@ -41,6 +45,9 @@ NUM_CIRCUITS = 24
 NUM_LAYERS = 12
 METHODS = ("random", "xavier_normal", "he_normal")
 SEED = 4723
+
+#: Exact resubmissions timed per run; their median is the cached latency.
+CACHED_REPEATS = 20
 
 SMOKE_QUBIT_COUNTS = (2, 3, 4)
 SMOKE_SUBSET = (2, 3)
@@ -113,19 +120,25 @@ def _run_bench(qubit_counts, subset_counts, num_circuits, num_layers):
     with tempfile.TemporaryDirectory() as store_dir:
         with ExperimentServer(store=store_dir) as server:
             cold = _submit_and_fetch(server, full)
-            cached = _submit_and_fetch(server, full)
+            cached = [
+                _submit_and_fetch(server, full) for _ in range(CACHED_REPEATS)
+            ]
             overlap = _submit_and_fetch(server, subset)
     direct = repro.run(
         ExperimentSpec(
             kind="variance", config=subset.config, seed=SEED, executor="serial"
         )
     )
+    cached_seconds = statistics.median(run["seconds"] for run in cached)
     return {
         "cold_seconds": cold["seconds"],
-        "cached_seconds": cached["seconds"],
-        "speedup": cold["seconds"] / cached["seconds"],
-        "cache_hit": cached["status"]["cache_hit"],
-        "bit_identical_payloads": cold["payload"] == cached["payload"],
+        "cached_seconds": cached_seconds,
+        "cached_samples": len(cached),
+        "speedup": cold["seconds"] / cached_seconds,
+        "cache_hit": all(run["status"]["cache_hit"] for run in cached),
+        "bit_identical_payloads": all(
+            run["payload"] == cold["payload"] for run in cached
+        ),
         "subset_seconds": overlap["seconds"],
         "subset_cached_units": overlap["status"]["progress"]["cached_units"],
         "subset_total_units": overlap["status"]["progress"]["total_units"],
@@ -146,7 +159,8 @@ def _report(metrics, grid, smoke=False):
     print("=" * 72)
     print(f"cold submission:    {metrics['cold_seconds']:.3f} s")
     print(
-        f"exact resubmission: {metrics['cached_seconds']:.3f} s "
+        f"exact resubmission: {metrics['cached_seconds']:.3f} s, median of "
+        f"{metrics['cached_samples']} "
         f"({metrics['speedup']:.0f}x, cache_hit={metrics['cache_hit']})"
     )
     print(

@@ -14,17 +14,21 @@ single-state code:
 * ``apply_matrix`` / ``apply_diagonal`` take ``(B, 2**n)`` amplitude
   buffers and optional per-row gate stacks, and run a flat state as
   ``state[None]``;
-* ``StatevectorSimulator.run_batch`` / ``expectation_batch`` evolve all
-  ``B`` rows through one circuit at once (``run`` is a one-row
-  ``run_batch``);
-* ``batch_parameter_shift`` folds every shift term of every requested
-  parameter (for one or many base vectors) into a single batched
-  execution, reduced in memory-bounded chunks (``parameter_shift`` is
-  its one-row call);
-* ``batch_adjoint_gradient`` runs the adjoint backward sweep over a
-  ``(B, 2**n)`` stack (``adjoint_gradient`` is its one-row call), and the
-  ``*_value_and_gradient`` variants also return the expectation read off
-  the shared forward pass — the engine behind lock-step training.
+* ``StatevectorSimulator.run_megabatch`` evolves rows of a shape bucket
+  of circuits (a ``MegaBatchPlan``) in cache-sized chunks; that chunk
+  loop is the only one that evolves rows, and ``run_batch`` /
+  ``expectation_batch`` run the circuit's cached one-circuit plan
+  through it (``run`` is a one-row ``run_batch``);
+* ``megabatch_parameter_shift`` folds every shift term of every
+  requested parameter of every base row into one execution that runs the
+  circuit prefix before the first probed parameter once per base row and
+  reduces in memory-bounded chunks; ``batch_parameter_shift`` is its
+  one-circuit call and ``parameter_shift`` its one-row call;
+* ``megabatch_adjoint_gradient`` runs the one adjoint backward sweep;
+  ``batch_adjoint_gradient`` is its one-circuit call and
+  ``adjoint_gradient`` its one-row call, and the ``*_value_and_gradient``
+  variants also return the expectation read off the shared forward pass
+  — the engine behind lock-step training.
 
 Rows never mix, so a row carries the same bits alone or in any stack —
 batching is a throughput optimization, never a numerics change.

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.gates import FixedGate, Gate, ParametricGate, get_gate
 from repro.utils.validation import check_positive_int, check_qubit_index
+
+if TYPE_CHECKING:
+    from repro.backend.simulator import MegaBatchPlan
 
 __all__ = ["Operation", "QuantumCircuit", "is_exact_unit_diagonal"]
 
@@ -82,6 +86,7 @@ class Operation:
         return self.gate.matrix()
 
 
+@lru_cache(maxsize=4096)
 def is_exact_unit_diagonal(op: Operation) -> bool:
     """True for a non-trainable diagonal operation whose entries are exact units.
 
@@ -90,6 +95,8 @@ def is_exact_unit_diagonal(op: Operation) -> bool:
     conjugated, or fused with others like it — gives the same values as
     its dense matrix.  Only the sign of an exactly-zero amplitude may
     differ, which ``np.array_equal`` (the library's equality) ignores.
+    Memoized per operation (operations compare by gate, wires and angle),
+    so circuits that share fixed layers test each one once.
     """
     if op.is_trainable or not getattr(op.gate, "is_diagonal", False):
         return False
@@ -113,11 +120,9 @@ class QuantumCircuit:
         self.num_qubits = num_qubits
         self.operations: List[Operation] = []
         self._num_parameters = 0
-        # Lazily-built caches for non-trainable operations, keyed by the
-        # operation sequence; see static_matrices().
-        self._static_matrices: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None
-        self._unit_diagonal_adjoints: Optional[Dict[int, np.ndarray]] = None
-        self._static_matrices_key: Optional[Tuple[Operation, ...]] = None
+        # Static matrices, unit-diagonal adjoints, plan; see _caches().
+        self._cache: Dict[str, object] = {}
+        self._cache_key: Optional[Tuple[Operation, ...]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -332,6 +337,14 @@ class QuantumCircuit:
             if op.is_trainable
         }
 
+    def _caches(self) -> Dict[str, object]:
+        """Lazily built derived data, emptied when the operation sequence
+        no longer compares equal to the one it was built from."""
+        key = tuple(self.operations)
+        if self._cache_key != key:
+            self._cache, self._cache_key = {}, key
+        return self._cache
+
     def static_matrices(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Cached ``{position: (matrix, adjoint)}`` for non-trainable operations.
 
@@ -344,20 +357,18 @@ class QuantumCircuit:
         in-place edits of the public ``operations`` list); entries must
         not be mutated.
         """
-        key = tuple(self.operations)
-        if self._static_matrices_key != key:
-            cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        cache = self._caches()
+        if "static" not in cache:
+            static: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
             units: Dict[int, np.ndarray] = {}
-            for pos, op in enumerate(key):
+            for pos, op in enumerate(self.operations):
                 if not op.is_trainable:
                     matrix = op.matrix(None)
-                    cache[pos] = (matrix, matrix.conj().T)
+                    static[pos] = (matrix, matrix.conj().T)
                     if is_exact_unit_diagonal(op):
                         units[pos] = np.diagonal(matrix).conj()
-            self._static_matrices = cache
-            self._unit_diagonal_adjoints = units
-            self._static_matrices_key = key
-        return self._static_matrices
+            cache["static"], cache["units"] = static, units
+        return cache["static"]
 
     def unit_diagonal_adjoints(self) -> Dict[int, np.ndarray]:
         """Cached ``{position: conjugated diagonal}`` for exact-unit diagonals.
@@ -369,7 +380,22 @@ class QuantumCircuit:
         and invalidated together with :meth:`static_matrices`.
         """
         self.static_matrices()
-        return self._unit_diagonal_adjoints
+        return self._cache["units"]
+
+    def execution_plan(self) -> MegaBatchPlan:
+        """Cached one-circuit :class:`~repro.backend.simulator.MegaBatchPlan`.
+
+        The program ``run_batch`` and the one-circuit gradient engines
+        execute; compiling it costs about a third of a small batched
+        forward pass.  Invalidated with :meth:`static_matrices`.
+        """
+        cache = self._caches()
+        if "plan" not in cache:
+            # The simulator module imports this one.
+            from repro.backend.simulator import MegaBatchPlan
+
+            cache["plan"] = MegaBatchPlan([self])
+        return cache["plan"]
 
     def draw(self, params: Optional[np.ndarray] = None, max_width: int = 120) -> str:
         """Render a plain-text sketch of the circuit, one line per qubit."""

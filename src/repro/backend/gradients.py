@@ -1,10 +1,12 @@
 """Gradient engines for parameterized circuits.
 
 Two exact algorithms compute ``d <O> / d params``, each with one
-implementation that runs a stack of parameter rows; a single parameter
-vector is a one-row stack.
+implementation that runs a stack of parameter rows over a
+:class:`~repro.backend.simulator.MegaBatchPlan`: a shape bucket of
+circuits for ``megabatch_*``, the circuit's cached one-circuit plan for
+``batch_*``, and a one-row stack for a single parameter vector.
 
-Parameter shift (``batch_parameter_shift``, ``parameter_shift``)
+Parameter shift (``megabatch_parameter_shift``, ``batch_parameter_shift``, ``parameter_shift``)
     The exact hardware-compatible rule.  For gates ``exp(-i theta P / 2)``
     with ``P^2 = I`` it is the classic two-term form
     ``dE/dtheta = (E(theta + pi/2) - E(theta - pi/2)) / 2``; controlled
@@ -13,31 +15,31 @@ Parameter shift (``batch_parameter_shift``, ``parameter_shift``)
     circuit executions per differentiated parameter — the natural choice
     for the paper's variance analysis, which differentiates only the last
     parameter.  Every shifted vector of every row — all terms of all
-    requested parameters — is folded into one
-    :meth:`StatevectorSimulator.expectation_batch` call, which executes
-    and reduces the fold in memory-bounded chunks.  With ``shots=`` every
-    shifted expectation is sample-estimated instead, each base row
-    drawing from its own generator in fold order.
-    ``parameter_shift`` is the one-row call, with the caller's generator
-    as that row's stream; :func:`batch_parameter_shift_value_and_gradient`
-    also reads per-row losses off the same folded execution, the
-    workhorse of lock-step shot-based training.
+    requested parameters — is folded into one execution that runs the
+    circuit prefix before the first differentiated parameter once per
+    base row and reduces in memory-bounded chunks.  With ``shots=`` every shifted
+    expectation is sample-estimated instead, each base row drawing from
+    its own generator in fold order.  ``parameter_shift`` is the one-row
+    call, with the caller's generator as that row's stream;
+    :func:`batch_parameter_shift_value_and_gradient` also reads per-row
+    losses off the same fold, the workhorse of lock-step shot-based
+    training.  The fold also runs on a one-circuit
+    :class:`~repro.backend.ptm.PauliTransferSimulator` plan.
 
-Adjoint (``batch_adjoint_gradient``, ``adjoint_gradient``)
+Adjoint (``megabatch_adjoint_gradient``, ``batch_adjoint_gradient``, ``adjoint_gradient``)
     Reverse-mode differentiation through the statevector (Jones & Gacon,
-    2020).  One :meth:`StatevectorSimulator.run_batch` forward pass plus
-    one backward sweep applying per-row adjoint/derivative stacks
-    (:meth:`ParametricGate.matrix_batch` / ``derivative_batch``) gives the
-    *full* gradient of every row in ``O(#gates)`` — the engine used for
-    training.  Fixed and bound-parameter gate adjoints are cached on the
-    circuit (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps —
-    one per training iteration — rebuild only the trainable matrices.
-    Fixed diagonals whose entries are exact units (a CZ chain, Z, S; see
+    2020).  One forward pass plus one backward sweep applying per-row
+    adjoint/derivative stacks (:meth:`ParametricGate.matrix_batch` /
+    ``derivative_batch``) gives the *full* gradient of every row in
+    ``O(#gates)`` — the engine used for training.  Fixed and
+    bound-parameter gate adjoints are cached on the circuit
+    (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps — one per
+    training iteration — rebuild only the trainable matrices.  Fixed
+    diagonals whose entries are exact units (a CZ chain, Z, S; see
     :meth:`QuantumCircuit.unit_diagonal_adjoints`) are undone with the
-    elementwise kernel and their conjugated diagonal, as the forward pass
-    applies them: multiplying by 0, ±1 or ±i is exact, so the values equal
-    the dense adjoint's.  Other fixed gates, T and bound PHASE included,
-    keep the dense adjoint.
+    elementwise kernel and their conjugated diagonal: multiplying by 0,
+    ±1 or ±i is exact, so the values equal the dense adjoint's.  Other
+    fixed gates, T and bound PHASE included, keep the dense adjoint.
     ``adjoint_gradient`` is the one-row call.  The ``*_value_and_gradient``
     variants additionally return the expectation read off the same forward
     pass, so training loops get loss and full gradient from one execution.
@@ -46,15 +48,11 @@ Adjoint (``batch_adjoint_gradient``, ``adjoint_gradient``)
     Numerical fallback that works for any gate; used mainly to cross-check
     the exact engines in tests.
 
-``megabatch_parameter_shift`` / ``megabatch_adjoint_gradient``
-    The mega-batched forms: rather than many rows of *one* circuit, they
-    fold rows of a whole shape bucket of circuits (same wires and
-    parameter slots, different drawn gates — see
-    :class:`repro.backend.simulator.MegaBatchPlan`) into single stacked
-    sweeps, pushing the effective batch size into the hundreds.  Each
-    circuit's rows remain bit-identical to its own
-    ``batch_parameter_shift`` / ``batch_adjoint`` call; these power the
-    variance experiment's shape-keyed fold.
+Each circuit's rows in a mega-batched call (the variance experiment's
+shape-keyed fold) remain bit-identical to its own ``batch_*`` call, and
+every row to its one-row call.  Forward passes fuse exact-unit diagonal
+runs (see :class:`~repro.backend.simulator.MegaBatchPlan`), so only the
+sign of an exactly-zero amplitude may differ from a gate-by-gate product.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ __all__ = [
 
 GradientFn = Callable[..., np.ndarray]
 
-#: The batched adjoint sweep keeps three ``(B, 2**n)`` stacks live (the
+#: The adjoint sweep keeps three ``(B, 2**n)`` stacks live (the
 #: state, the adjoint trail and the derivative stack) and allocates fresh
 #: ones at every gate, so on numpy it chunks rows against this fraction of
 #: the backend's ``chunk_bytes``: 256 KiB (16 rows at 10 qubits, 4 at 12,
@@ -202,100 +200,94 @@ def parameter_shift(
     )
 
 
-def _fold_shifted_rows(
-    row: np.ndarray,
-    indices: Sequence[int],
-    rules: Sequence[Tuple[Tuple[float, float], ...]],
-    folded: "list[np.ndarray]",
-) -> None:
-    """Append one base row's shifted vectors to ``folded``, rule order.
-
-    The single definition of the (parameter, term) fold order shared by
-    the batched and mega-batched shift engines: parameters in index
-    order, each parameter's shift terms in rule order.
-    """
-    for slot, index in enumerate(indices):
-        for _, shift in rules[slot]:
-            shifted = row.copy()
-            shifted[index] = row[index] + shift
-            folded.append(shifted)
-
-
-def _recombine_shift_row(
-    estimates: np.ndarray,
-    cursor: int,
-    rules: Sequence[Tuple[Tuple[float, float], ...]],
-    out: np.ndarray,
-) -> int:
-    """Fill one base row's gradients from ``estimates[cursor:]``.
-
-    Accumulates each parameter's terms in rule order into ``out`` and
-    returns the advanced cursor; shared by the batched and mega-batched
-    shift engines.
-    """
-    for slot in range(len(rules)):
-        total = 0.0
-        for coefficient, _ in rules[slot]:
-            total += coefficient * estimates[cursor]
-            cursor += 1
-        out[slot] = total
-    return cursor
-
-
-def _batch_shift_execute(
-    circuit: QuantumCircuit,
+def _shift_fold(
+    circuits: Sequence[QuantumCircuit],
+    plan: MegaBatchPlan,
     observable: Observable,
-    batch: np.ndarray,
+    batches: "Sequence[np.ndarray]",
     simulator: StatevectorSimulator,
     indices: Sequence[int],
-    rules: Sequence[Tuple[Tuple[float, float], ...]],
     initial_state: Optional[Statevector],
     shots: Optional[int],
     seed,
     include_values: bool,
-) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Folded shift-rule execution shared by the batched engines.
+) -> "Tuple[list[np.ndarray], list[np.ndarray]]":
+    """The folded shift-rule execution every shift engine runs.
 
-    Builds one execution batch holding, per base row, an optional
-    unshifted evaluation (``include_values``) followed by every shifted
-    vector the rules require, in (parameter, term) order, and evaluates
-    it through ``expectation_batch``, which executes and reduces it one
-    memory-bounded chunk at a time.  Sampled, every evaluation of base
-    row ``b`` draws from that row's generator in fold order, so a base
-    row carries the same bits alone or in any batch.
+    Per base row of every circuit (circuits in order, rows within each)
+    the fold holds an optional unshifted row (``include_values``), then
+    every shifted vector the circuit's own rules require, in (parameter,
+    term) order.  All agree with their base row before the first
+    differentiated parameter, so that prefix runs once per base row and
+    the folded rows branch off its states (copying amplitudes is exact),
+    executed and reduced one memory-bounded chunk at a time.  Sampled,
+    base row ``b``'s evaluations draw from its generator in fold order.
+
+    Returns per-circuit ``(M_s,)`` values (set with ``include_values``)
+    and ``(M_s, len(indices))`` gradients, terms summed in rule order.
     """
-    evals_per_row = (1 if include_values else 0) + sum(
-        len(terms) for terms in rules
-    )
-    folded = []
-    for row in batch:
-        if include_values:
-            folded.append(row.copy())
-        _fold_shifted_rows(row, indices, rules, folded)
-    folded_rngs = None
+    rules_per_circuit = [
+        _resolve_shift_rules(circuit, indices) for circuit in circuits
+    ]
+    lead = 1 if include_values else 0
+    blocks, widths = [], []
+    for batch, rules in zip(batches, rules_per_circuit):
+        width = lead + sum(len(terms) for terms in rules)
+        block = np.repeat(batch, width, axis=0)
+        column = lead
+        for index, terms in zip(indices, rules):
+            for _, shift in terms:
+                block[column::width, index] = batch[:, index] + shift
+                column += 1
+        blocks.append(block)
+        widths.append(width)
+    counts = [batch.shape[0] for batch in batches]
+    circuit_ids = np.arange(len(batches))
+    # folded row -> global base row, and -> its circuit
+    base_of = np.repeat(np.arange(sum(counts)), np.repeat(widths, counts))
+    folded_circuits = np.repeat(circuit_ids, np.multiply(counts, widths))
+    folded = np.concatenate(blocks)
+    rngs = None
     if shots is not None:
-        folded_rngs = [
-            rng
-            for rng in resolve_rngs(seed, batch.shape[0])
-            for _ in range(evals_per_row)
-        ]
-    estimates = simulator.expectation_batch(
-        circuit,
-        observable,
-        np.stack(folded),
-        initial_state=initial_state,
-        shots=shots,
-        seed=folded_rngs,
-    )
+        base_rngs = resolve_rngs(seed, sum(counts))
+        rngs = [base_rngs[base] for base in base_of]
+    estimates = np.empty(folded.shape[0], dtype=FLOAT_DTYPE)
+    estimate = (observable, estimates, shots, rngs)
+    position_of = plan.template.parameter_map()
+    first_pos = min((position_of[index] for index in indices), default=0)
+    if first_pos > 0:
+        # Prefix states stay resident on the simulator's backend; each
+        # chunk of folded rows gathers its starting states from them.
+        prefix = simulator._run_megabatch_data(
+            plan, np.concatenate(batches), np.repeat(circuit_ids, counts),
+            initial_state, stop=first_pos,
+        )
+        simulator._run_megabatch_data(
+            plan, folded, folded_circuits, prefix, first_pos,
+            initial_rows=base_of, estimate=estimate,
+        )
+    else:
+        simulator._run_megabatch_data(
+            plan, folded, folded_circuits, initial_state, estimate=estimate
+        )
 
-    values = np.empty(batch.shape[0], dtype=FLOAT_DTYPE) if include_values else None
-    grads = np.empty((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
+    values, grads = [], []
     cursor = 0
-    for b in range(batch.shape[0]):
-        if include_values:
-            values[b] = estimates[cursor]
-            cursor += 1
-        cursor = _recombine_shift_row(estimates, cursor, rules, grads[b])
+    for batch, rules in zip(batches, rules_per_circuit):
+        block_values = np.empty(batch.shape[0], dtype=FLOAT_DTYPE)
+        block_grads = np.empty((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
+        for m in range(batch.shape[0]):
+            if include_values:
+                block_values[m] = estimates[cursor]
+                cursor += 1
+            for slot, terms in enumerate(rules):
+                total = 0.0
+                for coefficient, _ in terms:
+                    total += coefficient * estimates[cursor]
+                    cursor += 1
+                block_grads[m, slot] = total
+        values.append(block_values)
+        grads.append(block_grads)
     return values, grads
 
 
@@ -309,13 +301,16 @@ def batch_parameter_shift(
     shots: Optional[int] = None,
     seed=None,
 ) -> np.ndarray:
-    """Parameter-shift gradients from one batched execution.
+    """Parameter-shift gradients from one folded execution.
 
     Builds every shifted parameter vector the shift rules require — all
     terms of all requested parameters, for every row of ``params`` — and
-    evaluates them in a single batched execution, then recombines the
-    expectations with the rules' coefficients in rule order.  Row ``b``
-    carries the same bits as a one-row call on ``params[b]``.
+    evaluates them in one fold over the circuit's one-circuit plan (the
+    one-circuit call of :func:`megabatch_parameter_shift`: the prefix
+    before the first differentiated parameter runs once per row), then
+    recombines the expectations with the rules' coefficients in rule
+    order.  Row ``b`` carries the same bits as a one-row call on
+    ``params[b]``.
 
     Parameters
     ----------
@@ -355,13 +350,12 @@ def batch_parameter_shift(
     simulator = simulator or StatevectorSimulator()
     batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
-    rules = _resolve_shift_rules(circuit, indices)
     if not indices:
         empty = np.empty((batch.shape[0], 0), dtype=FLOAT_DTYPE)
         return empty[0] if single else empty
-    _, grads = _batch_shift_execute(
-        circuit, observable, batch, simulator, indices, rules,
-        initial_state, shots, seed, include_values=False,
+    _, (grads,) = _shift_fold(
+        [circuit], circuit.execution_plan(), observable, [batch], simulator,
+        indices, initial_state, shots, seed, include_values=False,
     )
     return grads[0] if single else grads
 
@@ -397,10 +391,9 @@ def batch_parameter_shift_value_and_gradient(
     simulator = simulator or StatevectorSimulator()
     batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
-    rules = _resolve_shift_rules(circuit, indices)
-    values, grads = _batch_shift_execute(
-        circuit, observable, batch, simulator, indices, rules,
-        initial_state, shots, seed, include_values=True,
+    (values,), (grads,) = _shift_fold(
+        [circuit], circuit.execution_plan(), observable, [batch], simulator,
+        indices, initial_state, shots, seed, include_values=True,
     )
     if single:
         return float(values[0]), grads[0]
@@ -447,9 +440,10 @@ def megabatch_parameter_shift(
     The mega-batched form of :func:`batch_parameter_shift`: every shifted
     parameter vector of every circuit in the bucket — all shift terms of
     all requested parameters, for every base row of every circuit — is
-    folded into a single :meth:`StatevectorSimulator.run_megabatch`
-    execution with the effective batch size ``sum_s M_s * terms``.
-    Circuit ``s``'s block is recombined with *its own* shift rules (the
+    folded into one mega-batched execution with the effective batch size
+    ``sum_s M_s * terms``, whose circuit prefix before the first
+    differentiated parameter runs once per base row and whose folded rows
+    are executed and reduced one chunk at a time.  Circuit ``s``'s block is recombined with *its own* shift rules (the
     probed gate, and therefore the rule, may differ per circuit) in the
     same accumulation order as the per-circuit engine, so entry ``s`` is
     bit-identical to ``batch_parameter_shift(circuits[s], observable,
@@ -484,6 +478,13 @@ def megabatch_parameter_shift(
     -------
     list of numpy.ndarray
         One ``(M_s, len(param_indices))`` gradient block per circuit.
+
+    Raises
+    ------
+    ValueError
+        If a differentiated gate carries no exact shift rule, or the
+        simulator is a :class:`~repro.backend.ptm.PauliTransferSimulator`
+        and the bucket holds more than one circuit.
     """
     simulator = simulator or StatevectorSimulator()
     batches = _coerce_mega_batches(circuits, params_batches)
@@ -491,87 +492,11 @@ def megabatch_parameter_shift(
     indices = _resolve_indices(plan.template, param_indices)
     if not indices:
         return [np.empty((batch.shape[0], 0), dtype=FLOAT_DTYPE) for batch in batches]
-    rules_per_circuit = [
-        _resolve_shift_rules(circuit, indices) for circuit in circuits
-    ]
-
-    folded: "list[np.ndarray]" = []
-    row_circuits: "list[int]" = []
-    base_of: "list[int]" = []  # folded row -> global base-row index
-    base = 0
-    for s, (batch, rules) in enumerate(zip(batches, rules_per_circuit)):
-        for row in batch:
-            before = len(folded)
-            _fold_shifted_rows(row, indices, rules, folded)
-            row_circuits.extend([s] * (len(folded) - before))
-            base_of.extend([base] * (len(folded) - before))
-            base += 1
-    folded_params = np.stack(folded)
-    folded_circuits = np.asarray(row_circuits)
-
-    # Shared-prefix evaluation: every shifted vector of a base row agrees
-    # with it on all parameters before the first differentiated one, so
-    # the circuit prefix up to that operation runs once per *base* row
-    # and the folded rows branch off its states — bit-identical to
-    # running each folded row from scratch (copying amplitudes is exact),
-    # at roughly half the work when the probed parameter sits late in the
-    # circuit (the variance experiment probes the last one).
-    position_of = plan.template.parameter_map()
-    first_pos = min(position_of[index] for index in indices)
-    if first_pos > 0:
-        base_batch = np.concatenate(batches, axis=0)
-        base_circuits = np.concatenate(
-            [
-                np.full(batch.shape[0], s, dtype=np.intp)
-                for s, batch in enumerate(batches)
-            ]
-        )
-        # Prefix states stay resident on the simulator's backend: the
-        # folded rows branch off them via an on-namespace row gather, so
-        # the whole shared-prefix evaluation crosses the host boundary
-        # only at the final expectation / sampling stage.
-        prefix_states = simulator._run_megabatch_data(
-            plan, base_batch, base_circuits, initial_state, stop=first_pos
-        )
-        states = simulator._run_megabatch_data(
-            plan,
-            folded_params,
-            folded_circuits,
-            simulator.backend.take_rows(prefix_states, np.asarray(base_of)),
-            start=first_pos,
-        )
-    else:
-        states = simulator._run_megabatch_data(
-            plan, folded_params, folded_circuits, initial_state
-        )
-    if shots is None:
-        estimates = observable.expectation_batch(states)
-    else:
-        base_rows = sum(batch.shape[0] for batch in batches)
-        row_rngs = resolve_rngs(seed, base_rows)
-        # Every folded evaluation of a base row consumes that row's
-        # generator; the row-major draw order inside
-        # sampled_expectation_rows then matches the per-circuit engine's
-        # stream consumption exactly.
-        folded_rngs = []
-        cursor = 0
-        for batch, rules in zip(batches, rules_per_circuit):
-            evals_per_row = sum(len(terms) for terms in rules)
-            for _ in range(batch.shape[0]):
-                folded_rngs.extend([row_rngs[cursor]] * evals_per_row)
-                cursor += 1
-        estimates = simulator.sampled_expectation_rows(
-            states, observable, shots, folded_rngs
-        )
-
-    outputs: "list[np.ndarray]" = []
-    cursor = 0
-    for batch, rules in zip(batches, rules_per_circuit):
-        grads = np.empty((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
-        for m in range(batch.shape[0]):
-            cursor = _recombine_shift_row(estimates, cursor, rules, grads[m])
-        outputs.append(grads)
-    return outputs
+    _, grads = _shift_fold(
+        circuits, plan, observable, batches, simulator, indices,
+        initial_state, shots, seed, include_values=False,
+    )
+    return grads
 
 
 def finite_difference(
@@ -665,10 +590,11 @@ def adjoint_value_and_gradient(
     )
 
 
-def _batch_adjoint_sweep(
-    circuit: QuantumCircuit,
+def _adjoint_sweep(
+    plan: MegaBatchPlan,
     observable: Observable,
     batch: np.ndarray,
+    rows: np.ndarray,
     simulator: StatevectorSimulator,
     indices: Sequence[int],
     initial_state: Optional[Statevector],
@@ -676,41 +602,36 @@ def _batch_adjoint_sweep(
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Adjoint forward pass + backward sweep over a ``(B, 2**n)`` stack.
 
-    Rows never mix in the broadcasting kernels, so row ``b`` carries the
-    same bits as a one-row sweep of ``batch[b]``; on the numpy backend the
-    final inner products stay per-row ``vdot`` calls for the same reason.  On a non-numpy backend the whole
-    sweep — forward pass, both adjoint trails, and the gradient
-    reductions — runs on-namespace; only the ``(B,)`` gradient entries
-    cross back per differentiated parameter.
-
-    On numpy, wide stacks are swept in row chunks of
-    ``chunk_bytes // _ADJOINT_CHUNK_DIVISOR`` amplitude bytes, with the
-    same recursion as :meth:`StatevectorSimulator.run_batch`.  Rows are
-    independent, so chunk boundaries are invisible to the results.
-    Device backends keep the whole stack resident, to spread kernel
-    launch cost.
+    The one sweep every adjoint engine runs; row ``b`` belongs to
+    ``plan.circuits[rows[b]]``, and ``want_values`` also reads each row's
+    expectation off the forward pass.  Rows never mix (on numpy the inner
+    products stay per-row ``vdot`` calls), so row ``b`` carries the same
+    bits as a one-row sweep.  A non-numpy backend runs the whole sweep
+    on-namespace and keeps the stack whole, to spread launch cost; numpy
+    sweeps wide stacks in row chunks of ``chunk_bytes //
+    _ADJOINT_CHUNK_DIVISOR`` amplitude bytes.
     """
-    num_qubits = circuit.num_qubits
+    num_qubits = plan.num_qubits
     b = simulator.backend
-    rows = batch.shape[0]
+    count = batch.shape[0]
     chunk = max(1, b.chunk_bytes // _ADJOINT_CHUNK_DIVISOR // (16 * 2**num_qubits))
-    if b.is_numpy and rows > chunk:
+    if b.is_numpy and count > chunk:
         parts = [
-            _batch_adjoint_sweep(
-                circuit, observable, batch[start : start + chunk], simulator,
-                indices, initial_state, want_values,
+            _adjoint_sweep(
+                plan, observable, batch[start : start + chunk],
+                rows[start : start + chunk], simulator, indices,
+                initial_state, want_values,
             )
-            for start in range(0, rows, chunk)
+            for start in range(0, count, chunk)
         ]
         values = np.concatenate([v for v, _ in parts]) if want_values else None
         return values, np.concatenate([g for _, g in parts])
-    static = circuit.static_matrices()
-    unit_adjoints = circuit.unit_diagonal_adjoints()
+    template = plan.template
+    static = template.static_matrices()
+    unit_adjoints = template.unit_diagonal_adjoints()
     device = not b.is_numpy
 
-    # Forward pass: one batched execution for all rows, left resident on
-    # the simulator's array backend.
-    psi = simulator._run_batch_data(circuit, batch, initial_state)
+    psi = simulator._run_megabatch_data(plan, batch, rows, initial_state)
     values = observable.expectation_batch(psi) if want_values else None
     lam = observable.apply_batch(psi)
     if device and type(lam) is np.ndarray:
@@ -718,35 +639,60 @@ def _batch_adjoint_sweep(
         # adjoint trail back onto the backend for the backward sweep.
         lam = b.asarray(lam, dtype=b.complex_dtype)
 
-    grads = np.zeros((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
+    grads = np.zeros((count, len(indices)), dtype=FLOAT_DTYPE)
     slot_of = {index: slot for slot, index in enumerate(indices)}
-    for pos in range(len(circuit.operations) - 1, -1, -1):
-        op = circuit.operations[pos]
-        if op.is_trainable:
-            thetas = batch[:, op.param_index]
-            gate = op.gate
-            assert isinstance(gate, ParametricGate)
-            undo = apply_matrix
-            adjoint = gate.matrix_batch(thetas).conj().transpose(0, 2, 1)
-        elif pos in unit_adjoints:
-            undo, adjoint = apply_diagonal, unit_adjoints[pos]
-        else:
-            undo, adjoint = apply_matrix, static[pos][1]
-        # Undo this gate on every row: |psi_k> (states before the gate).
-        psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
-        if op.is_trainable and op.param_index in slot_of:
-            d_matrices = gate.derivative_batch(thetas)
-            d_psi = apply_matrix(psi, d_matrices, op.qubits, num_qubits, backend=b)
-            if device:
-                grads[:, slot_of[op.param_index]] = 2.0 * np.real(
-                    b.to_numpy(b.sum(b.conj(lam) * d_psi, axis=1))
-                )
+    for pos in range(len(template.operations) - 1, -1, -1):
+        op = template.operations[pos]
+        if not op.is_trainable:
+            if pos in unit_adjoints:
+                undo, adjoint = apply_diagonal, unit_adjoints[pos]
             else:
-                grads[:, slot_of[op.param_index]] = [
-                    2.0 * float(np.real(np.vdot(l, d)))
-                    for l, d in zip(lam, d_psi)
-                ]
-        lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
+                undo, adjoint = apply_matrix, static[pos][1]
+            psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
+            lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
+            continue
+        # Rows partition by their circuit's drawn gate; a slot of one gate
+        # sweeps the whole stack in place of a gather/scatter per segment.
+        gates, codes = plan.slot_gates[pos]
+        thetas = batch[:, op.param_index]
+        wanted_slot = slot_of.get(op.param_index)
+        if len(gates) > 1:
+            row_codes = codes[rows]
+            psi_new, lam_new = b.empty_like(psi), b.empty_like(lam)
+        for code, gate in enumerate(gates):
+            if len(gates) == 1:
+                idx, seg_thetas, seg_psi, seg_lam = slice(None), thetas, psi, lam
+            else:
+                idx = np.flatnonzero(row_codes == code)
+                if idx.size == 0:
+                    continue
+                seg_thetas = thetas[idx]
+                seg_psi, seg_lam = b.take_rows(psi, idx), b.take_rows(lam, idx)
+            adjoint = gate.matrix_batch(seg_thetas).conj().transpose(0, 2, 1)
+            # Undo this gate on the segment: |psi_k> (states before it).
+            seg_psi = apply_matrix(seg_psi, adjoint, op.qubits, num_qubits, backend=b)
+            if wanted_slot is not None:
+                d_matrices = gate.derivative_batch(seg_thetas)
+                d_psi = apply_matrix(
+                    seg_psi, d_matrices, op.qubits, num_qubits, backend=b
+                )
+                if device:
+                    grads[idx, wanted_slot] = 2.0 * np.real(
+                        b.to_numpy(b.sum(b.conj(seg_lam) * d_psi, axis=1))
+                    )
+                else:
+                    grads[idx, wanted_slot] = [
+                        2.0 * float(np.real(np.vdot(l, d)))
+                        for l, d in zip(seg_lam, d_psi)
+                    ]
+            seg_lam = apply_matrix(seg_lam, adjoint, op.qubits, num_qubits, backend=b)
+            if len(gates) == 1:
+                psi, lam = seg_psi, seg_lam
+            else:
+                b.put_rows(psi_new, idx, seg_psi)
+                b.put_rows(lam_new, idx, seg_lam)
+        if len(gates) > 1:
+            psi, lam = psi_new, lam_new
     if len(slot_of) < len(indices):
         # A repeated index was filled in its last slot only; copy it out.
         grads = grads[:, [slot_of[index] for index in indices]]
@@ -788,9 +734,10 @@ def batch_adjoint_gradient(
     simulator = simulator or StatevectorSimulator()
     batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
-    _, grads = _batch_adjoint_sweep(
-        circuit, observable, batch, simulator, indices, initial_state,
-        want_values=False,
+    _, grads = _adjoint_sweep(
+        circuit.execution_plan(), observable, batch,
+        np.zeros(batch.shape[0], dtype=np.intp), simulator, indices,
+        initial_state, want_values=False,
     )
     return grads[0] if single else grads
 
@@ -812,9 +759,10 @@ def batch_adjoint_value_and_gradient(
     simulator = simulator or StatevectorSimulator()
     batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
-    values, grads = _batch_adjoint_sweep(
-        circuit, observable, batch, simulator, indices, initial_state,
-        want_values=True,
+    values, grads = _adjoint_sweep(
+        circuit.execution_plan(), observable, batch,
+        np.zeros(batch.shape[0], dtype=np.intp), simulator, indices,
+        initial_state, want_values=True,
     )
     if single:
         return float(values[0]), grads[0]
@@ -832,16 +780,16 @@ def megabatch_adjoint_gradient(
 ) -> "list[np.ndarray]":
     """Adjoint gradients for a whole shape bucket in one stacked sweep.
 
-    The mega-batched form of :func:`batch_adjoint_gradient`: one
-    :meth:`StatevectorSimulator.run_megabatch` forward pass over every
-    circuit's rows, then a single backward sweep.  At each trainable slot
-    the rows partition by their circuit's drawn gate, and each partition
-    applies that gate's per-row adjoint / derivative stacks through the
-    broadcasting kernels; fixed operations use the plan template's cached
-    static adjoints on the whole stack (exact-unit diagonals elementwise,
-    as in :func:`batch_adjoint_gradient`).  Rows evolve independently, so
-    entry ``s`` is bit-identical to ``batch_adjoint_gradient(circuits[s],
-    observable, params_batches[s], ...)``.
+    The mega-batched form of :func:`batch_adjoint_gradient` (which is its
+    one-circuit call): one forward pass over every circuit's rows, then a
+    single backward sweep.  At each trainable slot the rows partition by
+    their circuit's drawn gate, and each partition applies that gate's
+    per-row adjoint / derivative stacks through the broadcasting kernels;
+    fixed operations use the plan template's cached static adjoints on the
+    whole stack (exact-unit diagonals elementwise).  Rows evolve
+    independently, so entry ``s`` is bit-identical to
+    ``batch_adjoint_gradient(circuits[s], observable, params_batches[s],
+    ...)``.
 
     Parameters
     ----------
@@ -859,90 +807,13 @@ def megabatch_adjoint_gradient(
     batches = _coerce_mega_batches(circuits, params_batches)
     plan = plan or MegaBatchPlan(circuits)
     indices = _resolve_indices(plan.template, param_indices)
-    num_qubits = plan.num_qubits
-    static = plan.template.static_matrices()
-    unit_adjoints = plan.template.unit_diagonal_adjoints()
-    b = simulator.backend
-    device = not b.is_numpy
-
-    batch = np.concatenate(batches, axis=0)
-    rows = np.concatenate(
-        [np.full(bt.shape[0], s, dtype=np.intp) for s, bt in enumerate(batches)]
+    counts = [batch.shape[0] for batch in batches]
+    _, grads = _adjoint_sweep(
+        plan, observable, np.concatenate(batches),
+        np.repeat(np.arange(len(batches)), counts), simulator, indices,
+        initial_state, want_values=False,
     )
-    # Forward pass: one mega-batched execution for all circuits' rows,
-    # left resident on the simulator's array backend; the backward sweep
-    # (segment gathers/scatters included) runs on-namespace end to end.
-    psi = simulator._run_megabatch_data(plan, batch, rows, initial_state)
-    lam = observable.apply_batch(psi)
-    if device and type(lam) is np.ndarray:
-        # The observable fell back to its host implementation; stage the
-        # adjoint trail back onto the backend for the backward sweep.
-        lam = b.asarray(lam, dtype=b.complex_dtype)
-
-    grads = np.zeros((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
-    slot_of = {index: slot for slot, index in enumerate(indices)}
-    for pos in range(len(plan.template.operations) - 1, -1, -1):
-        op = plan.template.operations[pos]
-        if not op.is_trainable:
-            if pos in unit_adjoints:
-                undo, adjoint = apply_diagonal, unit_adjoints[pos]
-            else:
-                undo, adjoint = apply_matrix, static[pos][1]
-            psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
-            lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
-            continue
-        gates, codes = plan.slot_gates[pos]
-        thetas = batch[:, op.param_index]
-        wanted_slot = slot_of.get(op.param_index)
-        row_codes = codes[rows] if len(gates) > 1 else None
-        psi_new = psi if len(gates) == 1 else b.empty_like(psi)
-        lam_new = lam if len(gates) == 1 else b.empty_like(lam)
-        for code, gate in enumerate(gates):
-            if len(gates) == 1:
-                idx = None
-                seg_thetas, seg_psi, seg_lam = thetas, psi, lam
-            else:
-                idx = np.flatnonzero(row_codes == code)
-                if idx.size == 0:
-                    continue
-                seg_thetas = thetas[idx]
-                seg_psi = b.take_rows(psi, idx)
-                seg_lam = b.take_rows(lam, idx)
-            adjoint = gate.matrix_batch(seg_thetas).conj().transpose(0, 2, 1)
-            # Undo this gate on the segment: |psi_k> (states before it).
-            seg_psi = apply_matrix(seg_psi, adjoint, op.qubits, num_qubits, backend=b)
-            if wanted_slot is not None:
-                d_matrices = gate.derivative_batch(seg_thetas)
-                d_psi = apply_matrix(
-                    seg_psi, d_matrices, op.qubits, num_qubits, backend=b
-                )
-                if device:
-                    seg_grads = 2.0 * np.real(
-                        b.to_numpy(b.sum(b.conj(seg_lam) * d_psi, axis=1))
-                    )
-                else:
-                    seg_grads = [
-                        2.0 * float(np.real(np.vdot(l, d)))
-                        for l, d in zip(seg_lam, d_psi)
-                    ]
-            seg_lam = apply_matrix(seg_lam, adjoint, op.qubits, num_qubits, backend=b)
-            if idx is None:
-                psi_new, lam_new = seg_psi, seg_lam
-                if wanted_slot is not None:
-                    grads[:, wanted_slot] = seg_grads
-            else:
-                b.put_rows(psi_new, idx, seg_psi)
-                b.put_rows(lam_new, idx, seg_lam)
-                if wanted_slot is not None:
-                    grads[idx, wanted_slot] = seg_grads
-        psi, lam = psi_new, lam_new
-
-    outputs: "list[np.ndarray]" = []
-    start = 0
-    for b in batches:
-        outputs.append(grads[start : start + b.shape[0]])
-        start += b.shape[0]
-    return outputs
+    return np.split(grads, np.cumsum(counts)[:-1])
 
 
 #: Named registry of gradient engines.  The ``batch_*`` engines share the

@@ -217,7 +217,7 @@ def channel_from_dict(payload: Dict[str, Any]) -> KrausChannel:
     if not isinstance(payload, dict):
         raise ValueError(f"channel payload must be a dict, got {type(payload).__name__}")
     name = payload.get("name")
-    if name not in _CHANNEL_FACTORIES:
+    if not isinstance(name, str) or name not in _CHANNEL_FACTORIES:
         raise ValueError(
             f"unknown noise channel {name!r}; known channels: "
             f"{sorted(_CHANNEL_FACTORIES)}"
@@ -231,7 +231,18 @@ def channel_from_dict(payload: Dict[str, Any]) -> KrausChannel:
         )
     if arg not in payload:
         raise ValueError(f"channel {name!r} payload is missing {arg!r}")
-    return _CHANNEL_FACTORIES[name](float(payload[arg]))
+    value = _payload_float(payload[arg], f"channel {name!r} {arg!r}")
+    return _CHANNEL_FACTORIES[name](value)
+
+
+def _payload_float(value: Any, name: str) -> float:
+    """``float(value)`` for a payload entry, or a ValueError naming it."""
+    if isinstance(value, (bool, int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class NoiseModel:
@@ -319,7 +330,7 @@ class NoiseModel:
             name: (channel_from_dict(entry) if entry is not None else None)
             for name, entry in per_gate_payload.items()
         }
-        readout = float(payload.get("readout_error", 0.0))
+        readout = _payload_float(payload.get("readout_error", 0.0), "readout_error")
         return cls(default=default, per_gate=per_gate, readout_error=readout)
 
 

@@ -35,10 +35,16 @@ the sampled estimators thread the noise model's classical
 :class:`PauliTransferSimulator` duck-types the slice of
 :class:`~repro.backend.simulator.StatevectorSimulator` the gradient
 engines consume (``expectation``, ``expectation_batch``, ``run_batch``,
-``sampled_expectation_rows``), so ``parameter_shift`` and the batched
-shift-rule engines run unmodified under noise.  Adjoint-family engines
-have no non-unitary analogue; the config layer routes noisy runs to the
-shift family.
+``sampled_expectation_rows``, and the chunked ``_run_megabatch_data``
+over a one-circuit :class:`~repro.backend.simulator.MegaBatchPlan`, with
+its operation range, per-row initial stacks and per-chunk reductions), so
+the shift-rule fold — ``parameter_shift``, the ``batch_*`` shift engines,
+and ``megabatch_parameter_shift`` on a one-circuit bucket — runs
+unmodified under noise, prefix sharing included.  A plan of several
+circuits raises ``ValueError``: per-row gate tables have no
+Pauli-transfer program yet, so noisy variance keeps its per-structure
+fold.  Adjoint-family engines have no non-unitary analogue; the config
+layer routes noisy runs to the shift family.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from repro.backend.observables import (
     PauliSum,
     Projector,
 )
-from repro.backend.simulator import StatevectorSimulator, batch_chunk_rows
+from repro.backend.simulator import MegaBatchPlan, _RowSimulator, batch_chunk_rows
 from repro.backend.statevector import (
     Statevector,
     apply_matrix,
@@ -70,7 +76,7 @@ from repro.utils.array_api import (
     is_device_array,
     resolve_array_backend,
 )
-from repro.utils.rng import SeedLike, ensure_rng, resolve_rngs
+from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -241,7 +247,7 @@ def _pauli_word_index(term: PauliString) -> int:
     return index
 
 
-class PauliTransferSimulator:
+class PauliTransferSimulator(_RowSimulator):
     """Batched noisy circuit execution on ``(B, 4**n)`` Pauli vectors.
 
     Parameters
@@ -258,9 +264,10 @@ class PauliTransferSimulator:
 
     The public surface mirrors the statevector simulator's estimation
     slice (``expectation``, ``expectation_batch``, ``run_batch``,
-    ``sampled_expectation_rows``), which is the exact duck-type contract
-    of the shift-rule gradient engines — they run unchanged on top of
-    this class.  States returned by :meth:`run` / :meth:`run_batch` are
+    ``sampled_expectation_rows``, plus the one-circuit
+    ``_run_megabatch_data``), which is the exact duck-type contract of the
+    shift-rule gradient engines — they run unchanged on top of this
+    class.  States returned by :meth:`run` / :meth:`run_batch` are
     Pauli vectors (complex dtype, imaginary part zero), not amplitudes.
     """
 
@@ -287,7 +294,7 @@ class PauliTransferSimulator:
         initial_state=None,
     ) -> np.ndarray:
         """Pauli vector ``(4**n,)`` of the noisy output state."""
-        row = StatevectorSimulator._params_row(circuit, params)
+        row = self._params_row(circuit, params)
         return self.run_batch(circuit, row, initial_state)[0]
 
     def run_batch(
@@ -303,35 +310,94 @@ class PauliTransferSimulator:
         numerical tolerance (and is bit-identical across batch sizes and
         chunk boundaries — rows are independent).
         """
-        data = self._run_batch_data(circuit, params_batch, initial_state)
+        batch = self._coerce_params_batch(circuit, params_batch)
+        data = self._run_megabatch_data(
+            circuit.execution_plan(),
+            batch,
+            np.zeros(batch.shape[0], dtype=np.intp),
+            initial_state,
+        )
         backend = self.backend
         return data if backend.is_numpy else backend.to_numpy(data)
 
-    def _run_batch_data(self, circuit, params_batch, initial_state=None):
-        batch_array = StatevectorSimulator._coerce_params_batch(
-            circuit, params_batch
+    def _run_megabatch_data(
+        self,
+        plan: MegaBatchPlan,
+        params_batch: Sequence[Sequence[float]],
+        row_circuits: Sequence[int],
+        initial_state=None,
+        start: int = 0,
+        stop: Optional[int] = None,
+        initial_rows: Optional[np.ndarray] = None,
+        estimate: Optional[tuple] = None,
+    ):
+        """Run a one-circuit plan's operations ``[start, stop)`` under noise.
+
+        Takes ``StatevectorSimulator._run_megabatch_data``'s arguments, so
+        the shift-rule fold's prefix and suffix runs work here too; rows
+        run in chunks at the doubled register width.  A shared
+        ``initial_state`` may also be a :class:`DensityMatrix` or a
+        ``(4**n,)`` Pauli vector.  A plan of several circuits raises
+        ``ValueError``: per-row gate tables have no PTM program.
+        """
+        if plan.num_circuits != 1:
+            raise ValueError(
+                "PauliTransferSimulator runs one-circuit plans only; got a "
+                f"plan of {plan.num_circuits} circuits"
+            )
+        batch_array, _, start, stop = self._check_plan_run(
+            plan, params_batch, row_circuits, start, stop
         )
-        num_qubits = circuit.num_qubits
+        operations = plan.template.operations[start:stop]
+        num_qubits = plan.num_qubits
         batch = batch_array.shape[0]
         backend = self.backend
+        per_row = not isinstance(
+            initial_state, (type(None), DensityMatrix, Statevector)
+        ) and np.ndim(initial_state) == 2
+        if per_row:
+            initial = self._per_row_stack(
+                initial_state, initial_rows, batch, 4**num_qubits
+            )
+        elif initial_rows is not None:
+            raise ValueError("initial_rows needs a per-row initial stack")
+        else:
+            vector = (
+                _initial_pauli_vector(num_qubits)
+                if initial_state is None
+                else self._coerce_initial_vector(initial_state, num_qubits)
+            )
+            initial = backend.asarray(vector, dtype=backend.complex_dtype)
         # A Pauli-vector row is 4**n = 2**(2n) wide; reuse the shared
         # chunking policy at the doubled register width.
         chunk = batch_chunk_rows(2 * num_qubits, backend)
-        if batch > chunk:
-            return backend.concatenate(
-                [
-                    self._run_batch_data(
-                        circuit,
-                        batch_array[start : start + chunk],
-                        initial_state,
-                    )
-                    for start in range(0, batch, chunk)
-                ]
-            )
-        data = self._initial_rows(initial_state, num_qubits, batch, backend)
-        for op in circuit.operations:
-            data = self._apply_operation(data, op, batch_array, num_qubits)
-        return data
+        parts = []
+        for first in range(0, batch, chunk):
+            last = min(first + chunk, batch)
+            if not per_row:
+                data = backend.tile_rows(initial, last - first)
+            elif initial_rows is not None:
+                data = backend.take_rows(initial, initial_rows[first:last])
+            else:
+                data = backend.copy(initial[first:last])
+            for op in operations:
+                data = self._apply_operation(
+                    data, op, batch_array[first:last], num_qubits
+                )
+            if estimate:
+                self._estimate_rows(data, np.arange(first, last), *estimate)
+                # Hold the reduced chunk while the next one runs: freed
+                # first, it leaves the top of the heap free, and glibc
+                # returns that memory and faults it back in on every
+                # chunk (glibc, 2-core x86-64: a 7-qubit fold of 128
+                # rows took 107k minor faults instead of 28k, and 1.4x
+                # the time).
+                parts = [data]
+            else:
+                parts.append(data)
+        if estimate:
+            return None
+        return parts[0] if len(parts) == 1 else backend.concatenate(parts)
 
     @staticmethod
     def _coerce_initial_vector(initial_state, num_qubits: int) -> np.ndarray:
@@ -357,32 +423,6 @@ class PauliTransferSimulator:
                 f"circuit needs {num_qubits}"
             )
         return vector
-
-    def _initial_rows(self, initial_state, num_qubits, batch, backend):
-        dim = 4**num_qubits
-        if initial_state is not None and not isinstance(
-            initial_state, (DensityMatrix, Statevector)
-        ):
-            array = np.asarray(initial_state)
-            if array.ndim == 2:
-                if array.shape != (batch, dim):
-                    raise ValueError(
-                        f"per-row initial Pauli vectors must be "
-                        f"(batch, {dim}), got shape {array.shape}"
-                    )
-                rows = array.astype(COMPLEX_DTYPE, copy=True)
-                if backend.is_numpy:
-                    return rows
-                return backend.asarray(rows, dtype=backend.complex_dtype)
-        if initial_state is None:
-            vector = _initial_pauli_vector(num_qubits)
-        else:
-            vector = self._coerce_initial_vector(initial_state, num_qubits)
-        if backend.is_numpy:
-            return np.tile(vector, (batch, 1))
-        return backend.tile_rows(
-            backend.asarray(vector, dtype=backend.complex_dtype), batch
-        )
 
     def _apply_operation(self, data, op, batch_array, num_qubits):
         backend = self.backend
@@ -466,6 +506,8 @@ class PauliTransferSimulator:
     def _analytic_rows(
         self, states: np.ndarray, observable: Observable
     ) -> np.ndarray:
+        if is_device_array(states):
+            states = array_backend_of(states).to_numpy(states)
         num_qubits = self._num_qubits_of(states)
         if observable.num_qubits != num_qubits:
             raise ValueError(
@@ -504,7 +546,7 @@ class PauliTransferSimulator:
         seed: SeedLike = None,
     ) -> float:
         """Noisy ``Tr(rho(params) O)``, exact or shot-estimated."""
-        row = StatevectorSimulator._params_row(circuit, params)
+        row = self._params_row(circuit, params)
         return float(
             self.expectation_batch(
                 circuit,
@@ -529,68 +571,22 @@ class PauliTransferSimulator:
 
         Rows are executed and reduced in chunks of the shared
         :func:`~repro.backend.simulator.batch_chunk_rows` policy at the
-        doubled register width, so a stack of any height never holds more
-        than one chunk of ``4**n``-wide Pauli vectors.
+        doubled register width (``_run_megabatch_data(..., estimate=)``),
+        so a stack of any height never holds more than one chunk of
+        ``4**n``-wide Pauli vectors.
         """
-        batch = StatevectorSimulator._coerce_params_batch(circuit, params_batch)
-        rngs = None if shots is None else resolve_rngs(seed, batch.shape[0])
-        backend = self.backend
-        chunk = batch_chunk_rows(2 * circuit.num_qubits, backend)
-        parts = []
-        for start in range(0, batch.shape[0], chunk):
-            states = self._run_batch_data(
-                circuit, batch[start : start + chunk], initial_state
-            )
-            if not backend.is_numpy:
-                states = backend.to_numpy(states)
-            if shots is None:
-                parts.append(self._analytic_rows(states, observable))
-            else:
-                parts.append(
-                    self.sampled_expectation_rows(
-                        states, observable, shots, rngs[start : start + chunk]
-                    )
-                )
-        return np.concatenate(parts)
-
-    def sampled_expectation_rows(
-        self,
-        states: np.ndarray,
-        observable: Observable,
-        shots: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Shot-estimated ``<O>`` per Pauli-vector row.
-
-        Mirrors the statevector simulator's row protocol: vectorized
-        per-term basis rotations (as PTMs) and probability matrices once
-        per block, then row-major draws consuming ``rngs[b]`` for row
-        ``b`` term by term.  The noise model's ``readout_error`` flips
-        each recorded bit with that probability, drawn from the same
-        per-row generator after the outcome draw.
-        """
-        check_positive_int(shots, "shots")
-        if is_device_array(states):
-            states = array_backend_of(states).to_numpy(states)
-        states = np.asarray(states)
-        if len(rngs) != states.shape[0]:
-            raise ValueError(
-                f"got {len(rngs)} generators for {states.shape[0]} rows"
-            )
-        num_qubits = self._num_qubits_of(states)
-        block = batch_chunk_rows(2 * num_qubits)
-        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
-        for start in range(0, states.shape[0], block):
-            stop = min(start + block, states.shape[0])
-            stages = self._sampling_stages(states[start:stop], observable)
-            for row in range(start, stop):
-                rng = rngs[row]
-                estimates[row] = float(
-                    sum(stage(row - start, rng, shots) for stage in stages)
-                )
-        return estimates
+        return self._expectations(
+            circuit, observable, params_batch, initial_state, shots, seed
+        )
 
     def _sampling_stages(self, states: np.ndarray, observable: Observable):
+        """Per-term draw closures, as the statevector simulator's.
+
+        Per-term basis rotations apply as PTMs, probabilities come from
+        :meth:`probabilities_rows`, and the noise model's
+        ``readout_error`` flips each recorded bit with that probability,
+        drawn from the same per-row generator after the outcome draw.
+        """
         num_qubits = self._num_qubits_of(states)
         if observable.num_qubits != num_qubits:
             raise ValueError(

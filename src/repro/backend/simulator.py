@@ -23,13 +23,15 @@ Batched execution
 amplitude buffer through one circuit for ``B`` parameter vectors at once:
 fixed gates are applied to all rows with a single shared matrix, trainable
 gates gather their per-row angles and apply a ``(B, 2**k, 2**k)`` matrix
-stack (see :meth:`ParametricGate.matrix_batch`).  This is the only
-execution path: :meth:`~StatevectorSimulator.run` is row 0 of a one-row
-``run_batch``, and :meth:`~StatevectorSimulator.unitary` evolves the
-``2**n`` basis states as one stack.  Rows never mix, so a row carries the
-same bits alone or in any stack — the parameter-shift variance sweep
-relies on it to fold every method's draws and both shift terms into one
-call.
+stack (see :meth:`ParametricGate.matrix_batch`).  They run the circuit's
+cached one-circuit :class:`MegaBatchPlan`
+(:meth:`QuantumCircuit.execution_plan`) through the mega-batch chunk loop
+below, which is the only loop that evolves rows:
+:meth:`~StatevectorSimulator.run` is row 0 of a one-row ``run_batch``,
+and :meth:`~StatevectorSimulator.unitary` evolves the ``2**n`` basis
+states as one stack.  Rows never mix, so a row carries the same bits
+alone or in any stack — the parameter-shift variance sweep relies on it
+to fold every method's draws and both shift terms into one call.
 
 The sampled path is batched too: ``expectation_batch(..., shots=, seed=)``
 applies each Pauli term's diagonalizing rotations once to the whole
@@ -54,23 +56,28 @@ This is what lets the variance experiment fold a grid cell's hundreds of
 (structure, method, shift-term) evaluations into a handful of hundred-row
 executions.
 
-The stack evolves one cache-sized chunk at a time between two
-caller-owned buffers: every kernel writes into the spare buffer
-(``out=``) and the two swap, so a chunk allocates nothing per gate.  A
+The stack evolves one cache-sized chunk at a time between two buffers
+allocated once per call: every fixed operation and mixed slot writes
+into the spare buffer (``out=``) and the two swap.  A
 slot that mixes dense and diagonal rows does not scatter them back: it
 permutes the chunk so its dense rows come first (one row gather), runs
 each kernel on its half in place of the other buffer, and carries the
 composed row order on; one row scatter at the end of the chunk restores
-the caller's order.
+the caller's order.  A fold — the rows of
+:meth:`~StatevectorSimulator.expectation_batch`, or the shifted rows of a
+shift-rule gradient, gathered from shared prefix states — instead reduces
+each chunk to expectations as soon as it is finished, so it never holds
+more than one chunk of states.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.circuit import QuantumCircuit, is_exact_unit_diagonal
+from repro.backend.circuit import Operation, QuantumCircuit, is_exact_unit_diagonal
 from repro.backend.gates import ParametricGate
 from repro.backend.observables import Observable, PauliString, PauliSum, Projector
 from repro.backend.statevector import (
@@ -93,7 +100,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "StatevectorSimulator",
     "MegaBatchPlan",
-    "apply_operation_batch",
     "batch_chunk_rows",
 ]
 
@@ -123,28 +129,22 @@ def batch_chunk_rows(
     return max(1, chunk_bytes // (16 * 2**num_qubits))
 
 
-def apply_parametric_stack(
-    data, gate, thetas, qubits, num_qubits, backend=None, out=None
-):
+def apply_parametric_stack(data, gate, thetas, qubits, num_qubits, backend=None):
     """Apply one parametric gate with per-row angles to an amplitude stack.
 
     ``thetas`` has one entry per row of ``data``; diagonal gates route
     through the elementwise kernel, everything else through the stacked
-    matrix kernel (``out`` is handed to either).  Matrix stacks are built
-    from the host parameter array; on a non-numpy ``backend`` the dense
-    stack is staged by :meth:`ParametricGate.matrix_batch` (and a
-    diagonal stack by the kernel) in one copy per gate/slot.
+    matrix kernel, into a fresh stack.  Matrix stacks are built from the
+    host parameter array; on a non-numpy ``backend`` the dense stack is
+    staged by :meth:`ParametricGate.matrix_batch` (and a diagonal stack
+    by the kernel) in one copy per gate/slot.
     """
     if getattr(gate, "is_diagonal", False):
         matrices = gate.matrix_batch(thetas)
         diagonals = np.diagonal(matrices, axis1=-2, axis2=-1)
-        return apply_diagonal(
-            data, diagonals, qubits, num_qubits, backend=backend, out=out
-        )
+        return apply_diagonal(data, diagonals, qubits, num_qubits, backend=backend)
     matrices = gate.matrix_batch(thetas, backend=backend)
-    return apply_matrix(
-        data, matrices, qubits, num_qubits, backend=backend, out=out
-    )
+    return apply_matrix(data, matrices, qubits, num_qubits, backend=backend)
 
 
 def _apply_gate_group(
@@ -173,27 +173,6 @@ def _apply_gate_group(
     kernel(data, operands, qubits, num_qubits, backend=backend, out=out)
 
 
-def apply_operation_batch(data, op, batch_params, num_qubits, backend=None):
-    """Apply one circuit operation to a ``(B, 2**n)`` amplitude buffer.
-
-    Trainable gates gather their per-row angles from ``batch_params``
-    (shape ``(B, num_parameters)``) and apply a ``(B, 2**k, 2**k)`` matrix
-    stack; fixed and bound-parameter gates share one matrix across all
-    rows.  Diagonal gates (CZ, RZ, PHASE, ...) take the cheaper
-    elementwise kernel.
-    """
-    if op.is_trainable:
-        return apply_parametric_stack(
-            data,
-            op.gate,
-            batch_params[:, op.param_index],
-            op.qubits,
-            num_qubits,
-            backend=backend,
-        )
-    return _apply_fixed_operation(data, op, num_qubits, backend)
-
-
 def _apply_fixed_operation(data, op, num_qubits, backend=None, out=None):
     """Apply a fixed or bound-parameter operation: one shared operand."""
     matrix = op.matrix(None)
@@ -205,6 +184,17 @@ def _apply_fixed_operation(data, op, num_qubits, backend=None, out=None):
     return apply_matrix(
         data, matrix, op.qubits, num_qubits, backend=backend, out=out
     )
+
+
+@lru_cache(maxsize=64)
+def _fused_unit_diagonal(run: "Tuple[Operation, ...]", num_qubits: int) -> np.ndarray:
+    """Full-space ``(2**n,)`` product of a run of exact-unit diagonals,
+    memoized: circuits built from one skeleton share their entangler runs,
+    so a plan per structure circuit fuses each run once.  Read-only."""
+    fused = np.ones(2**num_qubits, dtype=COMPLEX_DTYPE)
+    for op in run:
+        fused = apply_diagonal(fused, np.diagonal(op.matrix(None)), op.qubits, num_qubits)
+    return fused
 
 
 class MegaBatchPlan:
@@ -228,6 +218,10 @@ class MegaBatchPlan:
       fused pass is value-identical to applying the run gate by gate
       (sign-of-zero on exactly-zero amplitudes is the only bit that may
       differ — invisible to ``np.array_equal``, the library's equality).
+
+    A plan of one circuit is the program
+    :meth:`StatevectorSimulator.run_batch` runs;
+    :meth:`QuantumCircuit.execution_plan` builds it once per circuit.
 
     Parameters
     ----------
@@ -309,14 +303,10 @@ class MegaBatchPlan:
                 pos += 1
                 continue
             if is_exact_unit_diagonal(op):
-                stop = pos
-                fused = np.ones(2**self.num_qubits, dtype=COMPLEX_DTYPE)
+                stop = pos + 1
                 while stop < len(ops) and is_exact_unit_diagonal(ops[stop]):
-                    diagonal = np.diagonal(ops[stop].matrix(None))
-                    fused = apply_diagonal(
-                        fused, diagonal, ops[stop].qubits, self.num_qubits
-                    )
                     stop += 1
+                fused = _fused_unit_diagonal(tuple(ops[pos:stop]), self.num_qubits)
                 steps.append(("fused_diag", pos, stop, fused))
                 pos = stop
                 continue
@@ -371,7 +361,180 @@ class MegaBatchPlan:
                 )
 
 
-class StatevectorSimulator:
+class _RowSimulator:
+    """Row-stack machinery the statevector and Pauli-transfer simulators
+    share; each runs plan rows in its own ``_run_megabatch_data`` and
+    supplies ``_analytic_rows`` and ``_sampling_stages``."""
+
+    def _check_plan_run(self, plan, params_batch, row_circuits, start, stop):
+        """Validated ``(B, P)`` params, row circuit indices and int range."""
+        batch_array = self._coerce_params_batch(plan.template, params_batch)
+        rows = np.asarray(row_circuits, dtype=np.intp).reshape(-1)
+        if rows.shape[0] != batch_array.shape[0]:
+            raise ValueError(
+                f"got {rows.shape[0]} row-circuit indices for "
+                f"{batch_array.shape[0]} parameter rows"
+            )
+        if rows.size and (rows.min() < 0 or rows.max() >= plan.num_circuits):
+            raise ValueError(
+                f"row_circuits must index into the plan's "
+                f"{plan.num_circuits} circuits"
+            )
+        num_ops = len(plan.template.operations)
+        stop = num_ops if stop is None else int(stop)
+        start = int(start)
+        if not 0 <= start <= stop <= num_ops:
+            raise ValueError(
+                f"invalid operation range [{start}, {stop}) for a circuit "
+                f"with {num_ops} operations"
+            )
+        return batch_array, rows, start, stop
+
+    def _per_row_stack(self, initial_state, initial_rows, batch, width):
+        """Stage a ``(B, width)`` initial stack, of any height when
+        ``initial_rows`` holds the stack row each of the ``B`` rows reads."""
+        height = batch if initial_rows is None else len(initial_state)
+        shape = tuple(np.shape(initial_state))
+        if shape != (height, width):
+            raise ValueError(
+                f"per-row initial states must be (batch, {width}), "
+                f"got shape {shape}"
+            )
+        if initial_rows is not None and len(initial_rows) != batch:
+            raise ValueError("initial_rows needs one index per parameter row")
+        backend = self.backend
+        return backend.asarray(initial_state, dtype=backend.complex_dtype)
+
+    def _estimate_rows(self, states, order, observable, out, shots, rngs):
+        """Reduce one finished chunk: ``out[order[i]] = <O>`` of ``states[i]``.
+
+        Sampled rows first get the caller's order back: consecutive rows
+        may share one generator (``rngs[r]`` is row ``r``'s) and must draw
+        in that order.
+        """
+        if shots is None:
+            out[order] = self._analytic_rows(states, observable)
+            return
+        if np.any(order[1:] < order[:-1]):
+            perm = np.argsort(order)
+            states, order = self.backend.take_rows(states, perm), order[perm]
+        out[order] = self.sampled_expectation_rows(
+            states, observable, shots, [rngs[row] for row in order]
+        )
+
+    def _expectations(self, circuit, observable, params_batch, initial_state, shots, seed):
+        """``expectation_batch``: a fold with no shifts over the circuit's
+        one-circuit plan, each chunk reduced as soon as it is finished."""
+        batch = self._coerce_params_batch(circuit, params_batch)
+        rows = batch.shape[0]
+        rngs = None if shots is None else resolve_rngs(seed, rows)
+        estimates = np.empty(rows, dtype=FLOAT_DTYPE)
+        self._run_megabatch_data(
+            circuit.execution_plan(),
+            batch,
+            np.zeros(rows, dtype=np.intp),
+            initial_state,
+            estimate=(observable, estimates, shots, rngs),
+        )
+        return estimates
+
+    def sampled_expectation_rows(
+        self,
+        states: np.ndarray,
+        observable: Observable,
+        shots: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Shot-estimated ``<O>`` for each row of a stack of states.
+
+        The vectorized work — Pauli-term basis rotations and probability
+        matrices — is done once per batch; the multinomial draws then walk
+        the rows in order, consuming ``rngs[b]`` for row ``b`` term by
+        term, so row ``b`` carries the same bits alone or in any stack.
+        ``rngs`` may repeat one generator across
+        consecutive rows (the batched parameter-shift path shares a
+        per-trajectory stream over that trajectory's shifted rows); the
+        row-major draw order keeps such shared streams sequentially
+        consistent.
+        """
+        check_positive_int(shots, "shots")
+        # Sampling is host-side by contract: device stacks cross to numpy
+        # at this single staging point, before any generator draw.
+        if is_device_array(states):
+            states = array_backend_of(states).to_numpy(states)
+        states = np.asarray(states)
+        if len(rngs) != states.shape[0]:
+            raise ValueError(
+                f"got {len(rngs)} generators for {states.shape[0]} rows"
+            )
+        # Rows are processed in blocks so the per-term probability
+        # matrices stay bounded (one rotated stack + one float matrix per
+        # term *per block*, not per batch).  Blocking is invisible to the
+        # draws: rows still walk in global order, so a generator shared
+        # across consecutive rows — even straddling a block boundary —
+        # is consumed exactly as in one unblocked pass.
+        block = batch_chunk_rows(int(states.shape[1]).bit_length() - 1)
+        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
+        for start in range(0, states.shape[0], block):
+            stop = min(start + block, states.shape[0])
+            stages = self._sampling_stages(states[start:stop], observable)
+            for row in range(start, stop):
+                rng = rngs[row]
+                estimates[row] = float(
+                    sum(stage(row - start, rng, shots) for stage in stages)
+                )
+        return estimates
+
+    @staticmethod
+    def _params_row(
+        circuit: QuantumCircuit, params: Optional[Sequence[float]]
+    ) -> np.ndarray:
+        """Validate one parameter vector; return it as a ``(1, P)`` stack."""
+        if params is None:
+            if circuit.num_parameters:
+                raise ValueError(
+                    f"circuit has {circuit.num_parameters} trainable parameters "
+                    "but none were supplied"
+                )
+            return np.zeros((1, 0), dtype=FLOAT_DTYPE)
+        array = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
+        if array.size != circuit.num_parameters:
+            raise ValueError(
+                f"expected {circuit.num_parameters} parameters, got {array.size}"
+            )
+        if not np.all(np.isfinite(array)):
+            raise ValueError(
+                "parameters contain NaN or infinity; an optimizer has "
+                "probably diverged"
+            )
+        return array.reshape(1, -1)
+
+    @staticmethod
+    def _coerce_params_batch(
+        circuit: QuantumCircuit, params_batch: Sequence[Sequence[float]]
+    ) -> np.ndarray:
+        array = np.asarray(params_batch, dtype=FLOAT_DTYPE)
+        if array.ndim != 2:
+            raise ValueError(
+                f"params_batch must be 2-D (batch, num_parameters), "
+                f"got shape {array.shape}"
+            )
+        if array.shape[1] != circuit.num_parameters:
+            raise ValueError(
+                f"expected {circuit.num_parameters} parameters per row, "
+                f"got {array.shape[1]}"
+            )
+        if array.shape[0] == 0:
+            raise ValueError("params_batch must have at least one row")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(
+                "parameters contain NaN or infinity; an optimizer has "
+                "probably diverged"
+            )
+        return array
+
+
+class StatevectorSimulator(_RowSimulator):
     """Runs :class:`QuantumCircuit` objects on exact statevectors.
 
     Parameters
@@ -441,6 +604,10 @@ class StatevectorSimulator:
         numpy.ndarray
             ``(B, 2**num_qubits)`` complex amplitudes, row ``b`` bit-identical
             to ``self.run(circuit, params_batch[b]).data``.
+
+        The rows run the circuit's cached one-circuit
+        :class:`MegaBatchPlan`, whose fused exact-unit diagonal runs (a
+        CZ chain) may flip only the sign of an exactly-zero amplitude.
         """
         data = self._run_batch_data(circuit, params_batch, initial_state)
         backend = self.backend
@@ -456,58 +623,16 @@ class StatevectorSimulator:
 
         Returns the ``(B, 2**n)`` amplitude stack on the simulator's
         array backend (a plain numpy array for the numpy backend, a
-        device-resident array otherwise).  Internal substrate for the
-        gradient engines, which keep states on-namespace across the
-        forward pass, adjoint sweep, and reductions.
+        device-resident array otherwise): :meth:`_run_megabatch_data` on
+        :meth:`QuantumCircuit.execution_plan`, every row on circuit 0.
         """
         batch_array = self._coerce_params_batch(circuit, params_batch)
-        num_qubits = circuit.num_qubits
-        batch = batch_array.shape[0]
-        backend = self.backend
-        # Large stacks are evolved in row chunks sized to keep the
-        # amplitude buffer cache-resident (numpy) or launch-efficient
-        # (device backends): every gate streams the whole buffer through
-        # memory, so an oversized batch trades the batching win back for
-        # DRAM bandwidth.  Chunking is invisible to results — rows
-        # evolve independently through the same kernels.
-        chunk = batch_chunk_rows(num_qubits, backend)
-        if batch > chunk:
-            return backend.concatenate(
-                [
-                    self._run_batch_data(
-                        circuit, batch_array[start : start + chunk], initial_state
-                    )
-                    for start in range(0, batch, chunk)
-                ]
-            )
-        if initial_state is None:
-            if backend.is_numpy:
-                data = np.zeros((batch, 2**num_qubits), dtype=COMPLEX_DTYPE)
-            else:
-                data = backend.zeros(
-                    (batch, 2**num_qubits), backend.complex_dtype
-                )
-            data[:, 0] = 1.0
-        else:
-            if initial_state.num_qubits != num_qubits:
-                raise ValueError(
-                    f"initial state has {initial_state.num_qubits} qubits, "
-                    f"circuit needs {num_qubits}"
-                )
-            if backend.is_numpy:
-                data = np.tile(initial_state.data, (batch, 1))
-            else:
-                data = backend.tile_rows(
-                    backend.asarray(
-                        initial_state.data, dtype=backend.complex_dtype
-                    ),
-                    batch,
-                )
-        for op in circuit.operations:
-            data = apply_operation_batch(
-                data, op, batch_array, num_qubits, backend=backend
-            )
-        return data
+        return self._run_megabatch_data(
+            circuit.execution_plan(),
+            batch_array,
+            np.zeros(batch_array.shape[0], dtype=np.intp),
+            initial_state,
+        )
 
     def run_megabatch(
         self,
@@ -577,6 +702,8 @@ class StatevectorSimulator:
         initial_state=None,
         start: int = 0,
         stop: Optional[int] = None,
+        initial_rows: Optional[np.ndarray] = None,
+        estimate: Optional[tuple] = None,
     ):
         """:meth:`run_megabatch` without the result-boundary conversion.
 
@@ -589,34 +716,23 @@ class StatevectorSimulator:
         The rows run in :func:`batch_chunk_rows` chunks, one after the
         other, between two chunk-sized buffers allocated once per call:
         each chunk copies its initial rows into one buffer, every kernel
-        writes the other (``out=``) and the two swap, and one
+        but a one-gate slot's (see :meth:`_apply_megabatch_slot`) writes
+        the other (``out=``) and the two swap, and one
         ``put_rows`` writes the chunk into the freshly allocated result in
         the caller's row order.  ``initial_state`` is only read, so the
         result never aliases it.
+
+        With ``initial_rows``, row ``i`` is gathered straight into the
+        chunk buffer from row ``initial_rows[i]`` of the per-row stack.
+        With ``estimate=(observable, out, shots, rngs)`` each finished
+        chunk is reduced into ``out`` instead (returns ``None``).
         """
-        batch_array = self._coerce_params_batch(plan.template, params_batch)
-        rows = np.asarray(row_circuits, dtype=np.intp).reshape(-1)
-        if rows.shape[0] != batch_array.shape[0]:
-            raise ValueError(
-                f"got {rows.shape[0]} row-circuit indices for "
-                f"{batch_array.shape[0]} parameter rows"
-            )
-        if rows.size and (rows.min() < 0 or rows.max() >= plan.num_circuits):
-            raise ValueError(
-                f"row_circuits must index into the plan's "
-                f"{plan.num_circuits} circuits"
-            )
+        batch_array, rows, start, stop = self._check_plan_run(
+            plan, params_batch, row_circuits, start, stop
+        )
         num_qubits = plan.num_qubits
         batch = batch_array.shape[0]
         dim = 2**num_qubits
-        num_ops = len(plan.template.operations)
-        stop = num_ops if stop is None else int(stop)
-        start = int(start)
-        if not 0 <= start <= stop <= num_ops:
-            raise ValueError(
-                f"invalid operation range [{start}, {stop}) for a circuit "
-                f"with {num_ops} operations"
-            )
         steps = []
         for step in plan.steps:
             lo, hi = step[1], step[2]
@@ -634,12 +750,9 @@ class StatevectorSimulator:
             initial_state, Statevector
         )
         if per_row_initial:
-            if tuple(initial_state.shape) != (batch, dim):
-                raise ValueError(
-                    f"per-row initial states must be (batch, {dim}), "
-                    f"got shape {tuple(initial_state.shape)}"
-                )
-            initial = backend.asarray(initial_state, dtype=complex_dtype)
+            initial = self._per_row_stack(initial_state, initial_rows, batch, dim)
+        elif initial_rows is not None:
+            raise ValueError("initial_rows needs a per-row initial stack")
         elif initial_state is not None:
             if initial_state.num_qubits != num_qubits:
                 raise ValueError(
@@ -647,11 +760,14 @@ class StatevectorSimulator:
                     f"circuit needs {num_qubits}"
                 )
             initial = backend.asarray(initial_state.data, dtype=complex_dtype)
-        # Same memory-aware chunking as run_batch: the stack evolves in
-        # cache-resident row chunks; rows are independent, so chunk
-        # boundaries are invisible to the results.
+        # The stack evolves in row chunks sized to keep the amplitude
+        # buffer cache-resident (numpy) or launch-efficient (device
+        # backends): every gate streams the whole buffer through memory,
+        # so an oversized batch trades the batching win back for DRAM
+        # bandwidth.  Rows are independent, so chunk boundaries are
+        # invisible to the results.
         chunk = batch_chunk_rows(num_qubits, backend)
-        result = backend.zeros((batch, dim), complex_dtype)
+        result = None if estimate else backend.zeros((batch, dim), complex_dtype)
         buffer = backend.zeros((min(chunk, batch), dim), complex_dtype)
         spare_buffer = backend.empty_like(buffer)
         all_qubits = range(num_qubits)
@@ -662,6 +778,8 @@ class StatevectorSimulator:
             if initial_state is None:
                 data[...] = 0
                 data[:, 0] = 1.0
+            elif initial_rows is not None:
+                backend.take_rows(initial, initial_rows[first:last], out=data)
             else:
                 data[...] = initial[first:last] if per_row_initial else initial
             # order[i]: the caller's row that data[i] holds.
@@ -683,8 +801,17 @@ class StatevectorSimulator:
                         data, payload, num_qubits, backend, out=spare
                     )
                 data, spare = spare, data
-            backend.put_rows(result, order, data)
+            if estimate:
+                self._estimate_rows(data, order, *estimate)
+            else:
+                backend.put_rows(result, order, data)
         return result
+
+    @staticmethod
+    def _analytic_rows(states, observable) -> np.ndarray:
+        # The observable layer is backend-aware: device stacks reduce
+        # on-namespace and only the float result crosses.
+        return observable.expectation_batch(states)
 
     @staticmethod
     def _apply_megabatch_slot(
@@ -702,8 +829,14 @@ class StatevectorSimulator:
 
         ``data[i]`` holds the caller's row ``order[i]``; its angle and
         gate code are looked up through ``order``.  Returns ``(data,
-        spare, order)`` for the next step.  A slot whose chunk rows are
-        all dense or all diagonal runs one kernel from ``data`` into
+        spare, order)`` for the next step.  A slot of one gate (every slot
+        of a one-circuit plan) returns a fresh stack: written into
+        ``spare``, the dense kernel's transpose temporaries would be freed
+        on top of the heap, handed back to the OS and faulted in again on
+        every gate (glibc, numpy 2.4, 2-core x86-64: a 200-row, 10-qubit
+        fold took 81k minor faults per pass instead of 39k, and 1.3x the
+        time).  A slot whose chunk rows
+        are all dense or all diagonal runs one kernel from ``data`` into
         ``spare`` (the buffers swap).  A mixed slot gathers ``data`` into
         ``spare`` in stable dense-first order, then runs the dense kernel
         into the leading rows of ``data`` and the diagonal kernel into the
@@ -716,11 +849,10 @@ class StatevectorSimulator:
         gates, codes = plan.slot_gates[pos]
         thetas = batch_array[order, op.param_index]
         if len(gates) == 1:
-            apply_parametric_stack(
-                data, gates[0], thetas, op.qubits, num_qubits,
-                backend=backend, out=spare,
+            fresh = apply_parametric_stack(
+                data, gates[0], thetas, op.qubits, num_qubits, backend=backend
             )
-            return spare, data, order
+            return fresh, spare, order
         row_codes = codes[rows[order]]
         row_is_diagonal = plan.slot_diagonal[pos][row_codes]
         num_diagonal = int(np.count_nonzero(row_is_diagonal))
@@ -782,9 +914,10 @@ class StatevectorSimulator:
         that many measurement samples instead: each Pauli term's
         diagonalizing rotations are applied to the whole stack, then
         row-wise counts are drawn — one independent generator per row.
-        Rows are executed and reduced in chunks of
-        :func:`batch_chunk_rows`, so a stack of any height never holds
-        more than one chunk of states.
+        It is a fold with no shifts: rows run through the circuit's
+        one-circuit plan and are reduced one :func:`batch_chunk_rows`
+        chunk at a time (``_run_megabatch_data(..., estimate=)``), so a
+        stack of any height never holds more than one chunk of states.
 
         Parameters
         ----------
@@ -804,71 +937,9 @@ class StatevectorSimulator:
         sampled mode — the contract the batched shot-based experiment
         paths rely on.
         """
-        batch = self._coerce_params_batch(circuit, params_batch)
-        rngs = None if shots is None else resolve_rngs(seed, batch.shape[0])
-        chunk = batch_chunk_rows(circuit.num_qubits, self.backend)
-        parts = []
-        for start in range(0, batch.shape[0], chunk):
-            states = self._run_batch_data(
-                circuit, batch[start : start + chunk], initial_state
-            )
-            if shots is None:
-                # The observable layer is backend-aware: device stacks
-                # reduce on-namespace and only the float result crosses.
-                parts.append(observable.expectation_batch(states))
-            else:
-                parts.append(
-                    self.sampled_expectation_rows(
-                        states, observable, shots, rngs[start : start + chunk]
-                    )
-                )
-        return np.concatenate(parts)
-
-    def sampled_expectation_rows(
-        self,
-        states: np.ndarray,
-        observable: Observable,
-        shots: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Shot-estimated ``<O>`` for each row of a ``(B, 2**n)`` stack.
-
-        The vectorized work — Pauli-term basis rotations and probability
-        matrices — is done once per batch; the multinomial draws then walk
-        the rows in order, consuming ``rngs[b]`` for row ``b`` term by
-        term, so row ``b`` carries the same bits alone or in any stack.
-        ``rngs`` may repeat one generator across
-        consecutive rows (the batched parameter-shift path shares a
-        per-trajectory stream over that trajectory's shifted rows); the
-        row-major draw order keeps such shared streams sequentially
-        consistent.
-        """
-        check_positive_int(shots, "shots")
-        # Sampling is host-side by contract: device stacks cross to numpy
-        # at this single staging point, before any generator draw.
-        if is_device_array(states):
-            states = array_backend_of(states).to_numpy(states)
-        if len(rngs) != states.shape[0]:
-            raise ValueError(
-                f"got {len(rngs)} generators for {states.shape[0]} rows"
-            )
-        # Rows are processed in blocks so the per-term probability
-        # matrices stay bounded (one rotated stack + one float matrix per
-        # term *per block*, not per batch).  Blocking is invisible to the
-        # draws: rows still walk in global order, so a generator shared
-        # across consecutive rows — even straddling a block boundary —
-        # is consumed exactly as in one unblocked pass.
-        block = batch_chunk_rows(int(states.shape[1]).bit_length() - 1)
-        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
-        for start in range(0, states.shape[0], block):
-            stop = min(start + block, states.shape[0])
-            stages = self._sampling_stages(states[start:stop], observable)
-            for row in range(start, stop):
-                rng = rngs[row]
-                estimates[row] = float(
-                    sum(stage(row - start, rng, shots) for stage in stages)
-                )
-        return estimates
+        return self._expectations(
+            circuit, observable, params_batch, initial_state, shots, seed
+        )
 
     def _sampling_stages(self, states: np.ndarray, observable: Observable):
         """Per-term draw closures over precomputed probability matrices.
@@ -938,62 +1009,15 @@ class StatevectorSimulator:
         """Dense unitary of the whole circuit (tests / small systems only).
 
         Column ``j`` is the circuit applied to basis state ``|j>``; the
-        ``2**n`` basis states evolve as one stack of rows.
+        ``2**n`` basis states evolve as one stack of rows, the per-row
+        initial stack of the circuit's one-circuit plan.
         """
         dim = 2**circuit.num_qubits
         batch = np.repeat(self._params_row(circuit, params), dim, axis=0)
-        data = np.eye(dim, dtype=COMPLEX_DTYPE)
-        for op in circuit.operations:
-            data = apply_operation_batch(data, op, batch, circuit.num_qubits)
-        return np.ascontiguousarray(data.T)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _params_row(
-        circuit: QuantumCircuit, params: Optional[Sequence[float]]
-    ) -> np.ndarray:
-        """Validate one parameter vector; return it as a ``(1, P)`` stack."""
-        if params is None:
-            if circuit.num_parameters:
-                raise ValueError(
-                    f"circuit has {circuit.num_parameters} trainable parameters "
-                    "but none were supplied"
-                )
-            return np.zeros((1, 0), dtype=FLOAT_DTYPE)
-        array = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
-        if array.size != circuit.num_parameters:
-            raise ValueError(
-                f"expected {circuit.num_parameters} parameters, got {array.size}"
-            )
-        if not np.all(np.isfinite(array)):
-            raise ValueError(
-                "parameters contain NaN or infinity; an optimizer has "
-                "probably diverged"
-            )
-        return array.reshape(1, -1)
-
-    @staticmethod
-    def _coerce_params_batch(
-        circuit: QuantumCircuit, params_batch: Sequence[Sequence[float]]
-    ) -> np.ndarray:
-        array = np.asarray(params_batch, dtype=FLOAT_DTYPE)
-        if array.ndim != 2:
-            raise ValueError(
-                f"params_batch must be 2-D (batch, num_parameters), "
-                f"got shape {array.shape}"
-            )
-        if array.shape[1] != circuit.num_parameters:
-            raise ValueError(
-                f"expected {circuit.num_parameters} parameters per row, "
-                f"got {array.shape[1]}"
-            )
-        if array.shape[0] == 0:
-            raise ValueError("params_batch must have at least one row")
-        if not np.all(np.isfinite(array)):
-            raise ValueError(
-                "parameters contain NaN or infinity; an optimizer has "
-                "probably diverged"
-            )
-        return array
+        data = self._run_megabatch_data(
+            circuit.execution_plan(),
+            batch,
+            np.zeros(dim, dtype=np.intp),
+            np.eye(dim, dtype=COMPLEX_DTYPE),
+        )
+        return np.ascontiguousarray(self.backend.to_numpy(data).T)

@@ -78,6 +78,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -157,6 +158,36 @@ def _decode_seed(payload: Any) -> SeedLike:
             n_children_spawned=int(payload.get("n_children_spawned", 0)),
         )
     raise TypeError(f"cannot decode seed payload {payload!r}")
+
+
+def _json_field(
+    payload: dict,
+    name: str,
+    convert: Callable[[Any], Any],
+    default: Any = None,
+    keep: bool = False,
+) -> Any:
+    """``convert(payload[name])`` (with ``keep``, the checked raw value),
+    or ``default`` when absent or null.
+
+    The JSON boundary of :meth:`ExperimentSpec.from_dict`: a value of the
+    wrong type raises a :class:`ValueError` naming the field, not the
+    :class:`TypeError` the constructors raise for it.
+    """
+    value = payload.get(name)
+    if value is None:
+        return default
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError, OverflowError, OSError) as error:
+        raise ValueError(f"spec field {name!r}: {error}") from None
+    return value if keep else converted
+
+
+def _json_object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -307,7 +338,10 @@ class ExperimentSpec:
             # Validate eagerly and canonicalize: a trivial model (identity
             # channels, zero readout error) is bit-identical to noiseless,
             # so it normalizes to None and fingerprints stay aligned.
-            model = NoiseModel.from_dict(dict(self.noise))
+            noise = self.noise
+            model = NoiseModel.from_dict(
+                dict(noise) if isinstance(noise, Mapping) else noise
+            )
             self.noise = None if model.is_trivial else model.to_dict()
         if self.retry is not None:
             # Validate eagerly (a bad policy must fail at spec
@@ -487,6 +521,16 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
+        """Build a spec from its JSON payload (the inverse of :meth:`to_dict`).
+
+        Raises :class:`ValueError`, naming the field, for any payload that
+        does not describe a valid spec, wrongly typed values included.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a spec payload must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         known = {field.name for field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -502,32 +546,36 @@ class ExperimentSpec:
                 f"choose from {sorted(EXPERIMENT_KINDS)}"
             )
         # Handwritten spec files may carry explicit nulls for optional
-        # scalars; treat them like absent keys.
-        workers = payload.get("workers")
-        paired = payload.get("paired")
-        restarts = payload.get("restarts")
-        shots = payload.get("shots")
-        backend = payload.get("backend")
-        return cls(
+        # scalars; _json_field reads them like absent keys, and names the
+        # field of a value of the wrong type.
+        spec_fields = dict(
             kind=str(payload["kind"]),
-            config=payload.get("config"),
-            seed=_decode_seed(payload.get("seed")),
+            config=_json_field(payload, "config", _json_object),
+            seed=_json_field(payload, "seed", _decode_seed),
             executor=payload.get("executor"),
-            workers=1 if workers is None else int(workers),
+            workers=_json_field(payload, "workers", int, 1),
             checkpoint_dir=payload.get("checkpoint_dir"),
             circuits_per_shard=payload.get("circuits_per_shard"),
             methods=payload.get("methods"),
-            restarts=1 if restarts is None else int(restarts),
-            shots=None if shots is None else int(shots),
-            backend="numpy" if backend is None else str(backend),
-            noise=payload.get("noise"),
+            restarts=_json_field(payload, "restarts", int, 1),
+            shots=_json_field(payload, "shots", int),
+            backend=_json_field(payload, "backend", str, "numpy"),
+            noise=_json_field(payload, "noise", NoiseModel.from_dict, keep=True),
             sweep_field=payload.get("sweep_field"),
             sweep_values=payload.get("sweep_values"),
-            paired=True if paired is None else bool(paired),
-            retry=payload.get("retry"),
-            fault_plan=payload.get("fault_plan"),
+            paired=_json_field(payload, "paired", bool, True),
+            retry=_json_field(payload, "retry", RetryPolicy.coerce, keep=True),
+            fault_plan=_json_field(
+                payload, "fault_plan", FaultPlan.coerce, keep=True
+            ),
             backend_fallback=payload.get("backend_fallback"),
         )
+        try:
+            return cls(**spec_fields)
+        except (TypeError, OverflowError) as error:
+            # The constructor's TypeError for a value read as-is (say a
+            # config field); its message names the field.
+            raise ValueError(f"invalid spec: {error}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":

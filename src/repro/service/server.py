@@ -269,6 +269,8 @@ class ExperimentServer:
         )
         self.drain_timeout = float(drain_timeout)
         self._thread: Optional[threading.Thread] = None
+        #: True while :meth:`serve_forever` runs the loop in the foreground.
+        self._foreground = False
         self._closed = False
 
     @property
@@ -305,10 +307,15 @@ class ExperimentServer:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop listening and the job workers (idempotent; warns on leaks)."""
+        """Stop listening and the job workers (idempotent; warns on leaks).
+
+        The loop stops before its socket closes, on :meth:`start`'s thread
+        or in the foreground: one closed under it spins forever.
+        """
         thread, self._thread = self._thread, None
-        if thread is not None:
+        if thread is not None or self._foreground:
             self._server.shutdown()
+        if thread is not None:
             thread.join(timeout=timeout)
             if thread.is_alive():
                 warnings.warn(
@@ -362,9 +369,11 @@ class ExperimentServer:
             print(f"restored {restored} persisted job(s) from queue state")
         if install_signal_handlers:
             self._install_signal_handlers()
+        self._foreground = True
         try:
             self._server.serve_forever()
         finally:
+            self._foreground = False
             if not self._closed:
                 self._closed = True
                 self._server.server_close()

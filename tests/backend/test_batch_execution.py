@@ -146,6 +146,39 @@ class TestBatchParameterShift:
             )
             assert np.array_equal(batched[b], sequential)
 
+    def test_late_index_runs_prefix_once_per_base_row(self, monkeypatch):
+        circuit = _random_pqc(3, 4, seed=41)
+        observable = total_z(3)
+        params = np.random.default_rng(42).normal(size=(3, circuit.num_parameters))
+        index = circuit.num_parameters - 1
+        split = circuit.parameter_map()[index]
+        simulator = StatevectorSimulator()
+        calls = []
+        run = simulator._run_megabatch_data
+
+        def spy(plan, params_batch, rows, initial_state=None, start=0, stop=None,
+                *args, **kwargs):
+            calls.append((len(params_batch), start, stop))
+            return run(plan, params_batch, rows, initial_state, start, stop,
+                       *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_run_megabatch_data", spy)
+        grads = batch_parameter_shift(
+            circuit, observable, params, simulator=simulator, param_indices=[index]
+        )
+        # Prefix once per base row, then both shifted rows from its states.
+        assert calls == [(3, 0, split), (6, split, None)]
+        monkeypatch.undo()
+        terms = circuit.operations[split].gate.shift_terms
+        for row, grad in zip(params, grads):
+            shifted = np.repeat(row[None], len(terms), axis=0)
+            shifted[:, index] += [shift for _, shift in terms]
+            values = simulator.expectation_batch(circuit, observable, shifted)
+            total = 0.0
+            for (coefficient, _), value in zip(terms, values):
+                total += coefficient * value
+            assert grad[0] == total
+
     def test_single_vector_returns_flat_gradient(self, simulator):
         circuit = _random_pqc(2, 3, seed=5)
         observable = zero_projector(2)
@@ -332,13 +365,13 @@ class TestChunkBoundaries:
         )
         self._shrink_adjoint(monkeypatch, simulator)
         forward_rows = []
-        run_batch_data = simulator._run_batch_data
+        run_megabatch_data = simulator._run_megabatch_data
 
-        def spy(circuit, batch_array, initial_state=None):
+        def spy(plan, batch_array, *args, **kwargs):
             forward_rows.append(len(batch_array))
-            return run_batch_data(circuit, batch_array, initial_state)
+            return run_megabatch_data(plan, batch_array, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_run_batch_data", spy)
+        monkeypatch.setattr(simulator, "_run_megabatch_data", spy)
         chunked_values, chunked_grads = batch_adjoint_value_and_gradient(
             circuit, observable, params, simulator=simulator
         )
@@ -363,13 +396,13 @@ class TestChunkBoundaries:
         )
         self._shrink_adjoint(monkeypatch, simulator)
         forward_rows = []
-        run_batch_data = simulator._run_batch_data
+        run_megabatch_data = simulator._run_megabatch_data
 
-        def spy(circuit, batch_array, initial_state=None):
+        def spy(plan, batch_array, *args, **kwargs):
             forward_rows.append(len(batch_array))
-            return run_batch_data(circuit, batch_array, initial_state)
+            return run_megabatch_data(plan, batch_array, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_run_batch_data", spy)
+        monkeypatch.setattr(simulator, "_run_megabatch_data", spy)
         batch_adjoint_value_and_gradient(
             circuit, total_z(self.NUM_QUBITS), params, simulator=simulator
         )
@@ -486,3 +519,60 @@ class TestBoundedFoldedStacks:
         assert sum(widths) == folded_rows
         assert max(widths) <= self.CHUNK_ROWS
         assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("shots", [None, 16], ids=["analytic", "sampled"])
+    def test_shared_prefix_fold_reduces_one_chunk_at_a_time(
+        self, monkeypatch, shots
+    ):
+        # The variance engine's fold: a bucket probing the last parameter
+        # runs each circuit prefix once per base row, and gathers the
+        # folded rows' starting states from it one chunk at a time.
+        from repro.backend.gradients import megabatch_parameter_shift
+
+        circuits = [_random_pqc(self.NUM_QUBITS, 2, seed=s) for s in (31, 32, 33)]
+        rng = np.random.default_rng(34)
+        batches = [rng.normal(size=(2, circuits[0].num_parameters)) for _ in circuits]
+        observable = total_z(self.NUM_QUBITS)
+        index = [circuits[0].num_parameters - 1]
+        simulator = StatevectorSimulator()
+
+        def gradients():
+            return megabatch_parameter_shift(
+                circuits, observable, batches, simulator=simulator,
+                param_indices=index, shots=shots,
+                seed=None if shots is None else list(range(6)),
+            )
+
+        whole = gradients()
+        monkeypatch.setattr(
+            simulator.backend, "chunk_bytes",
+            16 * 2**self.NUM_QUBITS * self.CHUNK_ROWS,
+        )
+        widths = []
+        starts = []
+        run = simulator._run_megabatch_data
+
+        def run_spy(plan, params, rows, initial_state=None, start=0, *args, **kwargs):
+            starts.append((len(params), start))
+            return run(plan, params, rows, initial_state, start, *args, **kwargs)
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def recorded(states, *args, **kwargs):
+                widths.append(len(states))
+                return original(states, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        monkeypatch.setattr(simulator, "_run_megabatch_data", run_spy)
+        spy(observable, "expectation_batch")
+        spy(simulator, "sampled_expectation_rows")
+        chunked = gradients()
+
+        split = circuits[0].parameter_map()[index[0]]
+        assert starts == [(6, 0), (12, split)]
+        assert sum(widths) == 12
+        assert max(widths) <= self.CHUNK_ROWS
+        for got, expected in zip(chunked, whole):
+            assert np.array_equal(got, expected)

@@ -169,6 +169,32 @@ class TestInspection:
         assert "RX(+1.00)" in text
 
 
+class TestExecutionPlan:
+    def test_plan_cached_until_append(self):
+        circuit = QuantumCircuit(2).rx(0).cz(0, 1)
+        plan = circuit.execution_plan()
+        assert circuit.execution_plan() is plan
+        assert plan.circuits == [circuit]
+        circuit.ry(1)
+        rebuilt = circuit.execution_plan()
+        assert rebuilt is not plan
+        assert rebuilt.num_parameters == 2
+        assert len(rebuilt.template.operations) == 3
+
+    def test_in_place_edit_drops_the_plan(self):
+        circuit = QuantumCircuit(2).rx(0).cz(0, 1)
+        plan = circuit.execution_plan()
+        static = circuit.static_matrices()
+        circuit.operations[1] = Operation(get_gate("CX"), (0, 1))
+        assert circuit.execution_plan() is not plan
+        assert circuit.static_matrices() is not static
+        params = np.array([0.4])
+        assert np.array_equal(
+            StatevectorSimulator().run(circuit, params).data,
+            StatevectorSimulator().run(circuit.copy(), params).data,
+        )
+
+
 class TestPaperConfiguration:
     def test_paper_gate_and_parameter_counts(self):
         """10 qubits x 5 layers of (RX, RY) + CZ chain = 145 gates, 100 params."""

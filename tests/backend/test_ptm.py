@@ -356,6 +356,48 @@ class TestGradientEngines:
         assert np.allclose(sequential, batched, atol=1e-12)
 
 
+class TestPlanRuns:
+    """The shift-rule fold runs one-circuit plans on the PTM simulator."""
+
+    def test_shared_prefix_fold_matches_shifted_runs(self):
+        from repro.ansatz.random_pqc import RandomPQC
+        from repro.backend.gradients import megabatch_parameter_shift
+
+        circuit = RandomPQC(3, 3, seed=23).build()
+        sim = PauliTransferSimulator(_noisy_model())
+        params = np.random.default_rng(24).normal(size=(2, circuit.num_parameters))
+        obs = PauliString(3, "ZZZ")
+        index = circuit.num_parameters - 1
+        grads = batch_parameter_shift(
+            circuit, obs, params, simulator=sim, param_indices=[index]
+        )
+        (mega,) = megabatch_parameter_shift(
+            [circuit], obs, [params], simulator=sim, param_indices=[index]
+        )
+        assert np.array_equal(mega, grads)
+        terms = circuit.operations[circuit.parameter_map()[index]].gate.shift_terms
+        for row, grad in zip(params, grads):
+            shifted = np.repeat(row[None], len(terms), axis=0)
+            shifted[:, index] += [shift for _, shift in terms]
+            values = sim.expectation_batch(circuit, obs, shifted)
+            total = 0.0
+            for (coefficient, _), value in zip(terms, values):
+                total += coefficient * value
+            assert grad[0] == total
+
+    def test_multi_circuit_plan_rejected(self):
+        from repro.ansatz.random_pqc import RandomPQC
+        from repro.backend.gradients import megabatch_parameter_shift
+
+        circuits = [RandomPQC(2, 2, seed=seed).build() for seed in (1, 2)]
+        sim = PauliTransferSimulator(_noisy_model())
+        params = [np.zeros((1, circuits[0].num_parameters))] * 2
+        with pytest.raises(ValueError, match="one-circuit plans"):
+            megabatch_parameter_shift(
+                circuits, PauliString(2, "ZZ"), params, simulator=sim
+            )
+
+
 class TestValidation:
     def test_wrong_param_count_rejected(self, small_trainable_circuit):
         sim = PauliTransferSimulator()

@@ -47,14 +47,14 @@ class TestValueAndGradientFusion:
         cost = make_cost("global", circuit)
         params = np.array([0.3, -0.8, 1.4])
         calls = {"forward": 0}
-        original = StatevectorSimulator._run_batch_data
+        original = StatevectorSimulator._run_megabatch_data
 
         def counting_forward(self, *args, **kwargs):
             calls["forward"] += 1
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(
-            StatevectorSimulator, "_run_batch_data", counting_forward
+            StatevectorSimulator, "_run_megabatch_data", counting_forward
         )
         value, grad = cost.value_and_gradient(params)
         assert calls["forward"] == 1

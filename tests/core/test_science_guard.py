@@ -1,0 +1,66 @@
+"""Science guard: the reduced Fig. 5a grid's decay rates, pinned.
+
+Runs the grid and seed of ``benchmarks/bench_improvement_table.py`` (2, 4
+and 6 qubits, 60 circuits, 25 layers, seed 88) and pins every method's
+decay rate and every improvement over random at ``rtol=1e-9``.  Analytic
+runs draw no measurement noise, so an ulp-level kernel change passes and
+a wrong gate, angle or fold fails.  The default executor mega-batches
+whole shape buckets; ``serial`` differentiates one row at a time, so the
+two runs cover both fold widths of the shift-rule engine.
+
+A change that moves these bits on purpose re-pins the values below and
+states the drift in CHANGES.md.
+"""
+
+import pytest
+
+import repro
+from repro.core import VarianceConfig
+from repro.core.spec import ExperimentSpec
+
+RTOL = 1e-9
+
+DECAY_RATES = {
+    "random": 1.2150994768134271,
+    "xavier_normal": 0.7239501574027124,
+    "xavier_uniform": 0.7201379921875305,
+    "he_normal": 0.8178084439284902,
+    "lecun_normal": 0.748263058894444,
+    "orthogonal": 0.8543037131752976,
+}
+
+IMPROVEMENTS = {
+    "xavier_normal": 40.42050291213551,
+    "xavier_uniform": 40.73423567952829,
+    "he_normal": 32.696173479296064,
+    "lecun_normal": 38.41960488233044,
+    "orthogonal": 29.69269352204058,
+}
+
+
+@pytest.fixture(scope="module", params=[None, "serial"], ids=["default", "serial"])
+def outcome(request):
+    extra = {} if request.param is None else {"executor": request.param}
+    config = VarianceConfig(qubit_counts=(2, 4, 6), num_circuits=60, num_layers=25)
+    return repro.run(ExperimentSpec(kind="variance", config=config, seed=88, **extra))
+
+
+def test_decay_rates_pinned(outcome):
+    rates = {method: fit.rate for method, fit in outcome.fits.items()}
+    assert rates.keys() == DECAY_RATES.keys()
+    for method, rate in DECAY_RATES.items():
+        assert rates[method] == pytest.approx(rate, rel=RTOL, abs=0.0), method
+
+
+def test_improvements_pinned(outcome):
+    assert outcome.improvements.keys() == IMPROVEMENTS.keys()
+    for method, gain in IMPROVEMENTS.items():
+        assert outcome.improvements[method] == pytest.approx(
+            gain, rel=RTOL, abs=0.0
+        ), method
+
+
+def test_random_decays_fastest(outcome):
+    rates = {method: fit.rate for method, fit in outcome.fits.items()}
+    assert max(rates, key=rates.get) == "random"
+    assert outcome.ranking[-1] == "random"

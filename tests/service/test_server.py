@@ -1,9 +1,14 @@
 """End-to-end HTTP tests for ``repro serve`` (ExperimentServer)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +323,44 @@ class TestCLI:
         )
         assert args.command == "serve"
         assert args.port == 0
+
+
+class TestForegroundShutdown:
+    """``repro serve`` exits on SIGTERM / SIGINT after persisting its queue."""
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_signal_stops_the_foreground_server(self, tmp_path, signum):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        store = tmp_path / "store"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(store)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = child.stdout.readline()
+            assert "listening on" in line, line + child.stderr.read()
+            # The socket is bound before the line prints; an answered
+            # /healthz means the loop runs, with the handlers installed.
+            url = line.split("listening on ")[1].split()[0]
+            _get(f"{url}/healthz")
+            child.send_signal(signum)
+            assert child.wait(timeout=10) == 0
+            assert (store / "queue-state.json").is_file()
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
+            child.stderr.close()
 
 
 class TestNoisyService:

@@ -396,7 +396,7 @@ class TestInputErrors:
             ('"config": {"num_circuits": "x"}', "num_circuits must be an int"),
             ('"seed": "abc"', "cannot decode seed payload 'abc'"),
             ('"retry": "x"', "cannot build a RetryPolicy from str"),
-            ('"noise": [1]', "cannot convert dictionary update sequence"),
+            ('"noise": [1]', "noise payload must be a dict, got list"),
             (
                 '"fault_plan": {"units": {"#0": [{"kind": "kill", "times": null}]}}',
                 "fault 'times' must be a number, got None",
