@@ -6,7 +6,8 @@ over random at each, exposing the mechanism: a width-scaled initializer
 keeps per-qubit accumulated angle variance at ``depth / qubits``, so at
 shallow-to-moderate depth the ensemble stays near-identity (large
 improvement) while at ``depth >> qubits`` it scrambles to a 2-design and
-the advantage collapses (measured at depth 100 in EXPERIMENTS.md).
+the advantage shrinks (this sweep's deepest point measures it; see
+DESIGN.md §5b).
 
 Shape assertions: random shows strong decay at every depth; Xavier's
 improvement is large at moderate depth and strictly smaller at the
@@ -62,8 +63,8 @@ def test_depth_ablation(run_once):
     print(
         "\nmechanism: per-qubit accumulated angle variance = depth/qubits; "
         "once it is >> 1 the Xavier ensemble scrambles too and the "
-        "advantage collapses (EXPERIMENTS.md measures +56% -> +5% going "
-        "from depth 30 to depth 100 at paper scale)."
+        "advantage shrinks (results/run_depth30.py runs the paper-width "
+        "grid at depth 30)."
     )
 
     improvements = {

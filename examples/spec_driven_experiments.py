@@ -11,16 +11,14 @@ Demonstrates the ``ExperimentSpec`` API end to end:
 2. re-run the *same* spec on a different executor (process pool,
    optionally checkpointing shards so an interrupted grid resumes) and
    verify the seeded results are bit-identical;
-3. compare the mega-batched ``fold="shape"`` with the per-structure
-   fold: same seeded bits, hundreds of rows per stacked call;
-4. move the kernels onto another array backend (``backend="torch"``,
+3. move the kernels onto another array backend (``backend="torch"``,
    skipped when torch is not installed);
-5. run the same study under a Kraus noise model (the batched
+4. run the same study under a Kraus noise model (the batched
    Pauli-transfer path) and see how fingerprints keep noisy and
    noiseless results apart;
-6. save the spec to JSON — the file is what ``python -m repro run
+5. save the spec to JSON — the file is what ``python -m repro run
    SPEC.json`` executes — and reload it;
-7. submit the spec to an in-process ``repro serve`` instance twice and
+6. submit the spec to an in-process ``repro serve`` instance twice and
    watch the second submission come back as an O(1) cache hit with
    byte-identical result payloads.
 """
@@ -89,49 +87,7 @@ def main() -> None:
         f"{identical}"
     )
 
-    # 3. Mega-batched vs per-structure folding: the default
-    #    fold="shape" groups every structure of a grid cell into one
-    #    shape bucket and executes hundreds of (structure, method,
-    #    shift-term) rows per stacked call.  It is a pure throughput
-    #    knob — the seeded grid is bit-identical to the per-structure
-    #    fold — so specs differing only in fold are interchangeable
-    #    (they even share checkpoint fingerprints).
-    import dataclasses
-    import time
-
-    start = time.perf_counter()
-    per_structure = repro.run(
-        ExperimentSpec(
-            kind="variance",
-            config=dataclasses.replace(config, fold="structure"),
-            seed=args.seed,
-        )
-    )
-    structure_time = time.perf_counter() - start
-    start = time.perf_counter()
-    mega = repro.run(
-        ExperimentSpec(
-            kind="variance",
-            config=dataclasses.replace(config, fold="shape"),
-            seed=args.seed,
-        )
-    )
-    mega_time = time.perf_counter() - start
-    mega_identical = all(
-        np.array_equal(
-            per_structure.result.samples[key].gradients,
-            mega.result.samples[key].gradients,
-        )
-        for key in mega.result.samples
-    )
-    bucket_rows = config.num_circuits * len(config.methods) * 2
-    print(
-        f"mega-batched fold ({bucket_rows} rows/bucket) bit-identical to "
-        f"per-structure: {mega_identical} "
-        f"({structure_time / mega_time:.1f}x faster here)"
-    )
-
-    # 4. Array backends are configuration too: backend="torch" (or
+    # 3. Array backends are configuration too: backend="torch" (or
     #    "cupy", "torch:cuda:0", ...) moves the statevector kernels onto
     #    that namespace and routes the spec to the ``device`` executor —
     #    same spec, same seeds, device-tolerance-identical results.
@@ -149,7 +105,7 @@ def main() -> None:
     else:
         print("torch not installed; skipping the backend='torch' step")
 
-    # 5. Noise is configuration too: a JSON payload of factory channels
+    # 4. Noise is configuration too: a JSON payload of factory channels
     #    (plus optional readout error) routes the same spec through the
     #    batched Pauli-transfer simulator — (B, 4**n) Pauli vectors on
     #    the same batched kernels, rows matching exact density-matrix
@@ -176,7 +132,7 @@ def main() -> None:
     noisy = repro.run(noisy_spec)
     print(f"noisy ranking (depolarizing 1%): {noisy.ranking}")
 
-    # 6. Specs serialize: this JSON file is exactly what
+    # 5. Specs serialize: this JSON file is exactly what
     #    `python -m repro run SPEC.json` consumes.
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = Path(tmp) / "variance_spec.json"
@@ -187,13 +143,13 @@ def main() -> None:
             f"kind={reloaded.kind}, seed={reloaded.seed}"
         )
 
-    # 7. The same spec served over HTTP: `repro serve` fronts a
+    # 6. The same spec served over HTTP: `repro serve` fronts a
     #    deduplicating job queue and a content-addressed result store.
     #    The first submission executes; resubmitting the identical spec
     #    is answered instantly from the cache — byte-identical payloads,
     #    no recomputation.  (ExperimentServer is the in-process handle
     #    behind `python -m repro serve`.)
-    import time as _time
+    import time
     import urllib.request
 
     from repro.service import ExperimentServer
@@ -213,7 +169,7 @@ def main() -> None:
                 with urllib.request.urlopen(request) as response:
                     job = json.loads(response.read())
                 while job["state"] not in ("done", "failed"):
-                    _time.sleep(0.05)
+                    time.sleep(0.05)
                     with urllib.request.urlopen(
                         f"{server.url}/experiments/{job['job_id']}"
                     ) as response:

@@ -1,4 +1,4 @@
-"""Paper-width variance study at depth 30 (for EXPERIMENTS.md).
+"""Paper-width variance study at the default depth of 30 (DESIGN.md §5b).
 
 Run from the repository root with ``PYTHONPATH=src python
 results/run_depth30.py``; the outcome is saved next to this script as

@@ -16,7 +16,7 @@ The library is organised bottom-up:
     Variance-decay and training-analysis experiment engines, cost
     functions, decay-rate fits, and paper-level experiment runners —
     driven declaratively via :class:`ExperimentSpec` and :func:`run`
-    over pluggable executors (serial / batched / process-pool).
+    over pluggable executors (serial / lockstep / process-pool).
 ``repro.optim``
     Gradient-based optimizers (GD, Adam, ...) plus quantum natural gradient.
 ``repro.mitigation``

@@ -139,20 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     variance.add_argument("--methods", nargs="+", default=None)
     variance.add_argument("--cost", choices=("global", "local"), default="global")
     variance.add_argument(
-        "--sequential",
-        action="store_true",
-        help="disable batched execution (same seeded results, slower; "
-        "the reference path for cross-checking the batched engine)",
-    )
-    variance.add_argument(
-        "--fold",
-        choices=("structure", "shape"),
-        default="shape",
-        help="batched fold scope: 'shape' (default) mega-batches every "
-        "same-shape structure of a grid cell together; 'structure' keeps "
-        "one batched execution per structure (same seeded results)",
-    )
-    variance.add_argument(
         "--shots",
         type=int,
         default=None,
@@ -478,8 +464,6 @@ def _variance_spec(args: argparse.Namespace):
         num_layers=args.layers,
         methods=tuple(args.methods) if args.methods else tuple(PAPER_METHODS),
         cost_kind=args.cost,
-        batched=not args.sequential,
-        fold=args.fold,
         shots=args.shots,
         backend=args.backend or "numpy",
         noise=args.noise,
@@ -632,13 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Bad options (e.g. an unknown --executor) fail before the port
         # is bound, not on every submitted job.
         return _input_error(error)
-    # One parseable line: scripts (and the CI smoke job) read the
-    # resolved URL from here, which matters with --port 0.
-    print(
-        f"repro serve listening on {server.url} "
-        f"(store: {server.store.root})",
-        flush=True,
-    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -3,7 +3,7 @@ decay-rate fits, training loops, and paper-level runners.
 
 Experiments are described declaratively by :class:`ExperimentSpec` and
 executed by :func:`repro.core.spec.run` (exported as ``repro.run``)
-through a pluggable executor registry (serial / batched / process-pool);
+through a pluggable executor registry (serial / lockstep / process-pool);
 see :mod:`repro.core.spec` for the quickstart."""
 
 from repro.core.cost import (
@@ -26,7 +26,6 @@ from repro.core.profile import (
     profile_all_methods,
 )
 from repro.core.executor import (
-    BatchedExecutor,
     Executor,
     LockstepExecutor,
     ProcessPoolExecutor,
@@ -64,7 +63,6 @@ from repro.core.training import (
 from repro.core.variance import VarianceAnalysis, VarianceConfig
 
 __all__ = [
-    "BatchedExecutor",
     "DecayFit",
     "Executor",
     "LockstepExecutor",

@@ -2,21 +2,16 @@
 
 An :class:`Executor` schedules a list of :class:`WorkUnit` items — picklable
 ``(id, function, args)`` triples produced by the spec layer — and returns
-their outputs in unit order.  Four registered strategies cover the
+their outputs in unit order.  Three registered strategies cover the
 library's workloads:
 
 ``serial``
-    In-process loop using the sequential per-structure statevector path
-    (``VarianceConfig.batched=False``) — the reference implementation.
-``batched``
-    In-process loop using the batched statevector kernels
-    (``VarianceConfig.batched=True``) — the default since PR 1.  Under
-    the default ``VarianceConfig.fold="shape"`` each variance work unit
-    is a *shape-bucket slice*: all of its structures fold into
-    mega-batched executions with batch sizes in the hundreds (see
-    :mod:`repro.core.variance`).
+    In-process loop.  Each variance work unit folds its same-shape
+    structures into mega-batched executions with batch sizes in the
+    hundreds (see :mod:`repro.core.variance`); each training trajectory
+    is its own unit.
 ``lockstep``
-    Like ``batched``, and additionally advertises lock-step training
+    Like ``serial``, and additionally advertises lock-step training
     (``training_lockstep``): the spec layer folds all training
     trajectories into one batched-adjoint work unit instead of one unit
     per trajectory, with bit-identical histories.  The default for
@@ -28,13 +23,14 @@ library's workloads:
     Shards units across OS processes via :mod:`concurrent.futures`.  Work
     units carry pre-reserved RNG children (see
     :func:`repro.utils.rng.spawn_seeds`), so a seeded run is bit-identical
-    to serial regardless of worker count or completion order.  Variance
-    units are shape-bucket slices here too: each worker mega-folds its
-    own slice of the bucket, and slicing is invisible to results.
+    to serial regardless of worker count or completion order.  Each
+    worker mega-folds its own slice of a variance bucket, and slicing is
+    invisible to results.
 
-Three more registry names are aliases kept so stored specs, scripts and
-``--executor`` values still resolve: ``async`` and ``remote`` run
-``process_pool``, and ``device`` runs ``lockstep``.
+Four more registry names are aliases kept so stored specs, scripts and
+``--executor`` values still resolve: ``batched`` runs ``serial``,
+``async`` and ``remote`` run ``process_pool``, and ``device`` runs
+``lockstep``.
 
 Every executor streams through one contract: :meth:`Executor.map_units`
 calls ``on_result`` once per unit the moment its output lands, so the
@@ -108,7 +104,6 @@ __all__ = [
     "ShardCheckpoint",
     "Executor",
     "SerialExecutor",
-    "BatchedExecutor",
     "LockstepExecutor",
     "ProcessPoolExecutor",
     "EXECUTORS",
@@ -254,9 +249,6 @@ class Executor:
     """Schedules work units; subclasses choose where/how they execute."""
 
     name: ClassVar[str]
-    #: Forced value for ``VarianceConfig.batched`` on variance shards
-    #: (``None`` = honour the config; the spec layer applies this).
-    variance_batched: ClassVar[Optional[bool]] = None
     #: True when training trajectories should be folded into one lock-step
     #: batched unit instead of one unit per trajectory (the spec layer
     #: applies this; results are bit-identical either way).
@@ -652,23 +644,14 @@ class Executor:
 
 @register_executor
 class SerialExecutor(Executor):
-    """In-process loop over the sequential per-structure reference path."""
+    """In-process loop over the work units (the variance default)."""
 
     name = "serial"
-    variance_batched: ClassVar[Optional[bool]] = False
 
 
 @register_executor
-class BatchedExecutor(SerialExecutor):
-    """In-process loop over the batched statevector kernels (default)."""
-
-    name = "batched"
-    variance_batched: ClassVar[Optional[bool]] = True
-
-
-@register_executor
-class LockstepExecutor(BatchedExecutor):
-    """Batched executor that also trains all trajectories in lock step.
+class LockstepExecutor(SerialExecutor):
+    """In-process executor that also trains all trajectories in lock step.
 
     The default for analytic, noiseless ``training`` specs that name no
     executor (shots, noise and shift-rule engines default to ``serial``).
@@ -677,7 +660,7 @@ class LockstepExecutor(BatchedExecutor):
     engine — ``B x iterations`` sequential sweeps become ``iterations``
     batched ones, with histories bit-identical to ``serial``.  A
     checkpointed run therefore resumes per panel, not per trajectory.
-    Variance specs behave exactly like ``batched``.
+    Variance specs behave exactly like ``serial``.
 
     Also registered as ``device``, the default routing for non-numpy
     array backends: the namespace is configuration (the config's
@@ -696,7 +679,6 @@ class ProcessPoolExecutor(Executor):
     The variance grid is embarrassingly parallel over (qubit count,
     structure); units arrive with their RNG children pre-reserved, so any
     placement/completion order reproduces the serial streams exactly.
-    Honours ``VarianceConfig.batched`` (default on) inside each worker.
     ``workers=0`` means one worker per CPU core; one worker runs units
     in-process, with no fork or pickle overhead.
 
@@ -711,7 +693,6 @@ class ProcessPoolExecutor(Executor):
     """
 
     name = "process_pool"
-    variance_batched: ClassVar[Optional[bool]] = None
 
     def __init__(
         self,
@@ -834,6 +815,7 @@ class ProcessPoolExecutor(Executor):
 
 
 # Names kept so stored specs, scripts and ``--executor`` values resolve.
+EXECUTORS["batched"] = SerialExecutor
 EXECUTORS["async"] = ProcessPoolExecutor
 EXECUTORS["remote"] = ProcessPoolExecutor
 EXECUTORS["device"] = LockstepExecutor

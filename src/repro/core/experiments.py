@@ -19,7 +19,7 @@ checkpoint/resume for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.decay import fit_all_methods, improvement_over_random, rank_methods
@@ -157,22 +157,14 @@ def run_variance_experiment(
     config: Optional[VarianceConfig] = None,
     seed: SeedLike = None,
     verbose: bool = False,
-    batched: Optional[bool] = None,
 ) -> VarianceExperimentOutcome:
     """Run the variance study and derive the paper's headline metrics.
 
     .. deprecated:: 1.1
         Thin shim over ``repro.run(ExperimentSpec(kind="variance", ...))``;
         the spec path additionally offers multi-process sharding and
-        checkpoint/resume.  Signature and seeded outputs are frozen.
-
-    ``batched`` overrides ``config.batched`` when given: ``True`` folds
-    every method's draws and shift terms per structure into one batched
-    statevector execution (the default, and bit-identical to sequential
-    for a fixed seed), ``False`` forces the sequential reference path.
+        checkpoint/resume.  Seeded outputs are frozen.
     """
-    if batched is not None:
-        config = replace(config or VarianceConfig(), batched=batched)
     return run(
         ExperimentSpec(kind="variance", config=config, seed=seed),
         verbose=verbose,

@@ -9,7 +9,7 @@ path.
 
 Quickstart
 ----------
-Run the Fig. 5a variance study on the default (batched) executor::
+Run the Fig. 5a variance study on the default (serial) executor::
 
     import repro
     from repro import ExperimentSpec, VarianceConfig
@@ -22,12 +22,10 @@ Run the Fig. 5a variance study on the default (batched) executor::
     outcome = repro.run(spec)           # VarianceExperimentOutcome
     print(outcome.ranking)
 
-Variance grids run mega-batched by default (``VarianceConfig.fold``):
-each work unit folds all of its same-shape structures into stacked
-executions hundreds of rows wide — a pure throughput knob, excluded from
-checkpoint fingerprints, bit-identical to the per-structure and serial
-paths.  Shard the same grid over 4 worker processes, with
-checkpoint/resume — seeded results are bit-identical to the serial run::
+Variance grids run mega-batched: each work unit folds all of its
+same-shape structures into stacked executions hundreds of rows wide.
+Shard the same grid over 4 worker processes, with checkpoint/resume —
+seeded results are bit-identical to the serial run::
 
     spec = ExperimentSpec(
         kind="variance",
@@ -66,11 +64,11 @@ round-trip through JSON, and the CLI runs a saved file directly::
     python -m repro run spec.json --workers 4
 
 Executors live in a registry (:mod:`repro.core.executor`): ``serial``
-(sequential reference path), ``batched`` (variance default), ``lockstep``
-(batched + lock-step training; analytic training default) and
-``process_pool`` (multi-process sharding).  ``async`` and ``remote`` are
-aliases of ``process_pool``, and ``device`` of ``lockstep``.  ``repro
-info`` lists them all.
+(in-process; variance default), ``lockstep`` (``serial`` plus lock-step
+training; analytic training default) and ``process_pool`` (multi-process
+sharding).  ``batched`` is an alias of ``serial``, ``async`` and
+``remote`` of ``process_pool``, and ``device`` of ``lockstep``.
+``repro info`` lists them all.
 """
 
 from __future__ import annotations
@@ -210,10 +208,10 @@ class ExperimentSpec:
         Registered executor name, or ``None`` to derive one: ``device``
         for a non-numpy ``backend``; for training, ``lockstep`` when
         analytic, noiseless and on an adjoint engine, else ``serial``;
-        ``batched``/``serial`` per ``VarianceConfig.batched`` for
-        variance and sweeps.  ``async`` and ``device`` are aliases of
-        ``process_pool`` and ``lockstep``.  An unknown name is rejected
-        here, at construction.
+        ``serial`` for variance and sweeps.  ``batched`` is an alias of
+        ``serial``, ``async`` and ``remote`` of ``process_pool``, and
+        ``device`` of ``lockstep``.  An unknown name is rejected here, at
+        construction.
     workers:
         Worker count for multi-process executors (``process_pool``).
     checkpoint_dir:
@@ -310,6 +308,15 @@ class ExperimentSpec:
             executor_class(self.executor)
         config_cls = EXPERIMENT_KINDS[self.kind]
         if isinstance(self.config, dict):
+            if config_cls is VarianceConfig:
+                # Stored payloads carry two retired variance knobs,
+                # ``batched`` and ``fold``, which never changed a result
+                # byte; drop them whatever their value.
+                self.config = {
+                    key: value
+                    for key, value in self.config.items()
+                    if key not in ("batched", "fold")
+                }
             known = {f.name for f in fields(config_cls)}
             unknown = sorted(set(self.config) - known)
             if unknown:
@@ -415,8 +422,7 @@ class ExperimentSpec:
                 and config.gradient_engine in ("adjoint", "batch_adjoint")
             )
             return "lockstep" if analytic_adjoint else "serial"
-        config = self.config or VarianceConfig()
-        return "batched" if config.batched else "serial"
+        return "serial"
 
     def _fallback_enabled(self) -> bool:
         """Whether backend graceful degradation is on (spec or env)."""
@@ -455,18 +461,18 @@ class ExperimentSpec:
         Canonicalization rules:
 
         * The config is **resolved** first: a ``None`` config becomes the
-          kind's defaults, spec-level ``shots``/``noise``/``backend``
-          overrides are merged in, and the resolved executor's batching
-          policy is applied (``executor="serial"`` forces
-          ``batched=False``) — so the digest reflects what will actually
-          run, not how the spec happened to be written.
+          kind's defaults and spec-level ``shots``/``noise``/``backend``
+          overrides are merged in — so the digest reflects what will
+          actually run, not how the spec happened to be written.
         * Config fields at identity-neutral values are dropped:
           ``shots=None`` (analytic), ``noise=None`` (noiseless — trivial
-          payloads canonicalize to ``None`` first), ``fold`` (always — a
-          pure throughput knob, bit-identical across scopes) and
+          payloads canonicalize to ``None`` first) and
           ``backend="numpy"`` (bit-identical to the pre-backend kernels).
           Checkpoints written before those fields existed therefore keep
           matching.
+        * Variance and sweep configs hash ``"batched": true``, the value
+          of a retired knob every default run carried, so their
+          fingerprints stay those of earlier releases.
         * The seed is encoded via its ``SeedSequence`` entropy/spawn
           state; a transient ``Generator`` without one is rejected with a
           :class:`ValueError` (its stream cannot be reproduced).
@@ -615,9 +621,6 @@ def _canonical_config_payload(config: Any) -> Optional[dict]:
     * ``noise=None`` — noiseless configs keep their pre-noise
       fingerprints; non-trivial noise payloads stay stamped so noisy
       results never collide with noiseless cache entries.
-    * ``fold`` — a pure throughput knob; seeded results are bit-identical
-      across scopes, so checkpoints written under any fold remain
-      resumable under any other (and pre-fold checkpoints keep matching).
     * ``backend="numpy"`` — bit-identical to the pre-backend kernels, so
       default-backend checkpoints keep their historical fingerprints.
       Non-numpy backends are only tolerance-equal and stay stamped: a
@@ -633,24 +636,17 @@ def _canonical_config_payload(config: Any) -> Optional[dict]:
         # keep their pre-noise fingerprints; noisy payloads are stamped,
         # so noisy cache entries can never collide with noiseless ones.
         payload.pop("noise", None)
-    payload.pop("fold", None)
     if payload.get("backend", "numpy") == "numpy":
         payload.pop("backend", None)
     return payload
 
 
-def _resolve_config(
-    spec: ExperimentSpec, executor: Optional[Executor] = None
-) -> Any:
+def _resolve_config(spec: ExperimentSpec) -> Any:
     """The config the run will actually use.
 
-    Instantiates the kind's defaults for a ``None`` config, merges the
-    spec-level ``shots``/``backend`` overrides, and applies the resolved
-    executor's variance batching policy (``serial`` forces the sequential
-    reference path, ``batched``/``lockstep`` force the batched kernels).
-    Pass the actual ``executor`` instance when one exists; otherwise the
-    policy of :meth:`ExperimentSpec.resolved_executor`'s registered class
-    is used.
+    Instantiates the kind's defaults for a ``None`` config and merges the
+    spec-level ``shots``/``noise``/``backend`` overrides (the backend
+    after any fallback to numpy).
     """
     config = (
         spec.config if spec.config is not None else EXPERIMENT_KINDS[spec.kind]()
@@ -665,11 +661,6 @@ def _resolve_config(
         getattr(config, "backend", backend) or backend
     ):
         config = replace(config, backend=backend)
-    if spec.kind == "variance":
-        policy = executor or executor_class(spec.resolved_executor())
-        batched = policy.variance_batched
-        if batched is not None:
-            config = replace(config, batched=batched)
     return config
 
 
@@ -691,9 +682,14 @@ def _fingerprint(
             "checkpointing requires a serializable seed (int, None, or "
             "SeedSequence-backed); got a transient generator"
         ) from None
+    config_payload = _canonical_config_payload(config)
+    if kind in ("variance", "sweep") and config_payload is not None:
+        # The retired ``batched`` knob's default, kept so run
+        # fingerprints (and every cache key built on them) stay stable.
+        config_payload["batched"] = True
     payload = {
         "kind": kind,
-        "config": _canonical_config_payload(config),
+        "config": config_payload,
         "seed": seed,
         "methods": list(spec.methods) if spec.methods else None,
         "plan": plan,
@@ -719,16 +715,15 @@ def _variance_unit_fingerprint(config: Any, shard: Any) -> str:
     A shard's output is fully determined by the non-grid config fields
     (layers, methods, cost, shots, backend, ...) plus its own qubit
     count, row offset and pre-reserved RNG children — *not* by which
-    ``qubit_counts``/``num_circuits`` grid it was cut from, and (by the
-    library's bit-identity contract) not by ``batched``/``fold`` either.
-    Dropping those from the key lets partially-overlapping specs (the
+    ``qubit_counts``/``num_circuits`` grid it was cut from.  Dropping
+    those from the key lets partially-overlapping specs (the
     same grid cells inside different supersets) share shards in a
     content-addressed :class:`repro.service.ResultStore`: the seed spawn
     state embedded in the key guarantees a match only when the shard's
     random streams are truly identical.
     """
     payload = _canonical_config_payload(config) or {}
-    for grid_field in ("qubit_counts", "num_circuits", "batched"):
+    for grid_field in ("qubit_counts", "num_circuits"):
         payload.pop(grid_field, None)
     return _digest(
         {
@@ -803,7 +798,7 @@ def plan_experiment(
 ) -> ExperimentPlan:
     """Resolve ``spec`` into executable work units without running them.
 
-    ``executor`` supplies the batching/lockstep/sharding policy (and is
+    ``executor`` supplies the lock-step/sharding policy (and is
     instantiated from the spec when omitted).  Sweep specs are not
     unit-plannable — they are a loop of variance runs; plan each swept
     value's :class:`ExperimentSpec` instead.
@@ -822,7 +817,7 @@ def plan_experiment(
             retry=spec.retry,
             fault_plan=spec.fault_plan,
         )
-    config = _resolve_config(spec, executor)
+    config = _resolve_config(spec)
     # Fail fast on a missing optional namespace (torch/cupy not
     # installed): here, before any shard burns compute, with the
     # registry's actionable install hint.
@@ -901,19 +896,6 @@ def _apply_noise(spec: ExperimentSpec, config: Any) -> Any:
     if spec.noise is None:
         return config
     return replace(config, noise=dict(spec.noise))
-
-
-def _apply_backend(spec: ExperimentSpec, config: Any) -> Any:
-    """Merge a spec-level ``backend`` override into the kind's config.
-
-    Also resolves the final backend eagerly: a missing optional namespace
-    (torch/cupy not installed) must fail here, before any shard burns
-    compute, with the registry's actionable install hint.
-    """
-    if spec.backend != "numpy":
-        config = replace(config, backend=spec.backend)
-    get_array_backend(config.backend)
-    return config
 
 
 def _plan_variance(
@@ -1065,7 +1047,7 @@ def _run_sweep(spec: ExperimentSpec, verbose: bool) -> Dict:
     runs.  With ``paired=True`` all values consume the same child seed
     stream, isolating the effect of the swept field.
     """
-    base = _apply_backend(spec, _apply_shots(spec, spec.config or VarianceConfig()))
+    base = _resolve_config(spec)
     values = list(spec.sweep_values)
     configs = [
         replace(base, **{spec.sweep_field: value}) for value in values

@@ -9,30 +9,25 @@ Pairing matters: the same circuit structures — and, per structure, the same
 RNG child streams — are reused across methods, so method comparisons are
 paired rather than confounded by structure resampling noise.
 
-Execution is batched by default (``VarianceConfig.batched``): per
-structure, every method's angle draw and both parameter-shift terms are
-folded into one :func:`repro.backend.gradients.batch_parameter_shift`
-call.  All angles are sampled *before* any evaluation, in method order, so
-the paired RNG child streams are consumed exactly as in the sequential
-path and seeded results are bit-identical either way.
-
-``VarianceConfig.fold`` widens the fold further (the default,
-``"shape"``): structures sharing a circuit *shape* — for this sampler,
-every structure of a grid cell (:func:`repro.ansatz.random_pqc
-.circuit_shape_key`) — are grouped into shape buckets by
-:func:`plan_shape_buckets` and executed together through
-:func:`repro.backend.gradients.megabatch_parameter_shift`, folding
-(structures x methods x shift terms) rows into executions with batch
-sizes in the hundreds.  All sampling still happens structure by
-structure, before any evaluation, so the RNG streams — and therefore the
-seeded gradients — are bit-identical across ``fold`` modes, ``batched``
-modes, and executors.
+A shard runs in two steps.  First every structure is built and every
+method's angles are drawn, structure by structure and in method order,
+before anything is evaluated.  Then structures sharing a circuit *shape*
+— for this sampler, every structure of a grid cell
+(:func:`repro.ansatz.random_pqc.circuit_shape_key`) — are grouped into
+shape buckets by :func:`plan_shape_buckets`, and each bucket's
+(structures x methods x shift terms) rows run in one
+:func:`repro.backend.gradients.megabatch_parameter_shift` call, with
+batch sizes in the hundreds.  Under noise every structure is its own
+bucket, because :class:`~repro.backend.ptm.PauliTransferSimulator` runs
+one-circuit plans only.  Since all sampling happens before any
+evaluation, the seeded gradients do not depend on how the grid is cut
+into shards or which executor runs them; ``tests/oracles.py`` keeps the
+per-structure, per-method shift loop they are checked against.
 
 With ``VarianceConfig.shots`` the probed gradients are estimated from
 finite measurement samples instead of analytically: each method reserves
-one further per-circuit child stream (after the angle draws) and both
-modes consume it identically, so the sampled grid, too, is bit-identical
-across executors.
+one further per-circuit child stream (after the angle draws), so the
+sampled grid, too, is bit-identical across executors.
 """
 
 from __future__ import annotations
@@ -44,11 +39,7 @@ import numpy as np
 
 from repro.ansatz.random_pqc import DEFAULT_GATE_POOL, RandomPQC
 from repro.backend.circuit import QuantumCircuit
-from repro.backend.gradients import (
-    batch_parameter_shift,
-    megabatch_parameter_shift,
-    parameter_shift,
-)
+from repro.backend.gradients import megabatch_parameter_shift
 from repro.backend.noise import NoiseModel, resolve_noise_model
 from repro.backend.observables import Observable
 from repro.backend.ptm import PauliTransferSimulator
@@ -59,7 +50,7 @@ from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
 from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
-from repro.utils.validation import check_in_choices, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "VarianceConfig",
@@ -87,10 +78,10 @@ class VarianceConfig:
     initializers keep per-qubit accumulated angle variance at
     ``num_layers / num_qubits``, so once ``num_layers >> num_qubits`` every
     scheme scrambles to a 2-design and the separation from random vanishes
-    (measured in EXPERIMENTS.md and ``bench_ablation_depth``).  The default
-    of 30 layers is deep enough that random initialization shows textbook
-    BP decay (rate ~ 2 ln 2 per qubit) while the classical schemes retain
-    their advantage — the regime the paper reports.
+    (``benchmarks/bench_ablation_depth.py`` measures it; DESIGN.md §5b).
+    The default of 30 layers is deep enough that random initialization
+    shows textbook BP decay (rate ~ 2 ln 2 per qubit) while the classical
+    schemes retain their advantage — the regime the paper reports.
     """
 
     qubit_counts: Sequence[int] = (2, 4, 6, 8, 10)
@@ -106,22 +97,11 @@ class VarianceConfig:
     #: al. probe an early-layer angle, where the tail of the circuit also
     #: scrambles the observable).
     param_position: str = "last"
-    #: Fold all methods' draws and both shift terms per structure into one
-    #: batched statevector execution.  Seeded results are bit-identical
-    #: with this on or off; only throughput changes (see module docstring).
-    batched: bool = True
-    #: Fold scope of the batched mode: ``"shape"`` (default) additionally
-    #: folds every structure sharing a circuit shape into one mega-batched
-    #: execution (batch sizes in the hundreds); ``"structure"`` keeps one
-    #: execution per structure.  A pure throughput knob — seeded results
-    #: are bit-identical across fold scopes, so it is excluded from
-    #: checkpoint fingerprints.  Ignored when ``batched`` is off.
-    fold: str = "shape"
     #: Estimate every probed gradient from this many measurement samples
     #: instead of analytically — the hardware-realistic noise extension.
     #: Each method gets an independent per-circuit sampling stream (one
     #: ``spawn_rng`` child per method, reserved after the angle draws), so
-    #: batched and sequential modes stay bit-identical under sampling too.
+    #: sampled grids stay bit-identical across executors too.
     shots: Optional[int] = None
     #: Array backend the statevector kernels run on: ``"numpy"`` (default,
     #: bit-identical to the pre-backend code) or an accelerator namespace
@@ -162,7 +142,6 @@ class VarianceConfig:
                 "param_position must be 'first', 'middle' or 'last', got "
                 f"{self.param_position!r}"
             )
-        check_in_choices(self.fold, ("structure", "shape"), "fold")
         if self.shots is not None:
             check_positive_int(self.shots, "shots")
         check_array_backend_name(self.backend)
@@ -308,29 +287,6 @@ def _probe_index(config: VarianceConfig, count: int) -> int:
     return count - 1
 
 
-def _probe_gradient(
-    config: VarianceConfig, cost, params: np.ndarray, simulator, sample_rng=None
-) -> float:
-    """d(cost)/d(theta_probe) via the (optionally sampled) shift rule.
-
-    The probed index follows ``config.param_position``; the paper's setup
-    is the last parameter.  Sequential reference path for
-    ``batched=False``; with ``config.shots`` both shifted expectations
-    are estimated from samples drawn off ``sample_rng``.
-    """
-    index = _probe_index(config, cost.circuit.num_parameters)
-    raw = parameter_shift(
-        cost.circuit,
-        cost.observable,
-        params,
-        simulator=simulator,
-        param_indices=[index],
-        shots=config.shots,
-        seed=sample_rng,
-    )
-    return float(cost.scale * raw[0])
-
-
 def _build_simulator(
     config: VarianceConfig, noise_model: Optional[NoiseModel] = None
 ):
@@ -357,14 +313,6 @@ def run_variance_shard(
     noise_model = resolve_noise_model(config.noise)
     simulator = simulator or _build_simulator(config, noise_model)
     initializers = config.build_initializers()
-    grads: Dict[str, List[float]] = {m: [] for m in config.methods}
-    # The mega-batch planner is statevector-specific; noisy shards fold
-    # through the per-structure batched shift-rule path instead.  ``fold``
-    # is excluded from checkpoint fingerprints, so forcing it off here
-    # cannot split cache keys.
-    megabatched = (
-        config.batched and config.fold == "shape" and noise_model is None
-    )
     keys: List = []
     items: List[_StructureRows] = []
     for i in range(shard.num_circuits):
@@ -382,104 +330,66 @@ def run_variance_shard(
         cost = make_cost(config.cost_kind, circuit, simulator=simulator)
         shape = pqc.parameter_shape
         # Per-method child streams derived from one per-circuit parent keep
-        # the comparison paired and order-independent.  Sampling every
-        # method's angles before any evaluation consumes the streams
-        # identically in all execution modes.
+        # the comparison paired and order-independent.  Every method's
+        # angles are drawn before anything is evaluated.
         draws = {
             method: initializer.sample(shape, spawn_rng(angles_rng))
             for method, initializer in initializers.items()
         }
         # Sampled probes reserve one further child per method, in method
         # order after every angle draw, so the draw streams above stay
-        # bit-stable and each method's measurement stream is shared by
-        # every execution mode.
+        # bit-stable.
         sample_rngs = None
         if config.shots is not None:
             sample_rngs = [spawn_rng(angles_rng) for _ in config.methods]
-        if megabatched:
-            # Defer execution: collect this structure's rows for the
-            # shape-bucket fold below.  All randomness has been consumed
-            # already, so deferral cannot perturb the streams.
-            keys.append((pqc.shape_key, _observable_signature(cost.observable)))
-            items.append(
-                _StructureRows(
-                    circuit=circuit,
-                    observable=cost.observable,
-                    scale=cost.scale,
-                    params=np.stack(
-                        [
-                            np.asarray(draws[m], dtype=float).reshape(-1)
-                            for m in config.methods
-                        ]
-                    ),
-                    sample_rngs=sample_rngs,
-                )
+        keys.append((pqc.shape_key, _observable_signature(cost.observable)))
+        items.append(
+            _StructureRows(
+                circuit=circuit,
+                observable=cost.observable,
+                scale=cost.scale,
+                params=np.stack(
+                    [
+                        np.asarray(draws[m], dtype=float).reshape(-1)
+                        for m in config.methods
+                    ]
+                ),
+                sample_rngs=sample_rngs,
             )
-        elif config.batched:
-            index = _probe_index(config, cost.circuit.num_parameters)
-            matrix = np.stack(
-                [
-                    np.asarray(draws[m], dtype=float).reshape(-1)
-                    for m in config.methods
-                ]
-            )
-            raw = batch_parameter_shift(
-                cost.circuit,
-                cost.observable,
-                matrix,
-                simulator=simulator,
-                param_indices=[index],
-                shots=config.shots,
-                seed=sample_rngs,
-            )
-            for slot, method in enumerate(config.methods):
-                grads[method].append(float(cost.scale * raw[slot, 0]))
-        else:
-            for slot, method in enumerate(config.methods):
-                grads[method].append(
-                    _probe_gradient(
-                        config,
-                        cost,
-                        draws[method],
-                        simulator,
-                        sample_rng=(
-                            sample_rngs[slot] if sample_rngs is not None else None
-                        ),
-                    )
-                )
-    if megabatched:
-        _execute_shape_buckets(config, items, keys, grads, simulator)
+        )
+    if isinstance(simulator, PauliTransferSimulator):
+        # The Pauli-transfer engine runs one-circuit plans only.
+        buckets = [[i] for i in range(len(items))]
+    else:
+        buckets = plan_shape_buckets(keys)
     return {
         "num_qubits": shard.num_qubits,
         "start": shard.start,
-        "gradients": grads,
+        "gradients": _execute_buckets(config, items, buckets, simulator),
     }
 
 
-def _execute_shape_buckets(
+def _execute_buckets(
     config: VarianceConfig,
     items: Sequence[_StructureRows],
-    keys: Sequence,
-    grads: Dict[str, List[float]],
+    buckets: Sequence[Sequence[int]],
     simulator: StatevectorSimulator,
-) -> None:
-    """Run a shard's structures bucket-by-bucket through the mega path.
+) -> Dict[str, List[float]]:
+    """Run a shard's structures bucket by bucket; gradients per method.
 
     Every bucket folds its (structures x methods x shift terms) rows into
     one :func:`~repro.backend.gradients.megabatch_parameter_shift`
-    execution; the per-structure gradient blocks are then written back in
-    original structure order, so the output record is laid out exactly as
-    the per-structure paths produce it.
+    execution; the per-structure gradient blocks are then read back in
+    original structure order.
     """
     per_structure: List[Optional[np.ndarray]] = [None] * len(items)
-    for bucket in plan_shape_buckets(keys):
+    for bucket in buckets:
         first = items[bucket[0]]
         index = _probe_index(config, first.circuit.num_parameters)
         seed = None
         if config.shots is not None:
             # Per-base-row streams: structures in bucket order, methods
-            # within each structure — the same generator each method's
-            # rows consume in the per-structure modes.
+            # within each structure.
             seed = [rng for i in bucket for rng in items[i].sample_rngs]
         outs = megabatch_parameter_shift(
             [items[i].circuit for i in bucket],
@@ -492,9 +402,13 @@ def _execute_shape_buckets(
         )
         for i, out in zip(bucket, outs):
             per_structure[i] = out
-    for item, raw in zip(items, per_structure):
-        for slot, method in enumerate(config.methods):
-            grads[method].append(float(item.scale * raw[slot, 0]))
+    return {
+        method: [
+            float(item.scale * raw[slot, 0])
+            for item, raw in zip(items, per_structure)
+        ]
+        for slot, method in enumerate(config.methods)
+    }
 
 
 def merge_variance_outputs(

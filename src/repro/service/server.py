@@ -362,15 +362,27 @@ class ExperimentServer:
         and ``SIGINT`` trigger :meth:`shutdown_gracefully` from a helper
         thread (``shutdown()`` deadlocks if called from the serving
         thread itself), then this method returns.
+
+        Prints one parseable ``repro serve listening on <url>`` line once
+        the handlers are in place, so a supervisor may signal as soon as
+        it reads the line (scripts read the URL from it, which matters
+        with ``port=0``).
         """
         self.queue.start()
         restored = self.queue.restore_state()
-        if restored and not self._server.quiet:  # pragma: no cover - cosmetic
-            print(f"restored {restored} persisted job(s) from queue state")
-        if install_signal_handlers:
-            self._install_signal_handlers()
+        # Set before a handler can fire, so stop() ends the loop rather
+        # than closing the socket under it.
         self._foreground = True
         try:
+            if install_signal_handlers:
+                self._install_signal_handlers()
+            print(
+                f"repro serve listening on {self.url} "
+                f"(store: {self.store.root})",
+                flush=True,
+            )
+            if restored and not self._server.quiet:  # pragma: no cover
+                print(f"restored {restored} persisted job(s) from queue state")
             self._server.serve_forever()
         finally:
             self._foreground = False

@@ -45,7 +45,6 @@ class TestRegistration:
 
     def test_inherits_lockstep_scheduling(self):
         executor = get_executor("device")
-        assert executor.variance_batched is True
         assert executor.training_lockstep is True
 
 
@@ -94,7 +93,7 @@ class TestSpecBackendField:
 class TestResolvedExecutor:
     def test_numpy_keeps_default_routing(self):
         spec = ExperimentSpec(kind="variance", config=_VAR_CONFIG)
-        assert spec.resolved_executor() == "batched"
+        assert spec.resolved_executor() == "serial"
 
     def test_spec_backend_routes_to_device(self):
         spec = ExperimentSpec(

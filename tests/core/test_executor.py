@@ -9,7 +9,6 @@ import pytest
 import repro
 from repro.core.executor import (
     EXECUTORS,
-    BatchedExecutor,
     Executor,
     LockstepExecutor,
     ProcessPoolExecutor,
@@ -56,7 +55,7 @@ class TestRegistry:
 
     def test_get_executor_by_name(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("batched"), BatchedExecutor)
+        assert type(get_executor("batched")) is SerialExecutor
         assert isinstance(
             get_executor("process_pool", workers=2), ProcessPoolExecutor
         )
@@ -83,10 +82,10 @@ class TestRegistry:
         with pytest.raises(ValueError):
             SerialExecutor(workers=0)
 
-    def test_variance_batched_policy(self):
-        assert SerialExecutor.variance_batched is False
-        assert BatchedExecutor.variance_batched is True
-        assert ProcessPoolExecutor.variance_batched is None
+    def test_batched_is_a_serial_alias(self):
+        # Variance runs have one execution path, so the old batched
+        # executor name resolves to the in-process serial loop.
+        assert executor_class("batched") is SerialExecutor
 
 
 class TestMapUnits:

@@ -4,9 +4,9 @@ Runs the grid and seed of ``benchmarks/bench_improvement_table.py`` (2, 4
 and 6 qubits, 60 circuits, 25 layers, seed 88) and pins every method's
 decay rate and every improvement over random at ``rtol=1e-9``.  Analytic
 runs draw no measurement noise, so an ulp-level kernel change passes and
-a wrong gate, angle or fold fails.  The default executor mega-batches
-whole shape buckets; ``serial`` differentiates one row at a time, so the
-two runs cover both fold widths of the shift-rule engine.
+a wrong gate, angle or fold fails.  The default executor and ``serial``
+run the same shape-bucket fold; both are pinned, so a spec that names
+``serial`` keeps its bits too.
 
 A change that moves these bits on purpose re-pins the values below and
 states the drift in CHANGES.md.

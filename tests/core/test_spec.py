@@ -12,7 +12,7 @@ from repro.core.experiments import (
     run_training_experiment,
     run_variance_experiment,
 )
-from repro.core.spec import EXPERIMENT_KINDS, ExperimentSpec, run
+from repro.core.spec import EXPERIMENT_KINDS, ExperimentSpec, plan_experiment, run
 from repro.core.sweep import sweep_variance
 from repro.core.training import TrainingConfig
 from repro.core.variance import VarianceConfig
@@ -82,16 +82,24 @@ class TestResolvedExecutor:
         spec = ExperimentSpec(kind="variance", executor="process_pool")
         assert spec.resolved_executor() == "process_pool"
 
-    def test_derived_from_batched_flag(self):
-        batched = ExperimentSpec(kind="variance", config=_VAR_CONFIG)
-        sequential = ExperimentSpec(
-            kind="variance",
-            config=VarianceConfig(
-                qubit_counts=(2,), num_circuits=2, num_layers=2, batched=False
-            ),
+    def test_variance_default_is_serial(self):
+        # One variance path: a spec naming no executor runs in-process,
+        # whatever retired batching knob its stored payload carries.
+        default = ExperimentSpec(kind="variance", config=_VAR_CONFIG)
+        legacy = ExperimentSpec.from_dict(
+            {
+                "kind": "variance",
+                "config": {
+                    "qubit_counts": [2],
+                    "num_circuits": 2,
+                    "num_layers": 2,
+                    "batched": False,
+                    "fold": "structure",
+                },
+            }
         )
-        assert batched.resolved_executor() == "batched"
-        assert sequential.resolved_executor() == "serial"
+        assert default.resolved_executor() == "serial"
+        assert legacy.resolved_executor() == "serial"
 
     def test_training_default(self):
         # Lock-step is bit-identical to serial and one batched sweep per
@@ -306,48 +314,96 @@ class TestRun:
 
 
 class TestFoldCheckpointCompatibility:
-    """The fold scope must not perturb checkpoint fingerprints."""
+    """Payloads and checkpoints from before ``VarianceConfig.batched`` and
+    ``fold`` were retired keep their fingerprints, bytes and shards."""
 
-    def test_fingerprint_ignores_fold(self):
-        from dataclasses import replace
+    #: The CI service lane's spec.
+    _PAYLOAD = {
+        "kind": "variance",
+        "seed": 7,
+        "config": {
+            "qubit_counts": [2, 3],
+            "num_circuits": 4,
+            "num_layers": 3,
+            "methods": ["random"],
+        },
+    }
 
-        from repro.core.spec import _fingerprint
-        from repro.core.variance import VarianceConfig
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},
+            {"batched": True, "fold": "shape"},
+            {"batched": False, "fold": "structure"},
+        ],
+        ids=["none", "defaults", "sequential"],
+    )
+    @pytest.mark.parametrize(
+        "executor", [None, "serial", "batched", "process_pool"]
+    )
+    def test_payload_keeps_pinned_fingerprints(self, knobs, executor):
+        payload = dict(self._PAYLOAD, executor=executor)
+        payload["config"] = dict(payload["config"], **knobs)
+        spec = ExperimentSpec.from_dict(payload)
+        assert spec.fingerprint() == "64d95a18b9608d1ccf0d41d8f2a1a213614c87ec"
+        if executor != "process_pool":
+            assert sorted(plan_experiment(spec).unit_fingerprints.items()) == [
+                ("variance-q2-c00000", "903ce4874cb6cc028fdda222050effa04998a7f5"),
+                ("variance-q3-c00000", "21d0f995c447d96e3c8cd5c6a039e8cd4eaf321b"),
+            ]
 
-        config = VarianceConfig(qubit_counts=(2,), num_circuits=4, num_layers=2)
-        spec = ExperimentSpec(kind="variance", config=config, seed=3)
-        prints = {
-            _fingerprint("variance", replace(config, fold=fold), spec)
-            for fold in ("shape", "structure")
-        }
-        assert len(prints) == 1
+    def test_default_spec_keeps_pinned_fingerprint(self):
+        spec = ExperimentSpec(kind="variance", seed=7)
+        assert spec.fingerprint() == "448824b0b81cd687f202401c9186670aee4cf3ab"
 
-    def test_structure_checkpoints_resume_under_shape(self, tmp_path):
-        """A grid checkpointed under fold="structure" resumes (and merges
-        identically) when rerun under the default shape fold."""
+    def test_legacy_payload_writes_the_same_bytes(self, tmp_path):
+        from repro.io import save_result
+
+        legacy = dict(self._PAYLOAD)
+        legacy["config"] = dict(legacy["config"], batched=False, fold="structure")
+        paths = []
+        for name, payload in (("plain", self._PAYLOAD), ("legacy", legacy)):
+            path = tmp_path / f"{name}.json"
+            save_result(repro.run(ExperimentSpec.from_dict(payload)), path)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_batched_checkpoints_resume_under_default(self, tmp_path, monkeypatch):
+        """A grid checkpointed under ``executor="batched"`` resumes, with
+        no shard re-run, under the default executor."""
         import numpy as np
 
-        from repro.core.variance import VarianceConfig
+        from repro.core import variance as vmod
 
-        def outcome_for(fold):
-            config = VarianceConfig(
-                qubit_counts=(2, 3),
-                num_circuits=4,
-                num_layers=2,
-                methods=("random", "zeros"),
-                fold=fold,
-            )
-            spec = ExperimentSpec(
-                kind="variance",
-                config=config,
-                seed=11,
-                executor="batched",
-                checkpoint_dir=tmp_path,
-            )
-            return repro.run(spec)
+        config = VarianceConfig(
+            qubit_counts=(2, 3),
+            num_circuits=4,
+            num_layers=2,
+            methods=("random", "zeros"),
+        )
 
-        first = outcome_for("structure")
-        resumed = outcome_for("shape")
+        def outcome_for(executor):
+            return repro.run(
+                ExperimentSpec(
+                    kind="variance",
+                    config=config,
+                    seed=11,
+                    executor=executor,
+                    checkpoint_dir=tmp_path,
+                )
+            )
+
+        first = outcome_for("batched")
+        calls = []
+        original = vmod.run_variance_shard
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vmod, "run_variance_shard", counting)
+        resumed = outcome_for(None)
+        assert calls == []
         for key in first.result.samples:
             assert np.array_equal(
                 first.result.samples[key].gradients,

@@ -76,6 +76,45 @@ class TestSweepVariance:
         assert calls == []  # the valid value 4 never burned a run
 
 
+class TestSweepSpecNoise:
+    """A sweep spec's ``noise`` overrides its base config's, as it does
+    for variance and training specs."""
+
+    _NOISE = {"default": {"name": "depolarizing", "probability": 0.2}}
+
+    def _series(self, config, noise=None):
+        from repro.core.spec import ExperimentSpec, run
+
+        outcomes = run(
+            ExperimentSpec(
+                kind="sweep",
+                config=config,
+                seed=4,
+                noise=noise,
+                sweep_field="num_layers",
+                sweep_values=[2, 3],
+            )
+        )
+        return {
+            (value, method): outcome.result.variance_series(method)
+            for value, outcome in outcomes.items()
+            for method in config.methods
+        }
+
+    def test_spec_noise_reaches_every_run(self):
+        from dataclasses import replace
+
+        spec_level = self._series(_BASE, noise=self._NOISE)
+        in_config = self._series(replace(_BASE, noise=self._NOISE))
+        clean = self._series(_BASE)
+        assert spec_level.keys() == in_config.keys() == clean.keys()
+        for key in spec_level:
+            assert np.array_equal(spec_level[key], in_config[key]), key
+        assert any(
+            not np.array_equal(spec_level[key], clean[key]) for key in clean
+        )
+
+
 class TestImprovementSeries:
     def test_extracts_improvements(self):
         outcomes = sweep_variance(

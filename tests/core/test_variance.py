@@ -1,11 +1,16 @@
 """Unit tests for the variance-analysis engine."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core.variance import VarianceAnalysis, VarianceConfig
+import oracles
+from repro.core.variance import (
+    VarianceAnalysis,
+    VarianceConfig,
+    merge_variance_outputs,
+    plan_variance_shards,
+    run_variance_shard,
+)
 
 
 def _tiny_config(**overrides):
@@ -25,7 +30,7 @@ class TestConfig:
         assert tuple(config.qubit_counts) == (2, 4, 6, 8, 10)
         assert config.num_circuits == 200
         # The paper leaves depth unstated; 30 is the documented default
-        # (see the VarianceConfig docstring and EXPERIMENTS.md).
+        # (see the VarianceConfig docstring and DESIGN.md §5b).
         assert config.num_layers == 30
         assert "random" in config.methods
         assert "orthogonal" in config.methods
@@ -138,23 +143,46 @@ class TestRun:
             _tiny_config(param_position="penultimate")
 
 
-class TestBatchedExecution:
-    """The batched hot path is a pure throughput change: same results."""
+def _oracle_result(config, seed):
+    """The grid from ``oracles.variance_shard``, the per-method loop."""
+    shards = plan_variance_shards(config, seed)
+    return merge_variance_outputs(
+        config, [oracles.variance_shard(config, shard) for shard in shards]
+    )
 
-    def test_batched_is_default(self):
-        assert VarianceConfig().batched is True
+
+def _sliced_result(config, seed, circuits_per_shard):
+    """The grid from ``run_variance_shard`` on shards of a given size."""
+    shards = plan_variance_shards(config, seed, circuits_per_shard)
+    return merge_variance_outputs(
+        config, [run_variance_shard(config, shard) for shard in shards]
+    )
+
+
+def _assert_same_grid(result, reference):
+    assert set(result.samples) == set(reference.samples)
+    for key in result.samples:
+        assert np.array_equal(
+            result.samples[key].gradients, reference.samples[key].gradients
+        ), key
+
+
+class TestBatchedExecution:
+    """Folding every method's draws and shift terms is a pure throughput
+    change: the per-method shift loop gives the same bits."""
 
     def test_batched_bit_identical_to_sequential(self):
+        import repro
+        from repro.core.spec import ExperimentSpec
+
         config = _tiny_config(
             methods=("random", "xavier_normal", "he_normal"), num_circuits=6
         )
-        batched = VarianceAnalysis(replace(config, batched=True)).run(seed=42)
-        sequential = VarianceAnalysis(replace(config, batched=False)).run(seed=42)
-        assert set(batched.samples) == set(sequential.samples)
-        for key in batched.samples:
-            assert np.array_equal(
-                batched.samples[key].gradients, sequential.samples[key].gradients
-            ), key
+        # ``batched`` survives as an alias of the serial executor.
+        spec = ExperimentSpec(
+            kind="variance", config=config, seed=42, executor="batched"
+        )
+        _assert_same_grid(repro.run(spec).result, _oracle_result(config, 42))
 
     @pytest.mark.parametrize("cost_kind", ["global", "local"])
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
@@ -162,39 +190,22 @@ class TestBatchedExecution:
         config = _tiny_config(
             num_circuits=4, cost_kind=cost_kind, param_position=position
         )
-        batched = VarianceAnalysis(replace(config, batched=True)).run(seed=7)
-        sequential = VarianceAnalysis(replace(config, batched=False)).run(seed=7)
-        for key in batched.samples:
-            assert np.array_equal(
-                batched.samples[key].gradients, sequential.samples[key].gradients
-            )
+        _assert_same_grid(
+            VarianceAnalysis(config).run(seed=7), _oracle_result(config, 7)
+        )
 
 
 class TestShapeFold:
     """The shape-keyed mega-batch fold: same results, bigger batches."""
 
-    def test_shape_fold_is_default(self):
-        assert VarianceConfig().fold == "shape"
-
-    def test_rejects_unknown_fold(self):
-        with pytest.raises(ValueError):
-            _tiny_config(fold="circuit")
-
     def test_fold_scopes_bit_identical(self):
         config = _tiny_config(
             methods=("random", "xavier_normal", "he_normal"), num_circuits=6
         )
-        shape = VarianceAnalysis(replace(config, fold="shape")).run(seed=42)
-        structure = VarianceAnalysis(replace(config, fold="structure")).run(seed=42)
-        sequential = VarianceAnalysis(replace(config, batched=False)).run(seed=42)
-        assert set(shape.samples) == set(structure.samples)
-        for key in shape.samples:
-            assert np.array_equal(
-                shape.samples[key].gradients, structure.samples[key].gradients
-            ), key
-            assert np.array_equal(
-                shape.samples[key].gradients, sequential.samples[key].gradients
-            ), key
+        # Shards of two circuits fold smaller buckets; same bits again.
+        reference = _oracle_result(config, 42)
+        _assert_same_grid(VarianceAnalysis(config).run(seed=42), reference)
+        _assert_same_grid(_sliced_result(config, 42, 2), reference)
 
     @pytest.mark.parametrize("cost_kind", ["global", "local"])
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
@@ -202,21 +213,67 @@ class TestShapeFold:
         config = _tiny_config(
             num_circuits=4, cost_kind=cost_kind, param_position=position
         )
-        shape = VarianceAnalysis(replace(config, fold="shape")).run(seed=7)
-        structure = VarianceAnalysis(replace(config, fold="structure")).run(seed=7)
-        for key in shape.samples:
-            assert np.array_equal(
-                shape.samples[key].gradients, structure.samples[key].gradients
-            )
+        # One-circuit shards: every structure is its own bucket.
+        _assert_same_grid(
+            _sliced_result(config, 7, 1), _oracle_result(config, 7)
+        )
 
     def test_sampled_fold_bit_identical(self):
         config = _tiny_config(num_circuits=4, shots=32)
-        shape = VarianceAnalysis(replace(config, fold="shape")).run(seed=9)
-        sequential = VarianceAnalysis(replace(config, batched=False)).run(seed=9)
-        for key in shape.samples:
-            assert np.array_equal(
-                shape.samples[key].gradients, sequential.samples[key].gradients
-            )
+        _assert_same_grid(
+            VarianceAnalysis(config).run(seed=9), _oracle_result(config, 9)
+        )
+
+
+_NOISE = {
+    "default": {"name": "depolarizing", "probability": 0.01},
+    "readout_error": 0.02,
+}
+
+
+class TestOracleShard:
+    """``run_variance_shard`` carries the per-method shift loop's bits."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"cost_kind": "local"},
+            {"cost_kind": "local", "param_position": "first"},
+            {"param_position": "middle"},
+            {"shots": 64},
+            {"noise": _NOISE, "qubit_counts": (2, 3)},
+            {"noise": _NOISE, "shots": 32, "qubit_counts": (2, 3)},
+        ],
+        ids=["global", "local", "first", "middle", "shots", "noise", "noise-shots"],
+    )
+    def test_shard_equals_oracle(self, overrides):
+        settings = dict(
+            qubit_counts=(2, 4, 6),
+            num_circuits=4,
+            num_layers=8,
+            methods=("random", "xavier_normal", "he_normal", "orthogonal"),
+        )
+        settings.update(overrides)
+        config = VarianceConfig(**settings)
+        # A shard's seed sequences count their spawned children, so each
+        # run plans its own shards.
+        expected = [
+            oracles.variance_shard(config, shard)
+            for shard in plan_variance_shards(config, 88)
+        ]
+        actual = [
+            run_variance_shard(config, shard)
+            for shard in plan_variance_shards(config, 88)
+        ]
+        assert [(r["num_qubits"], r["start"]) for r in actual] == [
+            (r["num_qubits"], r["start"]) for r in expected
+        ]
+        for got, want in zip(actual, expected):
+            for method in config.methods:
+                assert np.array_equal(
+                    got["gradients"][method], want["gradients"][method]
+                ), (got["num_qubits"], method)
 
 
 class TestPlanShapeBuckets:

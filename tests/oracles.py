@@ -18,6 +18,11 @@ The initializers likewise once drew their angles one layer at a time
 on in :func:`initializer_sample`, which
 ``tests/initializers/test_layer_stack_oracle.py`` holds the one-call
 layer-stack draws to.
+
+The variance study once probed each structure's gradient method by
+method, one shift-rule execution per shifted vector; that loop lives on
+in :func:`variance_shard`, which ``tests/core/test_variance.py`` holds
+the shape-bucket fold of ``run_variance_shard`` to.
 """
 
 from __future__ import annotations
@@ -419,3 +424,74 @@ def initializer_sample(init, shape, seed=None):
     rng = ensure_rng(seed)
     layers = range(shape.num_layers)
     return np.concatenate([sample_layer(init, shape, rng, i) for i in layers])
+
+
+# -- the variance shard ------------------------------------------------------
+
+
+def variance_shard(config, shard, simulator=None) -> dict:
+    """``run_variance_shard``'s record from the per-method shift loop.
+
+    Structure by structure, every method's angles are drawn layer by
+    layer (:func:`initializer_sample`), then each method's probed
+    gradient comes from :func:`parameter_shift`.  ``simulator`` evaluates
+    every shifted vector; by default a noiseless shard calls no library
+    kernel and a noisy one uses ``PauliTransferSimulator.expectation``.
+    A planned shard's seed sequences count the children spawned from
+    them, so plan the shards again for a second run.
+    """
+    from repro.ansatz.random_pqc import RandomPQC
+    from repro.backend.noise import resolve_noise_model
+    from repro.backend.ptm import PauliTransferSimulator
+    from repro.core.cost import make_cost
+    from repro.utils.rng import spawn_rng
+
+    noise_model = resolve_noise_model(config.noise)
+    if simulator is None and noise_model is not None:
+        simulator = PauliTransferSimulator(noise_model)
+    initializers = config.build_initializers()
+    grads = {method: [] for method in config.methods}
+    for i in range(shard.num_circuits):
+        structure_rng = ensure_rng(shard.seeds[2 * i])
+        angles_rng = ensure_rng(shard.seeds[2 * i + 1])
+        pqc = RandomPQC(
+            num_qubits=shard.num_qubits,
+            num_layers=config.num_layers,
+            gate_pool=config.gate_pool,
+            entanglement=config.entanglement,
+            entangler=config.entangler,
+            seed=structure_rng,
+        )
+        circuit = pqc.build()
+        cost = make_cost(config.cost_kind, circuit)
+        draws = {
+            method: initializer_sample(
+                init, pqc.parameter_shape, spawn_rng(angles_rng)
+            )
+            for method, init in initializers.items()
+        }
+        # Sampled probes: one more child per method, after every draw.
+        sample_rngs = [
+            spawn_rng(angles_rng) if config.shots is not None else None
+            for _ in config.methods
+        ]
+        count = circuit.num_parameters
+        index = {"first": 0, "middle": count // 2, "last": count - 1}[
+            config.param_position
+        ]
+        for method, sample_rng in zip(config.methods, sample_rngs):
+            raw = parameter_shift(
+                circuit,
+                cost.observable,
+                draws[method],
+                param_indices=[index],
+                shots=config.shots,
+                seed=sample_rng,
+                simulator=simulator,
+            )
+            grads[method].append(float(cost.scale * raw[0]))
+    return {
+        "num_qubits": shard.num_qubits,
+        "start": shard.start,
+        "gradients": grads,
+    }

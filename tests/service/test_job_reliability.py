@@ -1,5 +1,6 @@
 """JobQueue reliability: quarantine, timeouts, drain/persist/restore."""
 
+import json
 import time
 
 import pytest
@@ -158,6 +159,36 @@ class TestDrainPersistRestore:
             assert restored.state == "done", restored.error
         finally:
             second.stop()
+
+    def test_restores_state_carrying_retired_variance_knobs(self, tmp_path):
+        # The job list an earlier release persisted: its variance config
+        # still carries ``batched`` and ``fold``.
+        spec = _spec().to_dict()
+        spec["config"].update(batched=True, fold="shape")
+        store = ResultStore(tmp_path / "store")
+        JobQueue(store).state_path().write_text(
+            json.dumps(
+                {
+                    "jobs": [
+                        {
+                            "job_id": "job-000001",
+                            "state": "queued",
+                            "submissions": 1,
+                            "spec": spec,
+                        }
+                    ]
+                }
+            ),
+            encoding="utf-8",
+        )
+        queue = JobQueue(store).start()
+        try:
+            assert queue.restore_state() == 1
+            restored = _wait(queue.jobs()[0])
+            assert restored.state == "done", restored.error
+            assert restored.fingerprint == _spec().fingerprint()
+        finally:
+            queue.stop()
 
     def test_restore_with_no_state_file_is_zero(self, tmp_path):
         queue = JobQueue(tmp_path / "store")

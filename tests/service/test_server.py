@@ -328,16 +328,14 @@ class TestCLI:
 class TestForegroundShutdown:
     """``repro serve`` exits on SIGTERM / SIGINT after persisting its queue."""
 
-    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
-    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
-    def test_signal_stops_the_foreground_server(self, tmp_path, signum):
+    @staticmethod
+    def _serve(store):
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        store = tmp_path / "store"
-        child = subprocess.Popen(
+        return subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--store", str(store)],
             env=env,
@@ -345,11 +343,36 @@ class TestForegroundShutdown:
             stderr=subprocess.PIPE,
             text=True,
         )
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_signal_on_the_listening_line(self, tmp_path, signum):
+        # A supervisor may signal as soon as it reads the line: the
+        # handlers must already be installed by then.
+        store = tmp_path / "store"
+        child = self._serve(store)
         try:
             line = child.stdout.readline()
             assert "listening on" in line, line + child.stderr.read()
-            # The socket is bound before the line prints; an answered
-            # /healthz means the loop runs, with the handlers installed.
+            child.send_signal(signum)
+            assert child.wait(timeout=10) == 0
+            assert (store / "queue-state.json").is_file()
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
+            child.stderr.close()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_signal_stops_the_foreground_server(self, tmp_path, signum):
+        store = tmp_path / "store"
+        child = self._serve(store)
+        try:
+            line = child.stdout.readline()
+            assert "listening on" in line, line + child.stderr.read()
+            # An answered /healthz means the loop runs.
             url = line.split("listening on ")[1].split()[0]
             _get(f"{url}/healthz")
             child.send_signal(signum)

@@ -528,27 +528,26 @@ class TestLandscapeCommand:
 
 
 class TestVarianceFoldOption:
-    def test_fold_flags_bit_identical(self, capsys):
+    """Variance runs have one execution path: the retired ``--fold`` and
+    ``--sequential`` flags fail in argparse with exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--sequential"], ["--fold", "shape"], ["--fold", "structure"]],
+        ids=["sequential", "fold-shape", "fold-structure"],
+    )
+    def test_retired_flags_exit_2(self, capsys, argv):
         from repro.cli import main
 
-        outputs = []
-        for fold in ("shape", "structure"):
-            main(
-                [
-                    "variance",
-                    "--qubits", "2", "3",
-                    "--circuits", "3",
-                    "--layers", "2",
-                    "--methods", "random", "zeros",
-                    "--fold", fold,
-                    "--seed", "3",
-                ]
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["variance", "--qubits", "2", "--circuits", "1", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
 
     def test_rejects_unknown_fold(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["variance", "--fold", "mega"])
+        assert excinfo.value.code == 2

@@ -131,7 +131,6 @@ class TestExamplesRun:
         )
         out = capsys.readouterr().out
         assert "bit-identical to single process: True" in out
-        assert "bit-identical to per-structure: True" in out
         assert "spec round-trips" in out
         assert "first submission: state=done cache_hit=False" in out
         assert "second submission: state=done cache_hit=True" in out
