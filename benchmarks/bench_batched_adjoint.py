@@ -1,15 +1,17 @@
-"""Lock-step training bench — batched adjoint vs sequential trajectories.
+"""Lock-step training bench — batched adjoint vs one trajectory at a time.
 
 The Fig. 5b/5c study trains several initialization methods under one
-config.  Sequentially that costs ``B x iterations`` adjoint sweeps;
-lock-step mode (the default executor for analytic, noiseless training
-specs) folds all trajectories into a ``(B, 2**n)`` stack and runs
-``iterations`` batched sweeps instead, in row chunks sized to stay
-cache-resident.  Four sections, written together to
-``BENCH_batched_adjoint.json`` at the repo root:
+config.  The ``serial`` executor trains them one trajectory per work
+unit, ``B x iterations`` one-row adjoint sweeps; the ``lockstep``
+executor (the default for analytic, noiseless training specs) folds all
+trajectories into a ``(B, 2**n)`` stack and runs ``iterations`` batched
+sweeps instead, in row chunks sized to stay cache-resident.  Four
+sections, written together to ``BENCH_batched_adjoint.json`` at the repo
+root:
 
 * **paper panel** — the 10-qubit/5-layer configuration (100 parameters),
-  9 trajectories, trained both ways at a reduced iteration budget.
+  9 trajectories, one ``repro.run`` of the same spec per executor
+  (``serial``, then ``lockstep``) at a reduced iteration budget.
   Asserts bit-identical histories and at least a 3x end-to-end speedup.
 * **wide register** — 14 qubits, 2 layers, 12 trajectories (the paper's
   six methods x 2 restarts) through ``repro.run``: the default executor
@@ -65,7 +67,7 @@ import repro.backend.gradients as gradients
 import repro.backend.statevector as statevector
 from repro.analysis import format_table
 from repro.core.spec import ExperimentSpec
-from repro.core.training import TrainingConfig, train_all_methods
+from repro.core.training import TrainingConfig
 from repro.core.variance import VarianceConfig
 from repro.initializers.registry import PAPER_METHODS
 from repro.utils import machine_context
@@ -122,11 +124,16 @@ CAP_GRID = {
 }
 
 
-def _train(config, methods, lockstep):
-    start = time.perf_counter()
-    histories = train_all_methods(
-        config, methods=methods, seed=SEED, lockstep=lockstep
+def _train(config, methods, executor):
+    spec = ExperimentSpec(
+        kind="training",
+        config=config,
+        seed=SEED,
+        methods=methods,
+        executor=executor,
     )
+    start = time.perf_counter()
+    histories = repro.run(spec).histories
     return histories, time.perf_counter() - start
 
 
@@ -148,8 +155,8 @@ def _quartiles(samples):
 
 
 def _paper_panel(config, methods):
-    sequential, sequential_time = _train(config, methods, lockstep=False)
-    lockstep, lockstep_time = _train(config, methods, lockstep=True)
+    sequential, sequential_time = _train(config, methods, "serial")
+    lockstep, lockstep_time = _train(config, methods, "lockstep")
     return {
         "config": {
             "num_qubits": config.num_qubits,

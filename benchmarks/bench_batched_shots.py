@@ -1,20 +1,20 @@
-"""Batched shot sampling bench — lock-step vs sequential sampled training.
+"""Batched shot sampling bench — lock-step vs one-trajectory sampled training.
 
 Shot-based training estimates every loss and gradient from finite
 measurement samples through the parameter-shift rule: at the paper's
 10-qubit/5-layer configuration each trajectory costs ``1 + 2 * 100``
-circuit executions per iteration.  The sequential path runs them one at a
-time; the batched path folds every trajectory's value and shift
-evaluations into chunked ``run_batch`` executions, applies measurement
-rotations once per batch, and draws row-wise counts from per-trajectory
-streams.  This bench trains the paper's configuration both ways at a
-reduced iteration budget, prints the comparison, emits
-``BENCH_batched_shots.json`` at the repo root, and asserts:
+circuit executions per iteration.  The ``serial`` executor folds one
+trajectory's evaluations per iteration (one work unit per trajectory);
+the ``lockstep`` executor folds every trajectory's value and shift
+evaluations into one chunked execution, applies measurement rotations
+once per chunk, and draws row-wise counts from per-trajectory streams.
+This bench runs the same panel spec on both executors through
+``repro.run`` at a reduced iteration budget, prints the comparison,
+emits ``BENCH_batched_shots.json`` at the repo root, and asserts:
 
 * every method's sampled ``TrainingHistory`` is bit-identical between the
-  modes (same spawned child seeds, same draws), and
-* the batched sampled path delivers at least a 3x end-to-end speedup over
-  the sequential sampled path.
+  executors (same spawned child seeds, same draws), and
+* ``lockstep`` delivers at least a 3x end-to-end speedup over ``serial``.
 
 A small smoke configuration of the same comparison is slow-marked for the
 test-suite conventions in ``pytest.ini``::
@@ -29,8 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import format_table
-from repro.core.training import TrainingConfig, train_all_methods
+from repro.core.spec import ExperimentSpec
+from repro.core.training import TrainingConfig
 from repro.utils import machine_context
 
 NUM_QUBITS = 10
@@ -52,11 +54,16 @@ METHODS = (
 )
 
 
-def _train(config, methods, lockstep):
-    start = time.perf_counter()
-    histories = train_all_methods(
-        config, methods=methods, seed=SEED, lockstep=lockstep
+def _train(config, methods, executor):
+    spec = ExperimentSpec(
+        kind="training",
+        config=config,
+        seed=SEED,
+        methods=methods,
+        executor=executor,
     )
+    start = time.perf_counter()
+    histories = repro.run(spec).histories
     return histories, time.perf_counter() - start
 
 
@@ -79,8 +86,8 @@ def _run():
         iterations=ITERATIONS,
         shots=SHOTS,
     )
-    sequential, sequential_time = _train(config, METHODS, lockstep=False)
-    lockstep, lockstep_time = _train(config, METHODS, lockstep=True)
+    sequential, sequential_time = _train(config, METHODS, "serial")
+    lockstep, lockstep_time = _train(config, METHODS, "lockstep")
     return sequential, sequential_time, lockstep, lockstep_time
 
 
@@ -157,8 +164,8 @@ def test_batched_shot_training_smoke(run_once):
     methods = METHODS[:4]
 
     def _smoke():
-        sequential, _ = _train(config, methods, lockstep=False)
-        lockstep, _ = _train(config, methods, lockstep=True)
+        sequential, _ = _train(config, methods, "serial")
+        lockstep, _ = _train(config, methods, "lockstep")
         return sequential, lockstep
 
     sequential, lockstep = run_once(_smoke)

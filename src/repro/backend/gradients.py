@@ -375,12 +375,13 @@ def batch_parameter_shift_value_and_gradient(
     The shift-engine counterpart of
     :func:`batch_adjoint_value_and_gradient`: each base row's unshifted
     evaluation is folded into the same execution batch as its shifted
-    vectors.  In sampled mode (``shots=``) row ``b`` consumes its child
-    generator value-first then shift terms — exactly the order
-    ``ObservableCost.value_and_gradient(..., shots=, seed=<child>)``
-    consumes it sequentially — so lock-step shot-based training is
-    bit-identical to per-trajectory training given the same spawned
-    child seeds.
+    vectors.  Analytic, the values carry the bits of
+    ``simulator.expectation_batch``; in sampled mode (``shots=``) row
+    ``b`` consumes its child generator value-first then shift terms, the
+    order of a ``simulator.expectation`` call followed by
+    :func:`parameter_shift` on the same generator.  Either way row ``b``
+    is the same alone or in any stack: the loss-and-gradient pass of
+    every training iteration.
 
     Returns
     -------

@@ -12,7 +12,10 @@ the average of single-qubit projectors:
 
 Both are thin wrappers over :class:`ObservableCost`, an affine function of
 an expectation value ``C = offset + scale * <O>`` that knows how to
-differentiate itself through any of the backend gradient engines.
+differentiate itself through any of the backend gradient engines.  Its
+loss-and-gradient pass runs a ``(B, P)`` stack of parameter rows
+(:meth:`ObservableCost.value_and_gradient_batch`, what training calls
+every iteration); one parameter vector is its one-row call.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ import numpy as np
 
 from repro.backend.circuit import QuantumCircuit
 from repro.backend.gradients import (
-    adjoint_value_and_gradient,
     batch_adjoint_value_and_gradient,
-    batch_parameter_shift,
     batch_parameter_shift_value_and_gradient,
     get_gradient_fn,
     parameter_shift,
@@ -146,31 +147,17 @@ class ObservableCost:
         shots: Optional[int] = None,
         seed=None,
     ) -> Tuple[float, np.ndarray]:
-        """Loss and full gradient, sharing work where the engine allows.
+        """Loss and full gradient: row 0 of :meth:`value_and_gradient_batch`.
 
-        With an adjoint-family engine the expectation is read off the
-        adjoint forward pass, so the circuit executes once instead of
-        twice; both numbers carry exactly the bits the separate
-        :meth:`value` / :meth:`gradient` calls would produce.  Other
-        engines fall back to those two calls.
-
-        With ``shots=`` both numbers are sample-estimated through the
-        shift rule: one generator (from ``seed``) is consumed value-first
-        then shift terms, so a persistent per-trajectory generator yields
-        a reproducible measurement stream across training iterations.
+        With ``shots=`` ``seed``'s generator is the row's measurement
+        stream, consumed value-first then shift terms, so a persistent
+        per-trajectory generator yields a reproducible stream across
+        training iterations.
         """
-        if shots is not None:
-            from repro.utils.rng import ensure_rng
-
-            rng = ensure_rng(seed)
-            value = self.value(params, shots=shots, seed=rng)
-            return value, self.gradient(params, shots=shots, seed=rng)
-        if self.gradient_engine in ("adjoint", "batch_adjoint"):
-            expectation, raw = adjoint_value_and_gradient(
-                self.circuit, self.observable, params, simulator=self.simulator
-            )
-            return self.offset + self.scale * expectation, self.scale * raw
-        return self.value(params), self.gradient(params)
+        values, grads = self.value_and_gradient_batch(
+            np.asarray(params, dtype=float).reshape(1, -1), shots=shots, seed=[seed]
+        )
+        return float(values[0]), grads[0]
 
     def value_and_gradient_batch(
         self,
@@ -180,21 +167,19 @@ class ObservableCost:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Losses and full gradients for a ``(B, P)`` stack of trajectories.
 
-        Row ``b`` is bit-identical to ``value_and_gradient(params_batch[b])``
-        — the property lock-step training relies on.  Adjoint-family
-        engines use one batched adjoint sweep (loss read off the shared
-        forward pass); shift-rule engines use one batched-shift execution
-        plus one batched forward pass for the losses; anything else loops
-        rows through the sequential pair.
+        Adjoint-family engines use one batched adjoint sweep and
+        shift-rule engines one folded shift-rule execution, each reading
+        the losses off the same pass, so row ``b`` carries the bits of
+        the separate :meth:`value` and :meth:`gradient` calls on
+        ``params_batch[b]``; any other engine makes those two calls row by
+        row.
 
         With ``shots=`` every row is sample-estimated from one folded
-        batched execution (:func:`batch_parameter_shift_value_and_gradient`):
-        ``seed`` is either a sequence of ``B`` per-row seeds/generators
-        (e.g. persistent per-trajectory streams in lock-step shot-based
-        training) or a single seed spawning ``B`` children; row ``b`` is
-        then bit-identical to
-        ``value_and_gradient(params_batch[b], shots=shots,
-        seed=<row b's seed>)``.
+        execution (:func:`batch_parameter_shift_value_and_gradient`,
+        whatever the engine): ``seed`` is either a sequence of ``B``
+        per-row seeds/generators (e.g. persistent per-trajectory streams
+        in shot-based training) or a single seed spawning ``B`` children,
+        and row ``b`` draws from its own generator alone.
 
         Returns
         -------
@@ -207,7 +192,10 @@ class ObservableCost:
                 f"params_batch must be 2-D (batch, num_parameters), "
                 f"got shape {batch.shape}"
             )
-        if shots is not None:
+        if shots is not None or self.gradient_engine in (
+            "parameter_shift",
+            "batch_parameter_shift",
+        ):
             expectations, raw = batch_parameter_shift_value_and_gradient(
                 self.circuit,
                 self.observable,
@@ -220,19 +208,9 @@ class ObservableCost:
             expectations, raw = batch_adjoint_value_and_gradient(
                 self.circuit, self.observable, batch, simulator=self.simulator
             )
-        elif self.gradient_engine in ("parameter_shift", "batch_parameter_shift"):
-            raw = batch_parameter_shift(
-                self.circuit, self.observable, batch, simulator=self.simulator
-            )
-            expectations = self.simulator.expectation_batch(
-                self.circuit, self.observable, batch
-            )
         else:
-            pairs = [self.value_and_gradient(row) for row in batch]
-            return (
-                np.array([value for value, _ in pairs], dtype=float),
-                np.stack([grad for _, grad in pairs]),
-            )
+            values = np.array([self.value(row) for row in batch], dtype=float)
+            return values, np.stack([self.gradient(row) for row in batch])
         return self.offset + self.scale * expectations, self.scale * raw
 
     def __call__(self, params: Sequence[float]) -> float:

@@ -657,7 +657,7 @@ class LockstepExecutor(SerialExecutor):
     executor (shots, noise and shift-rule engines default to ``serial``).
     The spec layer hands it a single work unit advancing every (method,
     restart) trajectory simultaneously through the batched adjoint
-    engine — ``B x iterations`` sequential sweeps become ``iterations``
+    engine — ``B x iterations`` one-row sweeps become ``iterations``
     batched ones, with histories bit-identical to ``serial``.  A
     checkpointed run therefore resumes per panel, not per trajectory.
     Variance specs behave exactly like ``serial``.

@@ -41,8 +41,8 @@ Training (one Fig. 5b/5c panel) and sweeps use the same shape.  By
 default an analytic, noiseless training spec runs on the ``lockstep``
 executor, which advances every (method, restart) trajectory
 simultaneously through the batched adjoint engine — one batched sweep
-per iteration, histories bit-identical to the per-trajectory ``serial``
-reference::
+per iteration, histories bit-identical to ``serial``, which runs the
+same loop one trajectory per work unit::
 
     repro.run(ExperimentSpec(kind="training", seed=1, methods=("random", "zeros")))
     repro.run(ExperimentSpec(kind="training", seed=1, restarts=5))
@@ -220,8 +220,9 @@ class ExperimentSpec:
     circuits_per_shard:
         Variance shard granularity override (default: executor's choice).
     methods:
-        Initializer names for ``training`` specs (``None`` = the paper's
-        methods); variance methods belong in ``config.methods``.
+        A list or tuple of registered initializer names for ``training``
+        specs (``None`` = the paper's methods); variance methods belong
+        in ``config.methods``.
     restarts:
         Independent restarts per method for ``training`` specs: the run
         covers every ``(method, restart)`` trajectory (labelled
@@ -369,14 +370,21 @@ class ExperimentSpec:
             # construction, not after earlier shards have already burned
             # compute inside an executor.
             check_positive_int(self.circuits_per_shard, "circuits_per_shard")
-        if self.methods is not None and self.kind != "training":
-            raise ValueError(
-                "methods applies to training specs only; variance methods "
-                "belong in config.methods"
-            )
-        for method in self.methods or ():
+        if self.methods is not None:
+            if self.kind != "training":
+                raise ValueError(
+                    "methods applies to training specs only; variance "
+                    "methods belong in config.methods"
+                )
             # Fail here, not inside the unit that trains every method.
-            if isinstance(method, str):
+            if not isinstance(self.methods, (list, tuple)) or not all(
+                isinstance(method, str) for method in self.methods
+            ):
+                raise ValueError(
+                    f"methods must be a list of initializer names, got "
+                    f"{self.methods!r}"
+                )
+            for method in self.methods:
                 resolve_initializer_name(method)
         if self.restarts != 1 and self.kind != "training":
             raise ValueError(
@@ -1070,6 +1078,8 @@ def _run_sweep(spec: ExperimentSpec, verbose: bool) -> Dict:
                 workers=spec.workers,
                 checkpoint_dir=checkpoint_dir,
                 circuits_per_shard=spec.circuits_per_shard,
+                retry=spec.retry,
+                fault_plan=spec.fault_plan,
             ),
             verbose=verbose,
         )

@@ -6,29 +6,25 @@ recording the loss after every update.  Defaults replicate the paper:
 10 qubits, 5 layers (145 gates, 100 parameters), 50 iterations, step size
 0.1, Gradient Descent or Adam.
 
-Two execution modes produce bit-identical histories:
-
-* sequential — :meth:`Trainer.run` advances one trajectory at a time
-  (one fused adjoint pass per iteration);
-* lock-step — :meth:`Trainer.run_lockstep` stacks all trajectories (one
-  per method, or per ``(method, restart)`` pair) into a ``(B, P)`` batch
-  and advances them simultaneously through
-  :meth:`ObservableCost.value_and_gradient_batch` and the batch-aware
-  optimizers, collapsing ``B x iterations`` adjoint sweeps into
-  ``iterations`` batched ones.
+Every trajectory runs through one loop, :meth:`Trainer.run_lockstep`:
+all trajectories (one per method, or per ``(method, restart)`` pair)
+stack into a ``(B, P)`` batch that advances through
+:meth:`ObservableCost.value_and_gradient_batch` and the batch-aware
+optimizers, ``iterations`` batched passes in all.  :meth:`Trainer.run`
+is its one-trajectory call, and the per-trajectory work units are
+one-row calls of the lock-step unit.
 
 Shot-based training (``TrainingConfig.shots``) replaces the analytic
 loss/gradient with finite-sample estimates through the hardware
 parameter-shift rule.  Each trajectory owns a persistent measurement
-stream (``sample_seed`` / ``sample_seeds``) consumed identically by both
-execution modes, so lock-step shot-based histories remain bit-identical
-to sequential ones given the same spawned child seeds.
+stream (``sample_seed`` / ``sample_seeds``), so its history is the same
+alone or in any stack, given the same spawned child seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,7 +189,7 @@ class Trainer:
         initial_params: Optional[np.ndarray] = None,
         sample_seed: SeedLike = None,
     ) -> TrainingHistory:
-        """Train from one initialization draw.
+        """Train from one initialization draw: a one-row :meth:`run_lockstep`.
 
         Parameters
         ----------
@@ -211,48 +207,26 @@ class Trainer:
             trajectory's measurement stream, consumed in iteration order
             (value estimate first, then shift terms).
         """
-        method_name = method if isinstance(method, str) else method.name
         if sample_seed is not None and self.config.shots is None:
             raise ValueError("sample_seed requires config.shots to be set")
-        if initial_params is None:
-            params = self.initial_parameters(method, seed)
-        else:
-            params = np.asarray(initial_params, dtype=float).copy()
-            if params.shape != (self.num_parameters,):
-                raise ValueError(
-                    f"initial_params must have shape ({self.num_parameters},), "
-                    f"got {params.shape}"
-                )
-        optimizer = self.config.build_optimizer()
-        initial = params.copy()
-        shots = self.config.shots
-        sample_rng = ensure_rng(sample_seed) if shots is not None else None
-
-        loss, grad = self._cost.value_and_gradient(
-            params, shots=shots, seed=sample_rng
-        )
-        losses = [loss]
-        grad_norms = [float(np.linalg.norm(grad))]
+        row_callback = None
         if callback is not None:
-            callback(0, loss, params)
-        for iteration in range(1, self.config.iterations + 1):
-            params = optimizer.step(params, grad)
-            loss, grad = self._cost.value_and_gradient(
-                params, shots=shots, seed=sample_rng
-            )
-            losses.append(loss)
-            grad_norms.append(float(np.linalg.norm(grad)))
-            if callback is not None:
-                callback(iteration, loss, params)
-        return TrainingHistory(
-            method=method_name,
-            optimizer=self.config.optimizer,
-            losses=losses,
-            gradient_norms=grad_norms,
-            initial_params=initial,
-            final_params=params,
-            cost_kind=self.config.cost_kind,
+
+            def row_callback(iteration, losses, params):
+                callback(iteration, float(losses[0]), params[0])
+
+        (history,) = self.run_lockstep(
+            [method],
+            seeds=[seed],
+            initial_params=(
+                None
+                if initial_params is None
+                else np.asarray(initial_params, dtype=float)[None]
+            ),
+            callback=row_callback,
+            sample_seeds=None if sample_seed is None else [sample_seed],
         )
+        return history
 
     def run_lockstep(
         self,
@@ -268,12 +242,11 @@ class Trainer:
         Every iteration runs one :meth:`ObservableCost.value_and_gradient_batch`
         over the ``(B, P)`` parameter stack and one batch-aware optimizer
         step with per-trajectory state, instead of ``B`` independent
-        sweeps.  Trajectory ``b``'s history is bit-identical to
-        ``self.run(methods[b], seed=seeds[b])`` — lock-step is a pure
-        throughput change.  Shot-based configurations keep the property:
-        every trajectory's measurement stream (``sample_seeds[b]``) is
-        consumed exactly as the sequential
-        ``self.run(..., sample_seed=sample_seeds[b])`` would consume it.
+        sweeps.  Rows never mix, so trajectory ``b``'s history is
+        bit-identical to ``self.run(methods[b], seed=seeds[b])``, its
+        one-row call; shot-based configurations keep the property, each
+        trajectory consuming its own measurement stream
+        (``sample_seeds[b]``).
 
         Parameters
         ----------
@@ -346,24 +319,15 @@ class Trainer:
 
         losses: List[List[float]] = [[] for _ in range(batch)]
         grad_norms: List[List[float]] = [[] for _ in range(batch)]
-
-        def record(values: np.ndarray, grads: np.ndarray) -> None:
-            for b in range(batch):
-                losses[b].append(float(values[b]))
-                grad_norms[b].append(float(np.linalg.norm(grads[b])))
-
-        values, grads = self._cost.value_and_gradient_batch(
-            params, shots=shots, seed=sample_rngs
-        )
-        record(values, grads)
-        if callback is not None:
-            callback(0, values, params)
-        for iteration in range(1, self.config.iterations + 1):
-            params = optimizer.step(params, grads)
+        for iteration in range(self.config.iterations + 1):
+            if iteration:
+                params = optimizer.step(params, grads)
             values, grads = self._cost.value_and_gradient_batch(
                 params, shots=shots, seed=sample_rngs
             )
-            record(values, grads)
+            for b in range(batch):
+                losses[b].append(float(values[b]))
+                grad_norms[b].append(float(np.linalg.norm(grads[b])))
             if callback is not None:
                 callback(iteration, values, params)
         return [
@@ -397,8 +361,8 @@ def expand_trajectories(
     With ``restarts == 1`` labels are the method names themselves (the
     historical single-restart layout); with more, each method contributes
     ``restarts`` trajectories labelled ``"<method>#r<k>"`` — the layout
-    shared by the sequential, lock-step and executor-sharded paths so
-    their child-seed streams line up trajectory for trajectory.
+    shared by lock-step and per-trajectory units, so their child-seed
+    streams line up trajectory for trajectory.
     """
     check_positive_int(restarts, "restarts")
     names = [m if isinstance(m, str) else m.name for m in methods]
@@ -411,66 +375,41 @@ def expand_trajectories(
     return labels, expanded
 
 
-def _trajectory_seeds(seed: SeedLike, shots: Optional[int]):
-    """Resolve one trajectory's child seed into ``(init, sample)`` seeds.
-
-    Analytic trajectories consume the child directly for the initial
-    draw (the historical single-stream layout, kept bit-stable); shot-
-    based trajectories split the child into an initialization seed and an
-    independent measurement-stream seed.  Every execution path — the
-    sequential loop, lock-step batching, and executor-sharded units —
-    derives its streams through this one function, which is what makes
-    shot-based results identical across executors.
-    """
-    if shots is None:
-        return ensure_rng(seed), None
-    init_seed, sample_seed = spawn_seeds(seed, 2)
-    return init_seed, sample_seed
-
-
 def _split_trajectory_seeds(seeds: Sequence[SeedLike], shots: Optional[int]):
     """Per-trajectory ``(init_seeds, sample_seeds)`` lists from child seeds.
 
-    The list form of :func:`_trajectory_seeds` shared by every
-    multi-trajectory call site; ``sample_seeds`` is ``None`` for analytic
-    runs so callers can hand it to :meth:`Trainer.run_lockstep` directly.
+    Analytic trajectories consume each child directly for the initial
+    draw (the historical single-stream layout, kept bit-stable) and
+    ``sample_seeds`` is ``None``; shot-based trajectories split each
+    child into an initialization seed and an independent measurement-
+    stream seed.  Every training call site derives its streams here,
+    which is what makes shot-based results identical across executors.
     """
-    pairs = [_trajectory_seeds(seed, shots) for seed in seeds]
-    init_seeds = [init for init, _ in pairs]
-    sample_seeds = (
-        [sample for _, sample in pairs] if shots is not None else None
-    )
-    return init_seeds, sample_seeds
+    if shots is None:
+        return [ensure_rng(seed) for seed in seeds], None
+    pairs = [spawn_seeds(seed, 2) for seed in seeds]
+    return [init for init, _ in pairs], [sample for _, sample in pairs]
 
 
 def run_training_unit(
     config: TrainingConfig, method: str, seed: SeedLike
 ) -> dict:
-    """Picklable work unit: train one method, return its history as a dict.
-
-    This is what executors (including process pools) schedule for
-    ``training`` specs; the dict round-trips through shard checkpoints and
-    rehydrates via :meth:`TrainingHistory.from_dict`.  Shot-based configs
-    (``config.shots``) split the unit's child seed into initialization
-    and measurement streams via :func:`_trajectory_seeds`.
-    """
-    init_seed, sample_seed = _trajectory_seeds(seed, config.shots)
-    history = Trainer(config).run(method, seed=init_seed, sample_seed=sample_seed)
-    return history.to_dict()
+    """Picklable work unit: train one method, return its history as a dict."""
+    return run_labelled_training_unit(config, method, method, seed)
 
 
 def run_labelled_training_unit(
     config: TrainingConfig, method: str, label: str, seed: SeedLike
 ) -> dict:
-    """Like :func:`run_training_unit`, but naming the history ``label``.
+    """Picklable work unit: train one trajectory, its history named ``label``.
 
-    Used when a spec shards ``(method, restart)`` pairs: each restart of
-    the same method needs a distinct history key.
+    The one-trajectory call of :func:`run_lockstep_training_unit`, which
+    ``serial`` and the pool executors schedule once per ``(method,
+    restart)`` pair; the dict round-trips through shard checkpoints and
+    rehydrates via :meth:`TrainingHistory.from_dict`.
     """
-    init_seed, sample_seed = _trajectory_seeds(seed, config.shots)
-    history = Trainer(config).run(method, seed=init_seed, sample_seed=sample_seed)
-    history.method = label
-    return history.to_dict()
+    (payload,) = run_lockstep_training_unit(config, [method], [label], [seed])
+    return payload
 
 
 def run_lockstep_training_unit(
@@ -481,11 +420,9 @@ def run_lockstep_training_unit(
 ) -> List[dict]:
     """Picklable work unit advancing every trajectory in lock step.
 
-    One unit covers the whole panel — the batched counterpart of
-    scheduling one :func:`run_training_unit` per trajectory; outputs are
-    the per-trajectory history dicts in trajectory order.  Per-trajectory
-    seeds are resolved exactly as the per-trajectory units resolve them,
-    so lock-step outputs stay bit-identical to sharded ones.
+    One unit covers the whole panel; outputs are the per-trajectory
+    history dicts in trajectory order, each equal to that trajectory's
+    :func:`run_labelled_training_unit` output.
     """
     init_seeds, sample_seeds = _split_trajectory_seeds(seeds, config.shots)
     histories = Trainer(config).run_lockstep(
@@ -502,13 +439,14 @@ def train_all_methods(
     methods: Sequence[str] = tuple(PAPER_METHODS),
     seed: SeedLike = None,
     verbose: bool = False,
-    lockstep: bool = False,
     restarts: int = 1,
 ) -> Dict[str, TrainingHistory]:
     """Train every method on the same configuration (one Fig. 5b/5c panel).
 
     Each trajectory receives an independent child seed derived from
-    ``seed``, so the comparison is reproducible end to end.
+    ``seed`` (shot-based panels split it into an initialization and a
+    measurement stream), so the comparison is reproducible end to end;
+    all trajectories advance together through :meth:`Trainer.run_lockstep`.
 
     Parameters
     ----------
@@ -516,19 +454,9 @@ def train_all_methods(
         The panel to train (defaults: paper configuration and methods).
     verbose:
         Print one summary line per trajectory.
-    lockstep:
-        Advance all trajectories simultaneously via
-        :meth:`Trainer.run_lockstep` — bit-identical histories, one
-        batched adjoint sweep per iteration instead of one per
-        trajectory per iteration.
     restarts:
         Independent restarts per method (``(method, restart)`` pairs,
         labelled ``"<method>#r<k>"`` when greater than one).
-
-    Shot-based panels (``config.shots``) derive an additional measurement
-    stream per trajectory from the same child seeds
-    (:func:`_trajectory_seeds`), so sequential and lock-step modes remain
-    bit-identical under sampling noise too.
     """
     trainer = Trainer(config)
     config = trainer.config
@@ -536,23 +464,12 @@ def train_all_methods(
     init_seeds, sample_seeds = _split_trajectory_seeds(
         spawn_seeds(seed, len(labels)), config.shots
     )
-    if lockstep:
-        results = trainer.run_lockstep(
-            trajectory_methods,
-            seeds=init_seeds,
-            labels=labels,
-            sample_seeds=sample_seeds,
-        )
-    else:
-        results = []
-        for b, (method, label) in enumerate(zip(trajectory_methods, labels)):
-            history = trainer.run(
-                method,
-                seed=init_seeds[b],
-                sample_seed=sample_seeds[b] if sample_seeds else None,
-            )
-            history.method = label
-            results.append(history)
+    results = trainer.run_lockstep(
+        trajectory_methods,
+        seeds=init_seeds,
+        labels=labels,
+        sample_seeds=sample_seeds,
+    )
     histories: Dict[str, TrainingHistory] = dict(zip(labels, results))
     if verbose:
         for label, history in histories.items():

@@ -1,16 +1,18 @@
-"""Lock-step multi-trajectory training: bit-identity with sequential runs.
+"""Lock-step multi-trajectory training: bit-identity with one-at-a-time runs.
 
-The contract under test: lock-step execution — one batched adjoint sweep
-and one batch-aware optimizer step per iteration for all trajectories —
-is a pure throughput change.  Histories (losses, gradient norms, initial
-and final parameters) must equal the sequential per-trajectory runs
-*exactly*, across optimizers, costs, restarts and the spec/executor
-layer.
+The contract under test: the one training loop — one batched pass and
+one batch-aware optimizer step per iteration for all trajectories — is
+a pure throughput change.  Histories (losses, gradient norms, initial
+and final parameters) from ``Trainer.run``, ``Trainer.run_lockstep``,
+``train_all_methods`` and every executor must equal the per-trajectory
+loop of ``oracles.train_trajectory`` *exactly*, across optimizers,
+costs, engines, noise, restarts and the spec/executor layer.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 import repro
 from repro.core import ExperimentSpec
 from repro.core.cost import make_cost
@@ -94,9 +96,8 @@ class TestValueAndGradientBatch:
         values, grads = cost.value_and_gradient_batch(batch)
         assert values.shape == (4,) and grads.shape == (4, circuit.num_parameters)
         for b in range(4):
-            value, grad = cost.value_and_gradient(batch[b])
-            assert values[b] == value
-            assert np.array_equal(grads[b], grad)
+            assert values[b] == cost.value(batch[b])
+            assert np.array_equal(grads[b], cost.gradient(batch[b]))
 
     def test_rejects_1d_params(self):
         circuit = repro.QuantumCircuit(1).rx(0)
@@ -138,17 +139,59 @@ class TestBatchedOptimizers:
             optimizer.step(np.zeros((2, 1)), np.ones((2, 1)))
 
 
+_NOISE = {
+    "default": {"name": "depolarizing", "probability": 0.01},
+    "readout_error": 0.02,
+}
+
+
 class TestRunLockstep:
-    @pytest.mark.parametrize("optimizer", ["gradient_descent", "adam"])
-    @pytest.mark.parametrize("cost_kind", ["global", "local"])
-    def test_bit_identical_to_sequential_runs(self, optimizer, cost_kind):
-        config = _tiny_config(optimizer=optimizer, cost_kind=cost_kind)
-        trainer = Trainer(config)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(optimizer="gradient_descent", cost_kind="global"),
+            dict(optimizer="gradient_descent", cost_kind="local"),
+            dict(optimizer="adam", cost_kind="global"),
+            dict(optimizer="adam", cost_kind="local"),
+            dict(gradient_engine="parameter_shift"),
+            dict(gradient_engine="finite_difference", iterations=2),
+            dict(noise=_NOISE, iterations=3),
+        ],
+        ids=[
+            "gd-global",
+            "gd-local",
+            "adam-global",
+            "adam-local",
+            "parameter_shift",
+            "finite_difference",
+            "noise",
+        ],
+    )
+    def test_bit_identical_to_per_trajectory_oracle(self, overrides):
+        trainer = Trainer(_tiny_config(**overrides))
         methods = ["random", "xavier_normal", "zeros"]
         seeds = spawn_seeds(123, len(methods))
         lock = trainer.run_lockstep(methods, seeds=seeds)
         for history, method, seed in zip(lock, methods, seeds):
-            _assert_history_equal(history, trainer.run(method, seed=seed))
+            reference = oracles.train_trajectory(trainer, method, seed)
+            _assert_history_equal(history, reference)
+            _assert_history_equal(trainer.run(method, seed=seed), reference)
+
+    def test_run_callback_sees_one_trajectory(self):
+        trainer = Trainer(_tiny_config(iterations=2))
+        seen = []
+        history = trainer.run(
+            "random",
+            seed=2,
+            callback=lambda it, loss, params: seen.append(
+                (it, loss, params.copy())
+            ),
+        )
+        assert [it for it, _, _ in seen] == [0, 1, 2]
+        assert [loss for _, loss, _ in seen] == history.losses
+        assert all(type(loss) is float for _, loss, _ in seen)
+        assert np.array_equal(seen[0][2], history.initial_params)
+        assert np.array_equal(seen[-1][2], history.final_params)
 
     def test_duplicate_methods_with_labels(self):
         trainer = Trainer(_tiny_config())
@@ -193,32 +236,32 @@ class TestRunLockstep:
             trainer.run_lockstep(["random"], initial_params=np.zeros(3))
 
 
-class TestTrainAllMethodsLockstep:
-    def test_bit_identical_to_sequential_mode(self):
+class TestTrainAllMethods:
+    def test_bit_identical_to_per_trajectory_oracle(self):
         config = _tiny_config()
         methods = ("random", "he_normal", "zeros")
-        sequential = train_all_methods(config, methods=methods, seed=42)
-        lockstep = train_all_methods(config, methods=methods, seed=42, lockstep=True)
-        assert list(sequential) == list(lockstep)
-        for method in sequential:
-            _assert_history_equal(sequential[method], lockstep[method])
+        histories = train_all_methods(config, methods=methods, seed=42)
+        reference = oracles.train_panel(config, methods, seed=42)
+        assert list(histories) == list(reference)
+        for method in reference:
+            _assert_history_equal(histories[method], reference[method])
 
     def test_restarts_bit_identical_and_labelled(self):
         config = _tiny_config(iterations=3)
-        sequential = train_all_methods(
+        histories = train_all_methods(
             config, methods=("random", "he_normal"), seed=6, restarts=2
         )
-        lockstep = train_all_methods(
-            config, methods=("random", "he_normal"), seed=6, restarts=2, lockstep=True
+        reference = oracles.train_panel(
+            config, ("random", "he_normal"), seed=6, restarts=2
         )
-        assert set(sequential) == {
+        assert set(histories) == {
             "random#r0",
             "random#r1",
             "he_normal#r0",
             "he_normal#r1",
         }
-        for label in sequential:
-            _assert_history_equal(sequential[label], lockstep[label])
+        for label in reference:
+            _assert_history_equal(histories[label], reference[label])
 
     def test_expand_trajectories_layout(self):
         labels, methods = expand_trajectories(("a", "b"), restarts=3)
@@ -233,27 +276,48 @@ class TestTrainAllMethodsLockstep:
             methods=("zeros",),
             seed=0,
             restarts=2,
-            lockstep=True,
             verbose=True,
         )
         out = capsys.readouterr().out
         assert "zeros#r0" in out and "zeros#r1" in out
 
 
-class TestLockstepSpecExecution:
-    @pytest.mark.parametrize("executor", ["lockstep", None])
-    def test_lockstep_executor_matches_serial(self, executor):
-        config = _tiny_config(iterations=3)
-        base = dict(
-            kind="training", config=config, seed=9, methods=("random", "zeros")
+def _assert_executor_matches_oracle(config, executor, workers=1):
+    methods = ("random", "zeros")
+    outcome = repro.run(
+        ExperimentSpec(
+            kind="training",
+            config=config,
+            seed=9,
+            methods=methods,
+            restarts=2,
+            executor=executor,
+            workers=workers,
         )
-        serial = repro.run(ExperimentSpec(executor="serial", **base))
-        lockstep = repro.run(ExperimentSpec(executor=executor, **base))
-        assert list(serial.histories) == list(lockstep.histories)
-        for method in serial.histories:
-            _assert_history_equal(
-                serial.histories[method], lockstep.histories[method]
-            )
+    )
+    reference = oracles.train_panel(config, methods, seed=9, restarts=2)
+    assert list(outcome.histories) == list(reference)
+    for label in reference:
+        _assert_history_equal(outcome.histories[label], reference[label])
+
+
+class TestLockstepSpecExecution:
+    @pytest.mark.parametrize(
+        "executor", ["serial", "lockstep", "batched", "process_pool", None]
+    )
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(noise=_NOISE)], ids=["analytic", "noise"]
+    )
+    def test_executor_matches_oracle(self, executor, overrides):
+        _assert_executor_matches_oracle(
+            _tiny_config(iterations=3, **overrides), executor
+        )
+
+    @pytest.mark.slow
+    def test_two_worker_pool_matches_oracle(self):
+        _assert_executor_matches_oracle(
+            _tiny_config(iterations=3), "process_pool", workers=2
+        )
 
     def test_restarts_through_spec(self):
         config = _tiny_config(iterations=2)

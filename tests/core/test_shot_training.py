@@ -1,16 +1,20 @@
-"""Shot-based training: cost plumbing, Trainer modes, lock-step identity.
+"""Shot-based training: cost plumbing, the training loop, executor identity.
 
 The contract: with ``TrainingConfig.shots`` set, losses and gradients are
 finite-sample estimates through the parameter-shift rule, each trajectory
 owns a persistent measurement stream, and lock-step execution consumes
-every stream exactly as the sequential per-trajectory loop would — so
-histories are bit-identical between the modes given the same seeds.
+every stream exactly as the per-trajectory loop of
+``oracles.train_trajectory`` does — so ``Trainer.run``,
+``Trainer.run_lockstep`` and every executor give bit-identical histories
+given the same seeds.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 import repro
+from repro.core import ExperimentSpec
 from repro.core.cost import make_cost
 from repro.core.training import (
     Trainer,
@@ -80,11 +84,11 @@ class TestSampledCost:
         children = spawn_seeds(8, 3)
         values, grads = cost.value_and_gradient_batch(batch, shots=40, seed=8)
         for b in range(3):
-            value, grad = cost.value_and_gradient(
-                batch[b], shots=40, seed=ensure_rng(children[b])
+            rng = ensure_rng(children[b])
+            assert values[b] == cost.value(batch[b], shots=40, seed=rng)
+            assert np.array_equal(
+                grads[b], cost.gradient(batch[b], shots=40, seed=rng)
             )
-            assert values[b] == value
-            assert np.array_equal(grads[b], grad)
 
     def test_sampled_value_is_unbiased(
         self, circuit, assert_unbiased_estimator
@@ -120,7 +124,7 @@ class TestTrainerShotBased:
         assert a.losses != b.losses
 
     @pytest.mark.parametrize("optimizer", ["gradient_descent", "adam"])
-    def test_lockstep_bit_identical_to_sequential(self, optimizer):
+    def test_bit_identical_to_per_trajectory_oracle(self, optimizer):
         config = _tiny_config(optimizer=optimizer)
         trainer = Trainer(config)
         methods = ["random", "xavier_normal", "zeros"]
@@ -132,31 +136,56 @@ class TestTrainerShotBased:
         for history, method, init, sample in zip(
             lock, methods, init_seeds, sample_seeds
         ):
-            reference = trainer.run(method, seed=init, sample_seed=sample)
+            reference = oracles.train_trajectory(trainer, method, init, sample)
             _assert_history_equal(history, reference)
+            single = trainer.run(method, seed=init, sample_seed=sample)
+            _assert_history_equal(single, reference)
 
-    def test_train_all_methods_modes_agree(self):
+    def test_train_all_methods_matches_oracle(self):
         config = _tiny_config()
         methods = ("random", "he_normal")
-        sequential = train_all_methods(config, methods=methods, seed=11)
-        lockstep = train_all_methods(
-            config, methods=methods, seed=11, lockstep=True
-        )
-        assert list(sequential) == list(lockstep)
-        for label in sequential:
-            _assert_history_equal(sequential[label], lockstep[label])
+        histories = train_all_methods(config, methods=methods, seed=11)
+        reference = oracles.train_panel(config, methods, seed=11)
+        assert list(histories) == list(reference)
+        for label in reference:
+            _assert_history_equal(histories[label], reference[label])
 
     def test_restarts_with_shots(self):
         config = _tiny_config(iterations=2)
-        sequential = train_all_methods(
+        histories = train_all_methods(
             config, methods=("random",), seed=4, restarts=2
         )
-        lockstep = train_all_methods(
-            config, methods=("random",), seed=4, restarts=2, lockstep=True
+        reference = oracles.train_panel(config, ("random",), seed=4, restarts=2)
+        assert set(histories) == {"random#r0", "random#r1"}
+        for label in reference:
+            _assert_history_equal(histories[label], reference[label])
+
+    @pytest.mark.parametrize(
+        "executor", ["serial", "lockstep", "batched", "process_pool", None]
+    )
+    @pytest.mark.parametrize(
+        "noise",
+        [None, {"default": {"name": "depolarizing", "probability": 0.02},
+                "readout_error": 0.05}],
+        ids=["noiseless", "noise"],
+    )
+    def test_executors_match_oracle(self, executor, noise):
+        config = _tiny_config(iterations=3, noise=noise)
+        methods = ("random", "zeros")
+        outcome = repro.run(
+            ExperimentSpec(
+                kind="training",
+                config=config,
+                seed=17,
+                methods=methods,
+                restarts=2,
+                executor=executor,
+            )
         )
-        assert set(sequential) == {"random#r0", "random#r1"}
-        for label in sequential:
-            _assert_history_equal(sequential[label], lockstep[label])
+        reference = oracles.train_panel(config, methods, seed=17, restarts=2)
+        assert list(outcome.histories) == list(reference)
+        for label in reference:
+            _assert_history_equal(outcome.histories[label], reference[label])
 
     def test_unit_functions_agree(self):
         config = _tiny_config(iterations=2)

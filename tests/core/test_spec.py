@@ -16,6 +16,7 @@ from repro.core.spec import EXPERIMENT_KINDS, ExperimentSpec, plan_experiment, r
 from repro.core.sweep import sweep_variance
 from repro.core.training import TrainingConfig
 from repro.core.variance import VarianceConfig
+from repro.initializers import Zeros
 
 _VAR_CONFIG = VarianceConfig(
     qubit_counts=(2, 3),
@@ -53,6 +54,17 @@ class TestValidation:
     def test_unknown_training_method(self):
         with pytest.raises(ValueError, match="unknown initializer 'nosuch'"):
             ExperimentSpec(kind="training", methods=("random", "nosuch"))
+
+    @pytest.mark.parametrize(
+        "methods",
+        [[1], "random", ("random", None), {"random": 1}, [Zeros()]],
+        ids=["int", "str", "none", "dict", "instance"],
+    )
+    def test_methods_must_be_a_list_of_names(self, methods):
+        with pytest.raises(ValueError, match="methods"):
+            ExperimentSpec(kind="training", methods=methods)
+        with pytest.raises(ValueError, match="methods"):
+            ExperimentSpec.from_dict({"kind": "training", "methods": methods})
 
     def test_unknown_config_field(self):
         with pytest.raises(ValueError, match=r"unknown TrainingConfig field\(s\)"):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.backend.noise import NoiseModel
 from repro.core.spec import EXPERIMENT_KINDS, ExperimentSpec
+from repro.core.training import expand_trajectories
 
 _SCALARS = (
     st.none()
@@ -27,6 +28,8 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _SPEC_FIELDS = sorted(field.name for field in fields(ExperimentSpec))
+_METHOD_NAMES = st.sampled_from(["random", "zeros", "Xavier_Normal", "nosuch"])
+_METHODS = st.lists(_METHOD_NAMES | _SCALARS, max_size=3) | _JSON
 _CONFIG_FIELDS = {
     kind: sorted(field.name for field in fields(config))
     for kind, config in EXPERIMENT_KINDS.items()
@@ -49,6 +52,8 @@ def _spec_payloads(draw):
     for name in draw(st.lists(st.sampled_from(_SPEC_FIELDS), unique=True, max_size=5)):
         if name == "noise":
             payload[name] = draw(_NOISE | _JSON)
+        elif name == "methods":
+            payload[name] = draw(_METHODS)
         elif name != "kind":
             payload[name] = draw(_JSON)
     if isinstance(kind, str) and kind in _CONFIG_FIELDS and draw(st.booleans()):
@@ -70,6 +75,22 @@ def test_spec_from_dict_raises_only_value_error(payload):
         ExperimentSpec.from_dict(payload)
     except ValueError:
         pass
+
+
+@_SETTINGS
+@given(_METHODS)
+def test_accepted_methods_are_initializer_names(methods):
+    """A training spec that accepts ``methods`` can name and key its
+    trajectories; anything else is a ``ValueError`` naming the field."""
+    try:
+        spec = ExperimentSpec.from_dict({"kind": "training", "methods": methods})
+    except ValueError as error:
+        assert "methods" in str(error) or "unknown initializer" in str(error)
+        return
+    if spec.methods:
+        labels, _ = expand_trajectories(spec.methods)
+        assert all(isinstance(label, str) for label in labels)
+    spec.fingerprint()
 
 
 @_SETTINGS

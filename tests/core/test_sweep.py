@@ -115,6 +115,52 @@ class TestSweepSpecNoise:
         )
 
 
+class TestSweepSpecReliability:
+    """A sweep spec's ``retry`` and ``fault_plan`` reach every swept
+    variance run, as they reach a variance spec's executor."""
+
+    _BASE = dict(
+        kind="sweep",
+        config=_BASE,
+        seed=4,
+        sweep_field="num_layers",
+        sweep_values=[2, 3],
+    )
+
+    @staticmethod
+    def _faults(times):
+        return {"units": {"#0": [{"kind": "transient", "times": times}]}}
+
+    # One attempt cannot outlast even one fault; the default policy's
+    # three attempts would absorb it.
+    @pytest.mark.parametrize("times", [5, 1])
+    def test_one_attempt_raises(self, times):
+        from repro.core.spec import ExperimentSpec, run
+        from repro.reliability import InjectedFault
+
+        spec = ExperimentSpec(retry=1, fault_plan=self._faults(times), **self._BASE)
+        with pytest.raises(InjectedFault):
+            run(spec)
+
+    def test_retries_outlast_the_faults_with_identical_results(self):
+        from repro.core.spec import ExperimentSpec, run
+
+        clean = run(ExperimentSpec(**self._BASE))
+        faulty = run(
+            ExperimentSpec(
+                retry={"max_attempts": 4, "base_delay": 0.0},
+                fault_plan=self._faults(3),
+                **self._BASE,
+            )
+        )
+        for value in clean:
+            for method in _BASE.methods:
+                assert np.array_equal(
+                    clean[value].result.variance_series(method),
+                    faulty[value].result.variance_series(method),
+                )
+
+
 class TestImprovementSeries:
     def test_extracts_improvements(self):
         outcomes = sweep_variance(

@@ -23,6 +23,14 @@ The variance study once probed each structure's gradient method by
 method, one shift-rule execution per shifted vector; that loop lives on
 in :func:`variance_shard`, which ``tests/core/test_variance.py`` holds
 the shape-bucket fold of ``run_variance_shard`` to.
+
+Training once advanced one trajectory at a time next to the lock-step
+loop, with a three-way fork in ``ObservableCost.value_and_gradient``;
+that loop lives on in :func:`train_trajectory` (and a panel of it in
+:func:`train_panel`), which ``tests/core/test_lockstep_training.py`` and
+``tests/core/test_shot_training.py`` hold ``Trainer.run``,
+``Trainer.run_lockstep`` and every executor to.  It drives the library's
+cost, engines and optimizers: the oracle is the loop, not the kernels.
 """
 
 from __future__ import annotations
@@ -495,3 +503,74 @@ def variance_shard(config, shard, simulator=None) -> dict:
         "start": shard.start,
         "gradients": grads,
     }
+
+
+# -- training ----------------------------------------------------------------
+
+
+def _cost_value_and_gradient(cost, params, shots, rng):
+    """The per-trajectory ``ObservableCost.value_and_gradient`` fork."""
+    from repro.backend.gradients import adjoint_value_and_gradient as fused
+
+    if shots is not None:
+        value = cost.value(params, shots=shots, seed=rng)
+        return value, cost.gradient(params, shots=shots, seed=rng)
+    if cost.gradient_engine in ("adjoint", "batch_adjoint"):
+        expectation, raw = fused(
+            cost.circuit, cost.observable, params, simulator=cost.simulator
+        )
+        return cost.offset + cost.scale * expectation, cost.scale * raw
+    return cost.value(params), cost.gradient(params)
+
+
+def train_trajectory(trainer, method, seed=None, sample_seed=None):
+    """``Trainer.run``'s per-trajectory loop: one update at a time."""
+    from repro.core.results import TrainingHistory
+
+    config = trainer.config
+    params = trainer.initial_parameters(method, seed)
+    optimizer = config.build_optimizer()
+    initial = params.copy()
+    shots = config.shots
+    rng = ensure_rng(sample_seed) if shots is not None else None
+    loss, grad = _cost_value_and_gradient(trainer.cost, params, shots, rng)
+    losses, grad_norms = [loss], [float(np.linalg.norm(grad))]
+    for _ in range(config.iterations):
+        params = optimizer.step(params, grad)
+        loss, grad = _cost_value_and_gradient(trainer.cost, params, shots, rng)
+        losses.append(loss)
+        grad_norms.append(float(np.linalg.norm(grad)))
+    return TrainingHistory(
+        method=method if isinstance(method, str) else method.name,
+        optimizer=config.optimizer,
+        losses=losses,
+        gradient_norms=grad_norms,
+        initial_params=initial,
+        final_params=params,
+        cost_kind=config.cost_kind,
+    )
+
+
+def train_panel(config, methods, seed, restarts=1):
+    """A panel of :func:`train_trajectory` runs, keyed by trajectory label.
+
+    Child ``b`` of ``seed`` seeds trajectory ``b``: analytic runs draw
+    their initial angles from it directly, shot-based runs split it into
+    an initialization seed and a measurement-stream seed.
+    """
+    from repro.core.training import Trainer, expand_trajectories
+    from repro.utils.rng import spawn_seeds
+
+    trainer = Trainer(config)
+    labels, trajectory_methods = expand_trajectories(methods, restarts)
+    children = spawn_seeds(seed, len(labels))
+    histories = {}
+    for method, label, child in zip(trajectory_methods, labels, children):
+        if config.shots is None:
+            init_seed, sample_seed = ensure_rng(child), None
+        else:
+            init_seed, sample_seed = spawn_seeds(child, 2)
+        history = train_trajectory(trainer, method, init_seed, sample_seed)
+        history.method = label
+        histories[label] = history
+    return histories

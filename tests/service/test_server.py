@@ -106,6 +106,18 @@ class TestEndpoints:
         assert "unknown array backend 'nosuch'" in error
         assert server.queue.jobs() == []
 
+    @pytest.mark.parametrize("methods", [[1], "random"])
+    def test_methods_not_names_400(self, server, methods):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(
+                f"{server.url}/experiments",
+                {"kind": "training", "methods": methods},
+            )
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "methods must be a list of initializer names" in error
+        assert server.queue.jobs() == []
+
     def test_repeated_qubit_counts_400(self, server):
         body = _SPEC.to_dict()
         body["config"] = dict(body["config"], qubit_counts=[3, 3])

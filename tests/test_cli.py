@@ -322,6 +322,13 @@ class TestInputErrors:
         code = main(["train", "--optimizer", "nosuch"])
         self._assert_one_line_error(capsys, code, "unknown optimizer 'nosuch'")
 
+    @pytest.mark.parametrize("methods", ["[1]", '"random"'])
+    def test_run_methods_not_a_list_of_names(self, capsys, tmp_path, methods):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "training", "methods": %s}' % methods)
+        code = main(["run", str(path)])
+        self._assert_one_line_error(capsys, code, "methods must be a list")
+
     def test_run_unknown_spec_field(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"kind": "training", "sede": 1}')
