@@ -23,8 +23,9 @@ Parameter shift (``megabatch_parameter_shift``, ``batch_parameter_shift``, ``par
     call, with the caller's generator as that row's stream;
     :func:`batch_parameter_shift_value_and_gradient` also reads per-row
     losses off the same fold, the workhorse of lock-step shot-based
-    training.  The fold also runs on a one-circuit
-    :class:`~repro.backend.ptm.PauliTransferSimulator` plan.
+    training.  The fold runs unchanged on a
+    :class:`~repro.backend.ptm.PauliTransferSimulator`, shape buckets
+    included.
 
 Adjoint (``megabatch_adjoint_gradient``, ``batch_adjoint_gradient``, ``adjoint_gradient``)
     Reverse-mode differentiation through the statevector (Jones & Gacon,
@@ -483,9 +484,7 @@ def megabatch_parameter_shift(
     Raises
     ------
     ValueError
-        If a differentiated gate carries no exact shift rule, or the
-        simulator is a :class:`~repro.backend.ptm.PauliTransferSimulator`
-        and the bucket holds more than one circuit.
+        If a differentiated gate carries no exact shift rule.
     """
     simulator = simulator or StatevectorSimulator()
     batches = _coerce_mega_batches(circuits, params_batches)

@@ -32,19 +32,22 @@ the Pauli vector through a per-qubit ``[[1, 1], [1, -1]]`` transform) and
 the sampled estimators thread the noise model's classical
 ``readout_error`` into :func:`sample_basis_bits`.
 
-:class:`PauliTransferSimulator` duck-types the slice of
-:class:`~repro.backend.simulator.StatevectorSimulator` the gradient
-engines consume (``expectation``, ``expectation_batch``, ``run_batch``,
-``sampled_expectation_rows``, and the chunked ``_run_megabatch_data``
-over a one-circuit :class:`~repro.backend.simulator.MegaBatchPlan`, with
-its operation range, per-row initial stacks and per-chunk reductions), so
-the shift-rule fold — ``parameter_shift``, the ``batch_*`` shift engines,
-and ``megabatch_parameter_shift`` on a one-circuit bucket — runs
-unmodified under noise, prefix sharing included.  A plan of several
-circuits raises ``ValueError``: per-row gate tables have no
-Pauli-transfer program yet, so noisy variance keeps its per-structure
-fold.  Adjoint-family engines have no non-unitary analogue; the config
-layer routes noisy runs to the shift family.
+:class:`PauliTransferSimulator` is a subclass of
+:class:`~repro.backend.simulator.StatevectorSimulator` and runs its row
+loop (``_run_megabatch_data``) on the doubled register: rows start from
+the ``|0...0><0...0|`` Pauli vector, and the program maps every
+operation to its PTM followed by the noise model's channel PTMs, with no
+fused diagonals.  A trainable slot builds its per-row PTMs by gate code,
+so a :class:`~repro.backend.simulator.MegaBatchPlan` of many circuits
+runs here too, each row getting its own gate's channel.  The estimation
+entry points (``expectation_batch``, ``sampled_expectation_rows``) and
+the sampled stages are the statevector's, with this class's rotation
+and probability hooks, so the shift-rule fold — ``parameter_shift``, the
+``batch_*`` shift engines and ``megabatch_parameter_shift`` on a shape
+bucket — runs unmodified under noise, prefix sharing included, and noisy
+variance folds shape buckets as noiseless variance does.  Adjoint-family
+engines have no non-unitary analogue; the config layer routes noisy runs
+to the shift family.
 """
 
 from __future__ import annotations
@@ -62,19 +65,18 @@ from repro.backend.observables import (
     PauliSum,
     Projector,
 )
-from repro.backend.simulator import MegaBatchPlan, _RowSimulator, batch_chunk_rows
-from repro.backend.statevector import (
-    Statevector,
-    apply_matrix,
-    sample_basis_bits,
+from repro.backend.simulator import (
+    MegaBatchPlan,
+    StatevectorSimulator,
+    _check_observable_width,
 )
+from repro.backend.statevector import Statevector, apply_matrix
 from repro.utils.array_api import (
     COMPLEX_DTYPE,
     FLOAT_DTYPE,
     ArrayBackend,
     array_backend_of,
     is_device_array,
-    resolve_array_backend,
 )
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -247,7 +249,7 @@ def _pauli_word_index(term: PauliString) -> int:
     return index
 
 
-class PauliTransferSimulator(_RowSimulator):
+class PauliTransferSimulator(StatevectorSimulator):
     """Batched noisy circuit execution on ``(B, 4**n)`` Pauli vectors.
 
     Parameters
@@ -262,14 +264,18 @@ class PauliTransferSimulator(_RowSimulator):
         Array backend the kernels run on, as in
         :class:`~repro.backend.simulator.StatevectorSimulator`.
 
-    The public surface mirrors the statevector simulator's estimation
-    slice (``expectation``, ``expectation_batch``, ``run_batch``,
-    ``sampled_expectation_rows``, plus the one-circuit
-    ``_run_megabatch_data``), which is the exact duck-type contract of the
-    shift-rule gradient engines — they run unchanged on top of this
-    class.  States returned by :meth:`run` / :meth:`run_batch` are
-    Pauli vectors (complex dtype, imaginary part zero), not amplitudes.
+    A subclass of the statevector simulator: ``run_batch``,
+    ``run_megabatch``, ``expectation_batch``, ``sampled_expectation_rows``
+    and the chunked ``_run_megabatch_data`` are the statevector's own,
+    run on a doubled register with this class's default row, program and
+    slot step.  So the shift-rule gradient engines run unchanged under
+    noise, shape buckets of many circuits included.  States returned by
+    :meth:`run` / :meth:`run_batch` are Pauli vectors (complex dtype,
+    imaginary part zero), not amplitudes.
     """
+
+    #: A Pauli-vector row is ``4**n = 2**(2n)`` components wide.
+    _REGISTER_FACTOR = 2
 
     def __init__(
         self,
@@ -282,7 +288,11 @@ class PauliTransferSimulator(_RowSimulator):
             self.noise_model = noise_model
         else:
             self.noise_model = NoiseModel.from_dict(noise_model)
-        self.backend = resolve_array_backend(backend)
+        super().__init__(backend)
+
+    @property
+    def _readout(self) -> Optional[float]:
+        return self.noise_model.readout_error or None
 
     # ------------------------------------------------------------------
     # execution
@@ -293,114 +303,21 @@ class PauliTransferSimulator(_RowSimulator):
         params: Optional[Sequence[float]] = None,
         initial_state=None,
     ) -> np.ndarray:
-        """Pauli vector ``(4**n,)`` of the noisy output state."""
+        """Pauli vector ``(4**n,)`` of the noisy output state.
+
+        Row 0 of a one-row :meth:`run_batch`; a shared ``initial_state``
+        may be a :class:`DensityMatrix`, a :class:`Statevector` or a
+        ``(4**n,)`` Pauli vector.
+        """
         row = self._params_row(circuit, params)
         return self.run_batch(circuit, row, initial_state)[0]
 
-    def run_batch(
-        self,
-        circuit: QuantumCircuit,
-        params_batch: Sequence[Sequence[float]],
-        initial_state=None,
-    ) -> np.ndarray:
-        """Evolve ``B`` parameter rows through the noisy circuit at once.
-
-        Returns the ``(B, 4**n)`` Pauli-vector stack; row ``b`` matches
-        the exact density-matrix evolution of ``params_batch[b]`` within
-        numerical tolerance (and is bit-identical across batch sizes and
-        chunk boundaries — rows are independent).
-        """
-        batch = self._coerce_params_batch(circuit, params_batch)
-        data = self._run_megabatch_data(
-            circuit.execution_plan(),
-            batch,
-            np.zeros(batch.shape[0], dtype=np.intp),
-            initial_state,
-        )
-        backend = self.backend
-        return data if backend.is_numpy else backend.to_numpy(data)
-
-    def _run_megabatch_data(
-        self,
-        plan: MegaBatchPlan,
-        params_batch: Sequence[Sequence[float]],
-        row_circuits: Sequence[int],
-        initial_state=None,
-        start: int = 0,
-        stop: Optional[int] = None,
-        initial_rows: Optional[np.ndarray] = None,
-        estimate: Optional[tuple] = None,
-    ):
-        """Run a one-circuit plan's operations ``[start, stop)`` under noise.
-
-        Takes ``StatevectorSimulator._run_megabatch_data``'s arguments, so
-        the shift-rule fold's prefix and suffix runs work here too; rows
-        run in chunks at the doubled register width.  A shared
-        ``initial_state`` may also be a :class:`DensityMatrix` or a
-        ``(4**n,)`` Pauli vector.  A plan of several circuits raises
-        ``ValueError``: per-row gate tables have no PTM program.
-        """
-        if plan.num_circuits != 1:
-            raise ValueError(
-                "PauliTransferSimulator runs one-circuit plans only; got a "
-                f"plan of {plan.num_circuits} circuits"
-            )
-        batch_array, _, start, stop = self._check_plan_run(
-            plan, params_batch, row_circuits, start, stop
-        )
-        operations = plan.template.operations[start:stop]
-        num_qubits = plan.num_qubits
-        batch = batch_array.shape[0]
-        backend = self.backend
-        per_row = not isinstance(
-            initial_state, (type(None), DensityMatrix, Statevector)
-        ) and np.ndim(initial_state) == 2
-        if per_row:
-            initial = self._per_row_stack(
-                initial_state, initial_rows, batch, 4**num_qubits
-            )
-        elif initial_rows is not None:
-            raise ValueError("initial_rows needs a per-row initial stack")
-        else:
-            vector = (
-                _initial_pauli_vector(num_qubits)
-                if initial_state is None
-                else self._coerce_initial_vector(initial_state, num_qubits)
-            )
-            initial = backend.asarray(vector, dtype=backend.complex_dtype)
-        # A Pauli-vector row is 4**n = 2**(2n) wide; reuse the shared
-        # chunking policy at the doubled register width.
-        chunk = batch_chunk_rows(2 * num_qubits, backend)
-        parts = []
-        for first in range(0, batch, chunk):
-            last = min(first + chunk, batch)
-            if not per_row:
-                data = backend.tile_rows(initial, last - first)
-            elif initial_rows is not None:
-                data = backend.take_rows(initial, initial_rows[first:last])
-            else:
-                data = backend.copy(initial[first:last])
-            for op in operations:
-                data = self._apply_operation(
-                    data, op, batch_array[first:last], num_qubits
-                )
-            if estimate:
-                self._estimate_rows(data, np.arange(first, last), *estimate)
-                # Hold the reduced chunk while the next one runs: freed
-                # first, it leaves the top of the heap free, and glibc
-                # returns that memory and faults it back in on every
-                # chunk (glibc, 2-core x86-64: a 7-qubit fold of 128
-                # rows took 107k minor faults instead of 28k, and 1.4x
-                # the time).
-                parts = [data]
-            else:
-                parts.append(data)
-        if estimate:
-            return None
-        return parts[0] if len(parts) == 1 else backend.concatenate(parts)
-
     @staticmethod
-    def _coerce_initial_vector(initial_state, num_qubits: int) -> np.ndarray:
+    def _initial_row(initial_state, num_qubits: int):
+        """``|0...0><0...0|``'s Pauli vector by default, a shared state's
+        Pauli vector, or ``None`` for a per-row ``(B, 4**n)`` stack."""
+        if initial_state is None:
+            return _initial_pauli_vector(num_qubits)
         if isinstance(initial_state, DensityMatrix):
             source_qubits = initial_state.num_qubits
             vector = pauli_vector_from_density(initial_state)
@@ -409,6 +326,8 @@ class PauliTransferSimulator(_RowSimulator):
             vector = pauli_vector_from_density(
                 DensityMatrix.from_statevector(initial_state)
             )
+        elif np.ndim(initial_state) == 2:
+            return None
         else:
             vector = np.asarray(initial_state, dtype=COMPLEX_DTYPE)
             if vector.ndim != 1 or vector.shape[0] != 4**num_qubits:
@@ -424,30 +343,82 @@ class PauliTransferSimulator(_RowSimulator):
             )
         return vector
 
-    def _apply_operation(self, data, op, batch_array, num_qubits):
-        backend = self.backend
-        doubled = 2 * num_qubits
-        axes = _ptm_axes(op.qubits)
-        if op.is_trainable:
-            matrices = op.gate.matrix_batch(batch_array[:, op.param_index])
-            ptms = ptm_of_unitary_batch(matrices)
-            data = apply_matrix(data, ptms, axes, doubled, backend=backend)
-        else:
-            ptm = _cached_unitary_ptm(op.matrix(None))
-            data = apply_matrix(data, ptm, axes, doubled, backend=backend)
-        channel = self.noise_model.channel_for(op.gate.name)
-        if channel is None or channel.is_trivial:
-            return data
-        channel_ptm = ptm_of_channel(channel)
+    def _program(self, plan: MegaBatchPlan, start: int, stop: int) -> "List[tuple]":
+        """One slot step per operation in ``[start, stop)``, none fused.
+
+        A step's payload is ``(op, ptm, channels)``: the operation's PTM
+        (``None`` on a trainable slot, whose PTMs are row data), and per
+        gate code the PTM of the noise model's channel after that gate
+        (``None`` for no or a trivial channel).
+        """
+        steps = []
+        for pos in range(start, stop):
+            op = plan.template.operations[pos]
+            if op.is_trainable:
+                gates, ptm = plan.slot_gates[pos][0], None
+            else:
+                gates, ptm = [op.gate], _cached_unitary_ptm(op.matrix(None))
+            channels = []
+            for gate in gates:
+                channel = self.noise_model.channel_for(gate.name)
+                trivial = channel is None or channel.is_trivial
+                channels.append(None if trivial else ptm_of_channel(channel))
+            steps.append(("slot", pos, pos + 1, (op, ptm, channels)))
+        return steps
+
+    @staticmethod
+    def _apply_megabatch_slot(
+        plan, pos, payload, data, spare, batch_array, rows, order, backend
+    ):
+        """Apply one operation's PTM, then its channel on each gate qubit.
+
+        A trainable slot builds its per-row PTMs by gate code
+        (:func:`ptm_of_unitary_batch` of each code's rows), and each row
+        gets its own gate's channel: when a slot's rows carry different
+        channels, each channel's rows are gathered, transformed and
+        scattered back, which is exact.  Every kernel returns a fresh
+        stack and ``spare`` stays unused: transposed-layout temporaries
+        written through ``out=`` are faulted in again on every gate (see
+        the statevector's one-gate slots).
+        """
+        op, ptm, channels = payload
+        register = 2 * plan.num_qubits
+        if ptm is None:
+            gates, codes = plan.slot_gates[pos]
+            thetas = batch_array[order, op.param_index]
+            if len(gates) == 1:
+                ptm = ptm_of_unitary_batch(gates[0].matrix_batch(thetas))
+            else:
+                row_codes = codes[rows[order]]
+                dim = 4 ** len(op.qubits)
+                ptm = np.empty((order.size, dim, dim), dtype=COMPLEX_DTYPE)
+                for code, gate in enumerate(gates):
+                    sel = np.flatnonzero(row_codes == code)
+                    if sel.size:
+                        ptm[sel] = ptm_of_unitary_batch(
+                            gate.matrix_batch(thetas[sel])
+                        )
+        data = apply_matrix(
+            data, ptm, _ptm_axes(op.qubits), register, backend=backend
+        )
+        uniform = all(channel is channels[0] for channel in channels)
+        if uniform and channels[0] is None:
+            return data, spare, order
         for qubit in op.qubits:
-            data = apply_matrix(
-                data,
-                channel_ptm,
-                _ptm_axes([qubit]),
-                doubled,
-                backend=backend,
-            )
-        return data
+            axes = _ptm_axes([qubit])
+            if uniform:
+                data = apply_matrix(data, channels[0], axes, register, backend=backend)
+                continue
+            for channel in {id(c): c for c in channels if c is not None}.values():
+                carries = np.array([c is channel for c in channels])[row_codes]
+                sel = np.flatnonzero(carries)
+                if sel.size:
+                    part = apply_matrix(
+                        backend.take_rows(data, sel), channel, axes, register,
+                        backend=backend,
+                    )
+                    backend.put_rows(data, sel, part)
+        return data, spare, order
 
     # ------------------------------------------------------------------
     # readout
@@ -509,11 +480,7 @@ class PauliTransferSimulator(_RowSimulator):
         if is_device_array(states):
             states = array_backend_of(states).to_numpy(states)
         num_qubits = self._num_qubits_of(states)
-        if observable.num_qubits != num_qubits:
-            raise ValueError(
-                f"observable acts on {observable.num_qubits} qubits, "
-                f"states have {num_qubits}"
-            )
+        _check_observable_width(observable, num_qubits)
         if isinstance(observable, Projector):
             return np.asarray(
                 self.probabilities_rows(states)[:, observable.index],
@@ -533,8 +500,15 @@ class PauliTransferSimulator(_RowSimulator):
             total += term.coefficient * states[:, _pauli_word_index(term)].real
         return total
 
+    @staticmethod
+    def _rotate_rows(states, matrix, qubit: int, num_qubits: int):
+        """A basis rotation as its PTM on the qubit's register pair."""
+        return apply_matrix(
+            states, _cached_unitary_ptm(matrix), _ptm_axes([qubit]), 2 * num_qubits
+        )
+
     # ------------------------------------------------------------------
-    # estimation (the gradient engines' duck-type surface)
+    # estimation
     # ------------------------------------------------------------------
     def expectation(
         self,
@@ -545,7 +519,8 @@ class PauliTransferSimulator(_RowSimulator):
         shots: Optional[int] = None,
         seed: SeedLike = None,
     ) -> float:
-        """Noisy ``Tr(rho(params) O)``, exact or shot-estimated."""
+        """Noisy ``Tr(rho(params) O)``, exact or shot-estimated: row 0 of
+        a one-row :meth:`expectation_batch`."""
         row = self._params_row(circuit, params)
         return float(
             self.expectation_batch(
@@ -557,84 +532,3 @@ class PauliTransferSimulator(_RowSimulator):
                 seed=None if shots is None else [ensure_rng(seed)],
             )[0]
         )
-
-    def expectation_batch(
-        self,
-        circuit: QuantumCircuit,
-        observable: Observable,
-        params_batch: Sequence[Sequence[float]],
-        initial_state=None,
-        shots: Optional[int] = None,
-        seed: "SeedLike | Sequence[SeedLike]" = None,
-    ) -> np.ndarray:
-        """Noisy ``<O>`` for every row of ``params_batch`` in one call.
-
-        Rows are executed and reduced in chunks of the shared
-        :func:`~repro.backend.simulator.batch_chunk_rows` policy at the
-        doubled register width (``_run_megabatch_data(..., estimate=)``),
-        so a stack of any height never holds more than one chunk of
-        ``4**n``-wide Pauli vectors.
-        """
-        return self._expectations(
-            circuit, observable, params_batch, initial_state, shots, seed
-        )
-
-    def _sampling_stages(self, states: np.ndarray, observable: Observable):
-        """Per-term draw closures, as the statevector simulator's.
-
-        Per-term basis rotations apply as PTMs, probabilities come from
-        :meth:`probabilities_rows`, and the noise model's
-        ``readout_error`` flips each recorded bit with that probability,
-        drawn from the same per-row generator after the outcome draw.
-        """
-        num_qubits = self._num_qubits_of(states)
-        if observable.num_qubits != num_qubits:
-            raise ValueError(
-                f"observable acts on {observable.num_qubits} qubits, "
-                f"states have {num_qubits}"
-            )
-        readout = self.noise_model.readout_error or None
-        if isinstance(observable, Projector):
-            probs = self.probabilities_rows(states)
-            target_bits = np.asarray(observable.bits)
-
-            def projector_stage(row, rng, shots):
-                bits = sample_basis_bits(
-                    probs[row], shots, rng, num_qubits, readout_error=readout
-                )
-                return float(np.mean(np.all(bits == target_bits, axis=1)))
-
-            return [projector_stage]
-        if isinstance(observable, PauliString):
-            terms = [observable]
-        elif isinstance(observable, PauliSum):
-            terms = observable.terms
-        else:
-            raise TypeError(
-                "shot-based estimation is not implemented for "
-                f"{type(observable).__name__}"
-            )
-        doubled = 2 * num_qubits
-        stages = []
-        for term in terms:
-            if term.is_identity:
-                stages.append(lambda row, rng, shots, c=term.coefficient: c)
-                continue
-            rotated = states
-            for matrix, qubit in term.rotation_matrices():
-                rotated = apply_matrix(
-                    rotated,
-                    _cached_unitary_ptm(matrix),
-                    _ptm_axes([qubit]),
-                    doubled,
-                )
-            term_probs = self.probabilities_rows(rotated)
-
-            def pauli_stage(row, rng, shots, probs=term_probs, term=term):
-                bits = sample_basis_bits(
-                    probs[row], shots, rng, num_qubits, readout_error=readout
-                )
-                return float(np.mean(term.eigenvalues_of_bits(bits)))
-
-            stages.append(pauli_stage)
-        return stages

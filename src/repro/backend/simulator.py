@@ -56,6 +56,18 @@ This is what lets the variance experiment fold a grid cell's hundreds of
 (structure, method, shift-term) evaluations into a handful of hundred-row
 executions.
 
+One loop, two programs
+----------------------
+:meth:`StatevectorSimulator._run_megabatch_data` is the one loop that
+evolves plan rows, for this simulator and for its subclass
+:class:`~repro.backend.ptm.PauliTransferSimulator`.  The statevector
+program is the plan's compiled steps (slots, fixed operations, fused
+diagonal runs) on ``2**n`` amplitudes; the Pauli-transfer program maps
+every operation to its transfer matrix and the noise model's channel
+transfer matrices on a doubled register of ``4**n`` components.  The
+subclass supplies only the register width, the default row, the program
+and the slot step; estimation and the sampled stages are shared.
+
 The stack evolves one cache-sized chunk at a time between two buffers
 allocated once per call: every fixed operation and mixed slot writes
 into the spare buffer (``out=``) and the two swap.  A
@@ -361,180 +373,16 @@ class MegaBatchPlan:
                 )
 
 
-class _RowSimulator:
-    """Row-stack machinery the statevector and Pauli-transfer simulators
-    share; each runs plan rows in its own ``_run_megabatch_data`` and
-    supplies ``_analytic_rows`` and ``_sampling_stages``."""
-
-    def _check_plan_run(self, plan, params_batch, row_circuits, start, stop):
-        """Validated ``(B, P)`` params, row circuit indices and int range."""
-        batch_array = self._coerce_params_batch(plan.template, params_batch)
-        rows = np.asarray(row_circuits, dtype=np.intp).reshape(-1)
-        if rows.shape[0] != batch_array.shape[0]:
-            raise ValueError(
-                f"got {rows.shape[0]} row-circuit indices for "
-                f"{batch_array.shape[0]} parameter rows"
-            )
-        if rows.size and (rows.min() < 0 or rows.max() >= plan.num_circuits):
-            raise ValueError(
-                f"row_circuits must index into the plan's "
-                f"{plan.num_circuits} circuits"
-            )
-        num_ops = len(plan.template.operations)
-        stop = num_ops if stop is None else int(stop)
-        start = int(start)
-        if not 0 <= start <= stop <= num_ops:
-            raise ValueError(
-                f"invalid operation range [{start}, {stop}) for a circuit "
-                f"with {num_ops} operations"
-            )
-        return batch_array, rows, start, stop
-
-    def _per_row_stack(self, initial_state, initial_rows, batch, width):
-        """Stage a ``(B, width)`` initial stack, of any height when
-        ``initial_rows`` holds the stack row each of the ``B`` rows reads."""
-        height = batch if initial_rows is None else len(initial_state)
-        shape = tuple(np.shape(initial_state))
-        if shape != (height, width):
-            raise ValueError(
-                f"per-row initial states must be (batch, {width}), "
-                f"got shape {shape}"
-            )
-        if initial_rows is not None and len(initial_rows) != batch:
-            raise ValueError("initial_rows needs one index per parameter row")
-        backend = self.backend
-        return backend.asarray(initial_state, dtype=backend.complex_dtype)
-
-    def _estimate_rows(self, states, order, observable, out, shots, rngs):
-        """Reduce one finished chunk: ``out[order[i]] = <O>`` of ``states[i]``.
-
-        Sampled rows first get the caller's order back: consecutive rows
-        may share one generator (``rngs[r]`` is row ``r``'s) and must draw
-        in that order.
-        """
-        if shots is None:
-            out[order] = self._analytic_rows(states, observable)
-            return
-        if np.any(order[1:] < order[:-1]):
-            perm = np.argsort(order)
-            states, order = self.backend.take_rows(states, perm), order[perm]
-        out[order] = self.sampled_expectation_rows(
-            states, observable, shots, [rngs[row] for row in order]
+def _check_observable_width(observable: Observable, num_qubits: int) -> None:
+    """Reject an observable whose width is not the states' own."""
+    if observable.num_qubits != num_qubits:
+        raise ValueError(
+            f"state has {num_qubits} qubits, observable needs "
+            f"{observable.num_qubits}"
         )
 
-    def _expectations(self, circuit, observable, params_batch, initial_state, shots, seed):
-        """``expectation_batch``: a fold with no shifts over the circuit's
-        one-circuit plan, each chunk reduced as soon as it is finished."""
-        batch = self._coerce_params_batch(circuit, params_batch)
-        rows = batch.shape[0]
-        rngs = None if shots is None else resolve_rngs(seed, rows)
-        estimates = np.empty(rows, dtype=FLOAT_DTYPE)
-        self._run_megabatch_data(
-            circuit.execution_plan(),
-            batch,
-            np.zeros(rows, dtype=np.intp),
-            initial_state,
-            estimate=(observable, estimates, shots, rngs),
-        )
-        return estimates
 
-    def sampled_expectation_rows(
-        self,
-        states: np.ndarray,
-        observable: Observable,
-        shots: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Shot-estimated ``<O>`` for each row of a stack of states.
-
-        The vectorized work — Pauli-term basis rotations and probability
-        matrices — is done once per batch; the multinomial draws then walk
-        the rows in order, consuming ``rngs[b]`` for row ``b`` term by
-        term, so row ``b`` carries the same bits alone or in any stack.
-        ``rngs`` may repeat one generator across
-        consecutive rows (the batched parameter-shift path shares a
-        per-trajectory stream over that trajectory's shifted rows); the
-        row-major draw order keeps such shared streams sequentially
-        consistent.
-        """
-        check_positive_int(shots, "shots")
-        # Sampling is host-side by contract: device stacks cross to numpy
-        # at this single staging point, before any generator draw.
-        if is_device_array(states):
-            states = array_backend_of(states).to_numpy(states)
-        states = np.asarray(states)
-        if len(rngs) != states.shape[0]:
-            raise ValueError(
-                f"got {len(rngs)} generators for {states.shape[0]} rows"
-            )
-        # Rows are processed in blocks so the per-term probability
-        # matrices stay bounded (one rotated stack + one float matrix per
-        # term *per block*, not per batch).  Blocking is invisible to the
-        # draws: rows still walk in global order, so a generator shared
-        # across consecutive rows — even straddling a block boundary —
-        # is consumed exactly as in one unblocked pass.
-        block = batch_chunk_rows(int(states.shape[1]).bit_length() - 1)
-        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
-        for start in range(0, states.shape[0], block):
-            stop = min(start + block, states.shape[0])
-            stages = self._sampling_stages(states[start:stop], observable)
-            for row in range(start, stop):
-                rng = rngs[row]
-                estimates[row] = float(
-                    sum(stage(row - start, rng, shots) for stage in stages)
-                )
-        return estimates
-
-    @staticmethod
-    def _params_row(
-        circuit: QuantumCircuit, params: Optional[Sequence[float]]
-    ) -> np.ndarray:
-        """Validate one parameter vector; return it as a ``(1, P)`` stack."""
-        if params is None:
-            if circuit.num_parameters:
-                raise ValueError(
-                    f"circuit has {circuit.num_parameters} trainable parameters "
-                    "but none were supplied"
-                )
-            return np.zeros((1, 0), dtype=FLOAT_DTYPE)
-        array = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
-        if array.size != circuit.num_parameters:
-            raise ValueError(
-                f"expected {circuit.num_parameters} parameters, got {array.size}"
-            )
-        if not np.all(np.isfinite(array)):
-            raise ValueError(
-                "parameters contain NaN or infinity; an optimizer has "
-                "probably diverged"
-            )
-        return array.reshape(1, -1)
-
-    @staticmethod
-    def _coerce_params_batch(
-        circuit: QuantumCircuit, params_batch: Sequence[Sequence[float]]
-    ) -> np.ndarray:
-        array = np.asarray(params_batch, dtype=FLOAT_DTYPE)
-        if array.ndim != 2:
-            raise ValueError(
-                f"params_batch must be 2-D (batch, num_parameters), "
-                f"got shape {array.shape}"
-            )
-        if array.shape[1] != circuit.num_parameters:
-            raise ValueError(
-                f"expected {circuit.num_parameters} parameters per row, "
-                f"got {array.shape[1]}"
-            )
-        if array.shape[0] == 0:
-            raise ValueError("params_batch must have at least one row")
-        if not np.all(np.isfinite(array)):
-            raise ValueError(
-                "parameters contain NaN or infinity; an optimizer has "
-                "probably diverged"
-            )
-        return array
-
-
-class StatevectorSimulator(_RowSimulator):
+class StatevectorSimulator:
     """Runs :class:`QuantumCircuit` objects on exact statevectors.
 
     Parameters
@@ -548,7 +396,18 @@ class StatevectorSimulator(_RowSimulator):
         the device-tolerance contract (see :mod:`repro.utils.array_api`).
         The handle is immutable, so a simulator is still freely
         shareable across experiments and threads.
+
+    :class:`~repro.backend.ptm.PauliTransferSimulator` subclasses it: the
+    row loop (:meth:`_run_megabatch_data`), the estimation entry points
+    and the sampled stages are shared, and the subclass supplies its
+    register width, default row, program and slot step.
     """
+
+    #: Register qubits per circuit qubit: a statevector row holds
+    #: ``2**n`` amplitudes.
+    _REGISTER_FACTOR = 1
+    #: Classical bit-flip probability applied to sampled outcomes.
+    _readout = None
 
     def __init__(
         self, backend: "Optional[str | ArrayBackend]" = None
@@ -707,16 +566,20 @@ class StatevectorSimulator(_RowSimulator):
     ):
         """:meth:`run_megabatch` without the result-boundary conversion.
 
-        Returns the ``(B, 2**n)`` stack on the simulator's array backend
-        and accepts a per-row ``initial_state`` already resident there —
-        the substrate that keeps a whole mega-batch slot sweep (and the
-        shift-rule engines' prefix/suffix resumptions) device-resident
-        end to end.
+        The one loop that evolves plan rows, for this simulator and its
+        Pauli-transfer subclass: :meth:`_program` supplies the steps
+        covering operations ``[start, stop)``, :meth:`_initial_row` the
+        row each chunk starts from, and ``_REGISTER_FACTOR`` the row
+        width.  Returns the ``(B, width)`` stack on the simulator's array
+        backend and accepts a per-row ``initial_state`` already resident
+        there — the substrate that keeps a whole mega-batch slot sweep
+        (and the shift-rule engines' prefix/suffix resumptions)
+        device-resident end to end.
 
         The rows run in :func:`batch_chunk_rows` chunks, one after the
         other, between two chunk-sized buffers allocated once per call:
         each chunk copies its initial rows into one buffer, every kernel
-        but a one-gate slot's (see :meth:`_apply_megabatch_slot`) writes
+        but a slot step's (see :meth:`_apply_megabatch_slot`) writes
         the other (``out=``) and the two swap, and one
         ``put_rows`` writes the chunk into the freshly allocated result in
         the caller's row order.  ``initial_state`` is only read, so the
@@ -730,43 +593,27 @@ class StatevectorSimulator(_RowSimulator):
         batch_array, rows, start, stop = self._check_plan_run(
             plan, params_batch, row_circuits, start, stop
         )
+        steps = self._program(plan, start, stop)
         num_qubits = plan.num_qubits
+        register = self._REGISTER_FACTOR * num_qubits
         batch = batch_array.shape[0]
-        dim = 2**num_qubits
-        steps = []
-        for step in plan.steps:
-            lo, hi = step[1], step[2]
-            if hi <= start or lo >= stop:
-                continue
-            if lo < start or hi > stop:
-                raise ValueError(
-                    f"operation range [{start}, {stop}) splits the fused "
-                    f"diagonal run covering operations [{lo}, {hi})"
-                )
-            steps.append(step)
+        dim = 2**register
         backend = self.backend
         complex_dtype = backend.complex_dtype
-        per_row_initial = initial_state is not None and not isinstance(
-            initial_state, Statevector
-        )
-        if per_row_initial:
+        shared = self._initial_row(initial_state, num_qubits)
+        if shared is not None:
+            if initial_rows is not None:
+                raise ValueError("initial_rows needs a per-row initial stack")
+            initial = backend.asarray(shared, dtype=complex_dtype)
+        else:
             initial = self._per_row_stack(initial_state, initial_rows, batch, dim)
-        elif initial_rows is not None:
-            raise ValueError("initial_rows needs a per-row initial stack")
-        elif initial_state is not None:
-            if initial_state.num_qubits != num_qubits:
-                raise ValueError(
-                    f"initial state has {initial_state.num_qubits} qubits, "
-                    f"circuit needs {num_qubits}"
-                )
-            initial = backend.asarray(initial_state.data, dtype=complex_dtype)
-        # The stack evolves in row chunks sized to keep the amplitude
-        # buffer cache-resident (numpy) or launch-efficient (device
-        # backends): every gate streams the whole buffer through memory,
-        # so an oversized batch trades the batching win back for DRAM
+        # The stack evolves in row chunks sized to keep the buffer
+        # cache-resident (numpy) or launch-efficient (device backends):
+        # every gate streams the whole buffer through memory, so an
+        # oversized batch trades the batching win back for DRAM
         # bandwidth.  Rows are independent, so chunk boundaries are
         # invisible to the results.
-        chunk = batch_chunk_rows(num_qubits, backend)
+        chunk = batch_chunk_rows(register, backend)
         result = None if estimate else backend.zeros((batch, dim), complex_dtype)
         buffer = backend.zeros((min(chunk, batch), dim), complex_dtype)
         spare_buffer = backend.empty_like(buffer)
@@ -775,13 +622,12 @@ class StatevectorSimulator(_RowSimulator):
             last = min(first + chunk, batch)
             data = buffer[: last - first]
             spare = spare_buffer[: last - first]
-            if initial_state is None:
-                data[...] = 0
-                data[:, 0] = 1.0
+            if shared is not None:
+                data[...] = initial
             elif initial_rows is not None:
                 backend.take_rows(initial, initial_rows[first:last], out=data)
             else:
-                data[...] = initial[first:last] if per_row_initial else initial
+                data[...] = initial[first:last]
             # order[i]: the caller's row that data[i] holds.
             order = np.arange(first, last)
             for kind, lo, _, payload in steps:
@@ -807,11 +653,75 @@ class StatevectorSimulator(_RowSimulator):
                 backend.put_rows(result, order, data)
         return result
 
+    def _check_plan_run(self, plan, params_batch, row_circuits, start, stop):
+        """Validated ``(B, P)`` params, row circuit indices and int range."""
+        batch_array = self._coerce_params_batch(plan.template, params_batch)
+        rows = np.asarray(row_circuits, dtype=np.intp).reshape(-1)
+        if rows.shape[0] != batch_array.shape[0]:
+            raise ValueError(
+                f"got {rows.shape[0]} row-circuit indices for "
+                f"{batch_array.shape[0]} parameter rows"
+            )
+        if rows.size and (rows.min() < 0 or rows.max() >= plan.num_circuits):
+            raise ValueError(
+                f"row_circuits must index into the plan's "
+                f"{plan.num_circuits} circuits"
+            )
+        num_ops = len(plan.template.operations)
+        stop = num_ops if stop is None else int(stop)
+        start = int(start)
+        if not 0 <= start <= stop <= num_ops:
+            raise ValueError(
+                f"invalid operation range [{start}, {stop}) for a circuit "
+                f"with {num_ops} operations"
+            )
+        return batch_array, rows, start, stop
+
     @staticmethod
-    def _analytic_rows(states, observable) -> np.ndarray:
-        # The observable layer is backend-aware: device stacks reduce
-        # on-namespace and only the float result crosses.
-        return observable.expectation_batch(states)
+    def _program(plan: MegaBatchPlan, start: int, stop: int) -> "List[tuple]":
+        """The plan's compiled steps covering operations ``[start, stop)``."""
+        steps = []
+        for step in plan.steps:
+            lo, hi = step[1], step[2]
+            if hi <= start or lo >= stop:
+                continue
+            if lo < start or hi > stop:
+                raise ValueError(
+                    f"operation range [{start}, {stop}) splits the fused "
+                    f"diagonal run covering operations [{lo}, {hi})"
+                )
+            steps.append(step)
+        return steps
+
+    @staticmethod
+    def _initial_row(initial_state, num_qubits: int):
+        """The row every chunk starts from (``|0...0>`` by default, or a
+        shared :class:`Statevector`), or ``None`` for a per-row stack."""
+        if initial_state is None:
+            initial_state = Statevector.zero_state(num_qubits)
+        elif not isinstance(initial_state, Statevector):
+            return None
+        if initial_state.num_qubits != num_qubits:
+            raise ValueError(
+                f"initial state has {initial_state.num_qubits} qubits, "
+                f"circuit needs {num_qubits}"
+            )
+        return initial_state.data
+
+    def _per_row_stack(self, initial_state, initial_rows, batch, width):
+        """Stage a ``(B, width)`` initial stack, of any height when
+        ``initial_rows`` holds the stack row each of the ``B`` rows reads."""
+        height = batch if initial_rows is None else len(initial_state)
+        shape = tuple(np.shape(initial_state))
+        if shape != (height, width):
+            raise ValueError(
+                f"per-row initial states must be (batch, {width}), "
+                f"got shape {shape}"
+            )
+        if initial_rows is not None and len(initial_rows) != batch:
+            raise ValueError("initial_rows needs one index per parameter row")
+        backend = self.backend
+        return backend.asarray(initial_state, dtype=backend.complex_dtype)
 
     @staticmethod
     def _apply_megabatch_slot(
@@ -876,6 +786,29 @@ class StatevectorSimulator(_RowSimulator):
         )
         return data, spare, order
 
+    def _estimate_rows(self, states, order, observable, out, shots, rngs):
+        """Reduce one finished chunk: ``out[order[i]] = <O>`` of ``states[i]``.
+
+        Sampled rows first get the caller's order back: consecutive rows
+        may share one generator (``rngs[r]`` is row ``r``'s) and must draw
+        in that order.
+        """
+        if shots is None:
+            out[order] = self._analytic_rows(states, observable)
+            return
+        if np.any(order[1:] < order[:-1]):
+            perm = np.argsort(order)
+            states, order = self.backend.take_rows(states, perm), order[perm]
+        out[order] = self.sampled_expectation_rows(
+            states, observable, shots, [rngs[row] for row in order]
+        )
+
+    @staticmethod
+    def _analytic_rows(states, observable) -> np.ndarray:
+        # The observable layer is backend-aware: device stacks reduce
+        # on-namespace and only the float result crosses.
+        return observable.expectation_batch(states)
+
     def expectation(
         self,
         circuit: QuantumCircuit,
@@ -937,24 +870,89 @@ class StatevectorSimulator(_RowSimulator):
         sampled mode — the contract the batched shot-based experiment
         paths rely on.
         """
-        return self._expectations(
-            circuit, observable, params_batch, initial_state, shots, seed
+        batch = self._coerce_params_batch(circuit, params_batch)
+        rows = batch.shape[0]
+        rngs = None if shots is None else resolve_rngs(seed, rows)
+        estimates = np.empty(rows, dtype=FLOAT_DTYPE)
+        self._run_megabatch_data(
+            circuit.execution_plan(),
+            batch,
+            np.zeros(rows, dtype=np.intp),
+            initial_state,
+            estimate=(observable, estimates, shots, rngs),
         )
+        return estimates
+
+    def sampled_expectation_rows(
+        self,
+        states: np.ndarray,
+        observable: Observable,
+        shots: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Shot-estimated ``<O>`` for each row of a stack of states.
+
+        The vectorized work — Pauli-term basis rotations and probability
+        matrices — is done once per batch; the multinomial draws then walk
+        the rows in order, consuming ``rngs[b]`` for row ``b`` term by
+        term, so row ``b`` carries the same bits alone or in any stack.
+        ``rngs`` may repeat one generator across
+        consecutive rows (the batched parameter-shift path shares a
+        per-trajectory stream over that trajectory's shifted rows); the
+        row-major draw order keeps such shared streams sequentially
+        consistent.
+        """
+        check_positive_int(shots, "shots")
+        # Sampling is host-side by contract: device stacks cross to numpy
+        # at this single staging point, before any generator draw.
+        if is_device_array(states):
+            states = array_backend_of(states).to_numpy(states)
+        states = np.asarray(states)
+        if len(rngs) != states.shape[0]:
+            raise ValueError(
+                f"got {len(rngs)} generators for {states.shape[0]} rows"
+            )
+        # Rows are processed in blocks so the per-term probability
+        # matrices stay bounded (one rotated stack + one float matrix per
+        # term *per block*, not per batch).  Blocking is invisible to the
+        # draws: rows still walk in global order, so a generator shared
+        # across consecutive rows — even straddling a block boundary —
+        # is consumed exactly as in one unblocked pass.
+        block = batch_chunk_rows(int(states.shape[1]).bit_length() - 1)
+        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
+        for start in range(0, states.shape[0], block):
+            stop = min(start + block, states.shape[0])
+            stages = self._sampling_stages(states[start:stop], observable)
+            for row in range(start, stop):
+                rng = rngs[row]
+                estimates[row] = float(
+                    sum(stage(row - start, rng, shots) for stage in stages)
+                )
+        return estimates
 
     def _sampling_stages(self, states: np.ndarray, observable: Observable):
         """Per-term draw closures over precomputed probability matrices.
 
         Each stage maps ``(row, rng, shots) -> float`` and makes one
         draw per Pauli term, in term order (identity terms consume no
-        randomness; a projector is one draw over every qubit).
+        randomness; a projector is one draw over every qubit).  The
+        subclass hooks are :meth:`_rotate_rows` (a term's diagonalizing
+        rotation), :meth:`probabilities_rows` and ``_readout``, the
+        bit-flip probability drawn after each outcome.
         """
-        num_qubits = observable.num_qubits
+        num_qubits = (
+            int(states.shape[1]).bit_length() - 1
+        ) // self._REGISTER_FACTOR
+        _check_observable_width(observable, num_qubits)
+        readout = self._readout
         if isinstance(observable, Projector):
-            probs = np.abs(states) ** 2
+            probs = self.probabilities_rows(states)
             target_bits = np.asarray(observable.bits)
 
             def projector_stage(row, rng, shots):
-                bits = sample_basis_bits(probs[row], shots, rng, num_qubits)
+                bits = sample_basis_bits(
+                    probs[row], shots, rng, num_qubits, readout_error=readout
+                )
                 return float(np.mean(np.all(bits == target_bits, axis=1)))
 
             return [projector_stage]
@@ -974,15 +972,75 @@ class StatevectorSimulator(_RowSimulator):
                 continue
             rotated = states
             for matrix, qubit in term.rotation_matrices():
-                rotated = apply_matrix(rotated, matrix, [qubit], num_qubits)
-            term_probs = np.abs(rotated) ** 2
+                rotated = self._rotate_rows(rotated, matrix, qubit, num_qubits)
+            term_probs = self.probabilities_rows(rotated)
 
             def pauli_stage(row, rng, shots, probs=term_probs, term=term):
-                bits = sample_basis_bits(probs[row], shots, rng, num_qubits)
+                bits = sample_basis_bits(
+                    probs[row], shots, rng, num_qubits, readout_error=readout
+                )
                 return float(np.mean(term.eigenvalues_of_bits(bits)))
 
             stages.append(pauli_stage)
         return stages
+
+    @staticmethod
+    def _rotate_rows(states, matrix, qubit: int, num_qubits: int):
+        """Apply a one-qubit basis rotation to every row."""
+        return apply_matrix(states, matrix, [qubit], num_qubits)
+
+    @staticmethod
+    def probabilities_rows(states: np.ndarray) -> np.ndarray:
+        """Basis-outcome distributions ``(B, 2**n)`` of amplitude rows."""
+        return np.abs(states) ** 2
+
+    @staticmethod
+    def _params_row(
+        circuit: QuantumCircuit, params: Optional[Sequence[float]]
+    ) -> np.ndarray:
+        """Validate one parameter vector; return it as a ``(1, P)`` stack."""
+        if params is None:
+            if circuit.num_parameters:
+                raise ValueError(
+                    f"circuit has {circuit.num_parameters} trainable parameters "
+                    "but none were supplied"
+                )
+            return np.zeros((1, 0), dtype=FLOAT_DTYPE)
+        array = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
+        if array.size != circuit.num_parameters:
+            raise ValueError(
+                f"expected {circuit.num_parameters} parameters, got {array.size}"
+            )
+        if not np.all(np.isfinite(array)):
+            raise ValueError(
+                "parameters contain NaN or infinity; an optimizer has "
+                "probably diverged"
+            )
+        return array.reshape(1, -1)
+
+    @staticmethod
+    def _coerce_params_batch(
+        circuit: QuantumCircuit, params_batch: Sequence[Sequence[float]]
+    ) -> np.ndarray:
+        array = np.asarray(params_batch, dtype=FLOAT_DTYPE)
+        if array.ndim != 2:
+            raise ValueError(
+                f"params_batch must be 2-D (batch, num_parameters), "
+                f"got shape {array.shape}"
+            )
+        if array.shape[1] != circuit.num_parameters:
+            raise ValueError(
+                f"expected {circuit.num_parameters} parameters per row, "
+                f"got {array.shape[1]}"
+            )
+        if array.shape[0] == 0:
+            raise ValueError("params_batch must have at least one row")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(
+                "parameters contain NaN or infinity; an optimizer has "
+                "probably diverged"
+            )
+        return array
 
     def probabilities(
         self,
@@ -1000,19 +1058,26 @@ class StatevectorSimulator(_RowSimulator):
         params: Optional[Sequence[float]] = None,
         seed: SeedLike = None,
     ) -> np.ndarray:
-        """Sample ``(shots, num_qubits)`` measurement outcomes."""
-        return self.run(circuit, params).sample(shots, seed=seed)
+        """Sample ``(shots, num_qubits)`` measurement outcomes from
+        :meth:`probabilities` (readout errors included)."""
+        check_positive_int(shots, "shots")
+        return sample_basis_bits(
+            self.probabilities(circuit, params), shots, ensure_rng(seed),
+            circuit.num_qubits, readout_error=self._readout,
+        )
 
     def unitary(
         self, circuit: QuantumCircuit, params: Optional[Sequence[float]] = None
     ) -> np.ndarray:
         """Dense unitary of the whole circuit (tests / small systems only).
 
-        Column ``j`` is the circuit applied to basis state ``|j>``; the
-        ``2**n`` basis states evolve as one stack of rows, the per-row
-        initial stack of the circuit's one-circuit plan.
+        Column ``j`` is the circuit applied to basis row ``j``; the basis
+        rows evolve as one stack, the per-row initial stack of the
+        circuit's one-circuit plan.  On the Pauli-transfer subclass the
+        rows are Pauli vectors, so the result is the noisy circuit's
+        ``(4**n, 4**n)`` transfer matrix.
         """
-        dim = 2**circuit.num_qubits
+        dim = 2 ** (self._REGISTER_FACTOR * circuit.num_qubits)
         batch = np.repeat(self._params_row(circuit, params), dim, axis=0)
         data = self._run_megabatch_data(
             circuit.execution_plan(),

@@ -94,7 +94,7 @@ from repro.core.variance import (
     plan_variance_shards,
 )
 from repro.core import variance as _variance_module
-from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
+from repro.initializers.registry import PAPER_METHODS, resolve_initializer_names
 from repro.utils.array_api import check_array_backend_name, get_array_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
@@ -222,7 +222,10 @@ class ExperimentSpec:
     methods:
         A list or tuple of registered initializer names for ``training``
         specs (``None`` = the paper's methods); variance methods belong
-        in ``config.methods``.
+        in ``config.methods``.  Stored as a tuple of canonical names
+        (case-insensitive, aliases resolved), so two spellings of one
+        method share labels and fingerprints; a name repeated after that
+        raises :class:`ValueError`.
     restarts:
         Independent restarts per method for ``training`` specs: the run
         covers every ``(method, restart)`` trajectory (labelled
@@ -384,8 +387,7 @@ class ExperimentSpec:
                     f"methods must be a list of initializer names, got "
                     f"{self.methods!r}"
                 )
-            for method in self.methods:
-                resolve_initializer_name(method)
+            self.methods = resolve_initializer_names(self.methods, "methods")
         if self.restarts != 1 and self.kind != "training":
             raise ValueError(
                 f"restarts applies to training specs only, not "

@@ -17,9 +17,10 @@ before anything is evaluated.  Then structures sharing a circuit *shape*
 shape buckets by :func:`plan_shape_buckets`, and each bucket's
 (structures x methods x shift terms) rows run in one
 :func:`repro.backend.gradients.megabatch_parameter_shift` call, with
-batch sizes in the hundreds.  Under noise every structure is its own
-bucket, because :class:`~repro.backend.ptm.PauliTransferSimulator` runs
-one-circuit plans only.  Since all sampling happens before any
+batch sizes in the hundreds.  Noisy shards fold the same buckets:
+:class:`~repro.backend.ptm.PauliTransferSimulator` runs the statevector
+simulator's row loop over a bucket's plan, each row with its own gate's
+channel.  Since all sampling happens before any
 evaluation, the seeded gradients do not depend on how the grid is cut
 into shards or which executor runs them; ``tests/oracles.py`` keeps the
 per-structure, per-method shift loop they are checked against.
@@ -47,7 +48,7 @@ from repro.backend.simulator import StatevectorSimulator
 from repro.core.cost import make_cost
 from repro.core.results import GradientSamples, VarianceResult
 from repro.initializers import Initializer, get_initializer
-from repro.initializers.registry import PAPER_METHODS, resolve_initializer_name
+from repro.initializers.registry import PAPER_METHODS, resolve_initializer_names
 from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
@@ -87,6 +88,9 @@ class VarianceConfig:
     qubit_counts: Sequence[int] = (2, 4, 6, 8, 10)
     num_circuits: int = 200
     num_layers: int = 30
+    #: Initializer names, stored as a tuple of canonical registry names
+    #: (case-insensitive, aliases resolved); a method named twice raises.
+    #: ``method_kwargs`` keys are canonicalized the same way.
     methods: Sequence[str] = tuple(PAPER_METHODS)
     gate_pool: Sequence[str] = DEFAULT_GATE_POOL
     entanglement: str = "chain"
@@ -135,8 +139,20 @@ class VarianceConfig:
         check_positive_int(self.num_layers, "num_layers")
         if not self.methods:
             raise ValueError("methods must be non-empty")
-        for name in self.methods:
-            resolve_initializer_name(name)
+        # Stored canonical, so outcome tables, fingerprints and initializer
+        # lookups see one spelling per method.
+        self.methods = resolve_initializer_names(self.methods, "methods")
+        if not isinstance(self.method_kwargs, dict):
+            raise ValueError(
+                "method_kwargs must map initializer names to keyword "
+                f"arguments, got {self.method_kwargs!r}"
+            )
+        self.method_kwargs = dict(
+            zip(
+                resolve_initializer_names(self.method_kwargs, "method_kwargs"),
+                self.method_kwargs.values(),
+            )
+        )
         if self.param_position not in ("first", "middle", "last"):
             raise ValueError(
                 "param_position must be 'first', 'middle' or 'last', got "
@@ -357,15 +373,12 @@ def run_variance_shard(
                 sample_rngs=sample_rngs,
             )
         )
-    if isinstance(simulator, PauliTransferSimulator):
-        # The Pauli-transfer engine runs one-circuit plans only.
-        buckets = [[i] for i in range(len(items))]
-    else:
-        buckets = plan_shape_buckets(keys)
     return {
         "num_qubits": shard.num_qubits,
         "start": shard.start,
-        "gradients": _execute_buckets(config, items, buckets, simulator),
+        "gradients": _execute_buckets(
+            config, items, plan_shape_buckets(keys), simulator
+        ),
     }
 
 

@@ -8,7 +8,7 @@ ablation and mitigation benches.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.initializers.base import Initializer
 from repro.initializers.beta import BetaInitializer
@@ -33,6 +33,7 @@ __all__ = [
     "PAPER_METHODS",
     "get_initializer",
     "resolve_initializer_name",
+    "resolve_initializer_names",
     "available_initializers",
 ]
 
@@ -100,6 +101,25 @@ def resolve_initializer_name(name: str) -> str:
             f"{sorted(set(INITIALIZER_FACTORIES) | set(_ALIASES))}"
         )
     return key
+
+
+def resolve_initializer_names(names: Iterable[str], field: str) -> Tuple[str, ...]:
+    """Canonical registry names of ``names``, in order; a
+    :class:`ValueError` naming ``field`` for a bare string or when two
+    spellings resolve to one initializer (``"xavier"`` next to
+    ``"xavier_normal"``)."""
+    if isinstance(names, str):
+        raise ValueError(
+            f"{field} must be a list of initializer names, got {names!r}"
+        )
+    names = list(names)
+    canonical = tuple(resolve_initializer_name(name) for name in names)
+    for index, name in enumerate(canonical):
+        if name in canonical[:index]:
+            raise ValueError(
+                f"{field} names initializer {name!r} more than once: {names!r}"
+            )
+    return canonical
 
 
 def available_initializers() -> List[str]:

@@ -153,13 +153,6 @@ class ArrayBackend:
     def broadcast_to(self, x: Any, shape: Sequence[int]) -> Any:
         return self.xp.broadcast_to(x, tuple(shape))
 
-    def tile_rows(self, x: Any, rows: int) -> Any:
-        """Stack ``rows`` copies of 1-D ``x`` into a ``(rows, n)`` array."""
-        return self.xp.tile(x, (rows, 1))
-
-    def concatenate(self, arrays: Sequence[Any], axis: int = 0) -> Any:
-        return self.xp.concatenate(list(arrays), axis=axis)
-
     # -- indexing ---------------------------------------------------------
 
     def index_array(self, idx: Any) -> Any:
@@ -298,8 +291,6 @@ for _op in (
     "reshape",
     "permute",
     "broadcast_to",
-    "tile_rows",
-    "concatenate",
     "take_rows",
     "matmul",
     "conj",
@@ -382,12 +373,6 @@ class TorchBackend(ArrayBackend):
 
     def broadcast_to(self, x: Any, shape: Sequence[int]) -> Any:
         return self._torch.broadcast_to(x, tuple(shape))
-
-    def tile_rows(self, x: Any, rows: int) -> Any:
-        return x.unsqueeze(0).repeat(rows, 1)
-
-    def concatenate(self, arrays: Sequence[Any], axis: int = 0) -> Any:
-        return self._torch.cat(list(arrays), dim=axis)
 
     def index_array(self, idx: Any) -> Any:
         return self._torch.as_tensor(

@@ -40,6 +40,7 @@ from repro.backend import (
     zero_projector,
 )
 from repro.backend.density import DensityMatrix, DensityMatrixSimulator
+from repro.backend.statevector import Statevector
 from repro.backend.gates import get_gate
 
 from tests.conftest import random_angles
@@ -357,7 +358,7 @@ class TestGradientEngines:
 
 
 class TestPlanRuns:
-    """The shift-rule fold runs one-circuit plans on the PTM simulator."""
+    """The shift-rule fold runs mega-batch plans on the PTM simulator."""
 
     def test_shared_prefix_fold_matches_shifted_runs(self):
         from repro.ansatz.random_pqc import RandomPQC
@@ -385,17 +386,72 @@ class TestPlanRuns:
                 total += coefficient * value
             assert grad[0] == total
 
-    def test_multi_circuit_plan_rejected(self):
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel(default=depolarizing(0.02)),
+            NoiseModel(
+                default=depolarizing(0.02),
+                per_gate={"RZ": None, "CZ": amplitude_damping(0.05)},
+            ),
+        ],
+        ids=["default", "per_gate"],
+    )
+    def test_multi_circuit_plan_matches_per_circuit_runs(self, model):
+        # A shape bucket of three structures: each slot mixes RX, RY and
+        # RZ rows, so under the per_gate model its rows carry different
+        # channels (RZ rows none).
         from repro.ansatz.random_pqc import RandomPQC
         from repro.backend.gradients import megabatch_parameter_shift
 
-        circuits = [RandomPQC(2, 2, seed=seed).build() for seed in (1, 2)]
-        sim = PauliTransferSimulator(_noisy_model())
-        params = [np.zeros((1, circuits[0].num_parameters))] * 2
-        with pytest.raises(ValueError, match="one-circuit plans"):
-            megabatch_parameter_shift(
-                circuits, PauliString(2, "ZZ"), params, simulator=sim
+        circuits = [RandomPQC(3, 3, seed=seed).build() for seed in (1, 2, 3)]
+        slots = [op.is_trainable for op in circuits[0].operations]
+        gates = {
+            frozenset(c.operations[pos].gate.name for c in circuits)
+            for pos, trainable in enumerate(slots)
+            if trainable
+        }
+        assert any("RZ" in names and len(names) > 1 for names in gates)
+        sim = PauliTransferSimulator(model)
+        rng = np.random.default_rng(25)
+        params = [rng.normal(size=(2, circuits[0].num_parameters)) for _ in circuits]
+        obs = PauliString(3, "ZZZ")
+        count = circuits[0].num_parameters
+        for indices in ([count - 1], [0, count // 2, count - 1]):
+            mega = megabatch_parameter_shift(
+                circuits, obs, params, simulator=sim, param_indices=indices
             )
+            for circuit, rows, got in zip(circuits, params, mega):
+                want = batch_parameter_shift(
+                    circuit, obs, rows, simulator=sim, param_indices=indices
+                )
+                assert np.array_equal(got, want)
+
+
+class TestInheritedEntryPoints:
+    """``sample`` and ``unitary`` come from the statevector simulator and
+    act on Pauli vectors here."""
+
+    def test_unitary_is_the_transfer_matrix(self, small_trainable_circuit):
+        sim = PauliTransferSimulator(_noisy_model())
+        params = random_angles(small_trainable_circuit, seed=5)
+        transfer = sim.unitary(small_trainable_circuit, params)
+        assert transfer.shape == (64, 64)
+        zero = pauli_vector_from_density(
+            DensityMatrix.from_statevector(Statevector.zero_state(3))
+        )
+        assert np.allclose(
+            transfer @ zero, sim.run(small_trainable_circuit, params), atol=1e-12
+        )
+
+    def test_sample_draws_noisy_outcomes_with_readout_error(self):
+        circuit = QuantumCircuit(2).x(0)
+        ideal = PauliTransferSimulator().sample(circuit, shots=8, seed=1)
+        assert np.array_equal(ideal, np.tile([1, 0], (8, 1)))
+        flipped = PauliTransferSimulator(NoiseModel(readout_error=1.0)).sample(
+            circuit, shots=8, seed=1
+        )
+        assert np.array_equal(flipped, np.tile([0, 1], (8, 1)))
 
 
 class TestValidation:

@@ -241,3 +241,50 @@ class TestSampledExpectationBatch:
                 circuit, observable, params_batch[1], shots=shots, seed=seed
             )
         )
+
+
+class TestSampledObservableWidth:
+    """Every sampled path rejects an observable wider or narrower than
+    the circuit with the analytic path's one-line error."""
+
+    @pytest.fixture(params=["statevector", "pauli_transfer"])
+    def simulator(self, request):
+        if request.param == "statevector":
+            return StatevectorSimulator()
+        from repro.backend import NoiseModel, PauliTransferSimulator, depolarizing
+
+        return PauliTransferSimulator(NoiseModel(default=depolarizing(0.02)))
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            PauliString(3, "ZIZ"),
+            PauliString(3, "XZZ"),
+            zero_projector(3),
+            PauliString(1, "Z"),
+        ],
+        ids=["ZIZ", "XZZ", "projector", "narrow"],
+    )
+    @pytest.mark.parametrize(
+        "call", ["expectation", "expectation_batch", "parameter_shift"]
+    )
+    def test_width_mismatch_raises(self, simulator, observable, call):
+        from repro.backend import parameter_shift
+
+        circuit = QuantumCircuit(2).rx(0).ry(1).cz(0, 1)
+        params = [0.3, 0.4]
+        width = observable.num_qubits
+        with pytest.raises(
+            ValueError, match=f"^state has 2 qubits, observable needs {width}$"
+        ):
+            if call == "expectation":
+                simulator.expectation(circuit, observable, params, shots=64, seed=2)
+            elif call == "expectation_batch":
+                simulator.expectation_batch(
+                    circuit, observable, [params], shots=64, seed=2
+                )
+            else:
+                parameter_shift(
+                    circuit, observable, params, simulator=simulator,
+                    shots=64, seed=2,
+                )

@@ -1,6 +1,7 @@
 """Unit tests for the declarative ExperimentSpec API and repro.run."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="methods"):
             ExperimentSpec.from_dict({"kind": "training", "methods": methods})
 
+    @pytest.mark.parametrize(
+        "methods",
+        [["random", "random"], ["xavier", "Xavier_Normal"]],
+        ids=["repeat", "alias"],
+    )
+    def test_methods_named_twice_rejected(self, methods):
+        with pytest.raises(ValueError, match="methods names initializer"):
+            ExperimentSpec(kind="training", methods=methods)
+        with pytest.raises(ValueError, match="methods names initializer"):
+            ExperimentSpec.from_dict({"kind": "training", "methods": methods})
+        config = {"methods": methods}
+        with pytest.raises(ValueError, match="methods names initializer"):
+            ExperimentSpec.from_dict({"kind": "variance", "config": config})
+
     def test_unknown_config_field(self):
         with pytest.raises(ValueError, match=r"unknown TrainingConfig field\(s\)"):
             ExperimentSpec(kind="training", config={"num_qubit": 2})
@@ -87,6 +102,56 @@ class TestValidation:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="variance", workers=0)
+
+
+class TestCanonicalMethodNames:
+    """Methods are stored canonical: spellings and aliases of one method
+    share labels, outcome tables and fingerprints."""
+
+    SPELLINGS = [
+        ("random", "xavier_normal"),
+        ("Random", "Xavier_Normal"),
+        ("RANDOM", "xavier"),
+        ("random", "glorot_normal"),
+    ]
+
+    def test_variance_improvements_filled_for_case_variants(self):
+        config = VarianceConfig(
+            qubit_counts=(2, 3),
+            num_circuits=4,
+            num_layers=3,
+            methods=("Random", "Xavier_Normal"),
+        )
+        outcome = run(ExperimentSpec(kind="variance", config=config, seed=4))
+        assert list(outcome.fits) == ["random", "xavier_normal"]
+        assert list(outcome.improvements) == ["xavier_normal"]
+
+    @pytest.mark.parametrize("kind", ["variance", "training"])
+    def test_fingerprints_equal_across_spellings(self, kind):
+        plans = []
+        for methods in self.SPELLINGS:
+            if kind == "variance":
+                config = replace(
+                    _VAR_CONFIG,
+                    methods=methods,
+                    method_kwargs={methods[1].upper(): {"fan_mode": "qubits"}},
+                )
+                spec = ExperimentSpec(kind=kind, config=config, seed=9)
+            else:
+                spec = ExperimentSpec(
+                    kind=kind, config=_TRAIN_CONFIG, methods=methods, seed=9
+                )
+            plans.append(plan_experiment(spec))
+        for plan in plans[1:]:
+            assert plan.fingerprint == plans[0].fingerprint
+            assert plan.unit_fingerprints == plans[0].unit_fingerprints
+
+    def test_training_labels_are_canonical(self):
+        spec = ExperimentSpec(
+            kind="training", config=_TRAIN_CONFIG, methods=["Xavier"], seed=2
+        )
+        assert spec.methods == ("xavier_normal",)
+        assert list(run(spec).histories) == ["xavier_normal"]
 
 
 class TestResolvedExecutor:

@@ -11,6 +11,7 @@ from repro.core.variance import (
     plan_variance_shards,
     run_variance_shard,
 )
+from repro.initializers import FanMode
 
 
 def _tiny_config(**overrides):
@@ -61,6 +62,37 @@ class TestConfig:
         )
         inits = config.build_initializers()
         assert inits["orthogonal"].gain == pytest.approx(2.0)
+
+    def test_stores_canonical_names(self):
+        config = _tiny_config(
+            methods=["Random", "XAVIER", "glorot_uniform"],
+            method_kwargs={"Xavier_Normal": {"fan_mode": FanMode.PARAMS_PER_LAYER}},
+        )
+        assert config.methods == ("random", "xavier_normal", "xavier_uniform")
+        assert list(config.method_kwargs) == ["xavier_normal"]
+        initializer = config.build_initializers()["xavier_normal"]
+        assert initializer.fan_mode is FanMode.PARAMS_PER_LAYER
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("methods", ("random", "Random")),
+            ("methods", ("xavier", "xavier_normal")),
+            ("method_kwargs", {"he": {}, "HE_NORMAL": {}}),
+        ],
+        ids=["case", "alias", "kwargs"],
+    )
+    def test_rejects_a_method_named_twice(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} names initializer"):
+            _tiny_config(**{field: value})
+
+    def test_rejects_a_bare_method_name(self):
+        with pytest.raises(ValueError, match="methods must be a list"):
+            _tiny_config(methods="random")
+
+    def test_rejects_non_dict_method_kwargs(self):
+        with pytest.raises(ValueError, match="method_kwargs must map"):
+            _tiny_config(method_kwargs=[("random", {})])
 
 
 class TestRun:
@@ -229,6 +261,12 @@ _NOISE = {
     "default": {"name": "depolarizing", "probability": 0.01},
     "readout_error": 0.02,
 }
+# Slots mix RX, RY and RZ rows, so a bucket's slot rows carry different
+# channels under this model (RZ rows none).
+_PER_GATE_NOISE = {
+    "default": {"name": "depolarizing", "probability": 0.01},
+    "per_gate": {"RZ": None, "CZ": {"name": "amplitude_damping", "gamma": 0.03}},
+}
 
 
 class TestOracleShard:
@@ -244,8 +282,12 @@ class TestOracleShard:
             {"shots": 64},
             {"noise": _NOISE, "qubit_counts": (2, 3)},
             {"noise": _NOISE, "shots": 32, "qubit_counts": (2, 3)},
+            {"noise": _PER_GATE_NOISE, "qubit_counts": (2, 3)},
         ],
-        ids=["global", "local", "first", "middle", "shots", "noise", "noise-shots"],
+        ids=[
+            "global", "local", "first", "middle", "shots", "noise",
+            "noise-shots", "noise-per-gate",
+        ],
     )
     def test_shard_equals_oracle(self, overrides):
         settings = dict(

@@ -118,6 +118,17 @@ class TestEndpoints:
         assert "methods must be a list of initializer names" in error
         assert server.queue.jobs() == []
 
+    def test_method_named_twice_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(
+                f"{server.url}/experiments",
+                {"kind": "training", "methods": ["he", "he_normal"]},
+            )
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "methods names initializer 'he_normal' more than once" in error
+        assert server.queue.jobs() == []
+
     def test_repeated_qubit_counts_400(self, server):
         body = _SPEC.to_dict()
         body["config"] = dict(body["config"], qubit_counts=[3, 3])

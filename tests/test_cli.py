@@ -329,6 +329,20 @@ class TestInputErrors:
         code = main(["run", str(path)])
         self._assert_one_line_error(capsys, code, "methods must be a list")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"kind": "training", "methods": ["random", "Random"]}',
+            '{"kind": "variance", "config": {"methods": ["xavier", "xavier_normal"]}}',
+        ],
+        ids=["training", "variance"],
+    )
+    def test_run_method_named_twice(self, capsys, tmp_path, body):
+        path = tmp_path / "spec.json"
+        path.write_text(body)
+        code = main(["run", str(path)])
+        self._assert_one_line_error(capsys, code, "methods names initializer")
+
     def test_run_unknown_spec_field(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"kind": "training", "sede": 1}')

@@ -164,8 +164,6 @@ class TestNumpyBackend:
         # be exact numpy operations for the bit-identity contract.
         backend = get_array_backend("numpy")
         x = np.arange(12, dtype=FLOAT_DTYPE).reshape(3, 4)
-        assert np.array_equal(backend.concatenate([x, x]), np.concatenate([x, x]))
-        assert np.array_equal(backend.tile_rows(x[0], 3), np.tile(x[0], (3, 1)))
         assert np.array_equal(backend.take_rows(x, np.array([2, 0])), x[[2, 0]])
         out = backend.empty_like(x)
         backend.put_rows(out, np.array([0, 1, 2]), x)
@@ -240,8 +238,6 @@ class TestLoopbackBackend:
             backend.sum(x, axis=1),
             backend.matmul(x, backend.permute(x, (1, 0))),
             backend.take_rows(x, np.array([1])),
-            backend.concatenate([x, x]),
-            backend.tile_rows(x[0], 3),
         ):
             assert type(out) is LoopbackArray, out
 
