@@ -343,8 +343,9 @@ class PauliTransferSimulator(StatevectorSimulator):
             )
         return vector
 
-    def _program(self, plan: MegaBatchPlan, start: int, stop: int) -> "List[tuple]":
-        """One slot step per operation in ``[start, stop)``, none fused.
+    def _program(self, plan: MegaBatchPlan, start: int, stop: int) -> tuple:
+        """One slot step per operation in ``[start, stop)``, none fused,
+        all in canonical order (steps on bit pairs are multi-axis).
 
         A step's payload is ``(op, ptm, channels)``: the operation's PTM
         (``None`` on a trainable slot, whose PTMs are row data), and per
@@ -364,11 +365,11 @@ class PauliTransferSimulator(StatevectorSimulator):
                 trivial = channel is None or channel.is_trivial
                 channels.append(None if trivial else ptm_of_channel(channel))
             steps.append(("slot", pos, pos + 1, (op, ptm, channels)))
-        return steps
+        return steps, None, None
 
     @staticmethod
     def _apply_megabatch_slot(
-        plan, pos, payload, data, spare, batch_array, rows, order, backend
+        plan, pos, payload, data, spare, angles, rows, order, backend
     ):
         """Apply one operation's PTM, then its channel on each gate qubit.
 
@@ -377,15 +378,15 @@ class PauliTransferSimulator(StatevectorSimulator):
         gets its own gate's channel: when a slot's rows carry different
         channels, each channel's rows are gathered, transformed and
         scattered back, which is exact.  Every kernel returns a fresh
-        stack and ``spare`` stays unused: transposed-layout temporaries
-        written through ``out=`` are faulted in again on every gate (see
-        the statevector's one-gate slots).
+        stack and ``spare`` stays unused: the canonical transposed
+        layout's temporaries, written through ``out=``, would be faulted
+        in again on every gate.
         """
         op, ptm, channels = payload
         register = 2 * plan.num_qubits
         if ptm is None:
             gates, codes = plan.slot_gates[pos]
-            thetas = batch_array[order, op.param_index]
+            thetas = angles[op.param_index][order]
             if len(gates) == 1:
                 ptm = ptm_of_unitary_batch(gates[0].matrix_batch(thetas))
             else:

@@ -69,13 +69,24 @@ subclass supplies only the register width, the default row, the program
 and the slot step; estimation and the sampled stages are shared.
 
 The stack evolves one cache-sized chunk at a time between two buffers
-allocated once per call: every fixed operation and mixed slot writes
-into the spare buffer (``out=``) and the two swap.  A
-slot that mixes dense and diagonal rows does not scatter them back: it
-permutes the chunk so its dense rows come first (one row gather), runs
-each kernel on its half in place of the other buffer, and carries the
-composed row order on; one row scatter at the end of the chunk restores
-the caller's order.  A fold — the rows of
+allocated once per call: every step writes into the spare buffer
+(``out=``) and the two swap.  Each chunk also carries a qubit axis
+order (see :mod:`repro.backend.statevector`), compiled once per plan and
+operation range (:meth:`StatevectorSimulator._program`).  A chunk starts
+in the order that puts each single-qubit target of the program's opening
+gates on the trailing axis when its gate comes; for a layer over qubits
+``0..n-1`` (the random PQCs and the hardware-efficient ansatz) that is
+the reversed order, which the layer leaves as it found it, so every
+rotation is one GEMM per row on an F-ordered view and no kernel copies
+the stack.  Fused CZ-chain diagonals are applied permuted to the current
+order.  Canonical order comes back once per chunk, before its rows are
+written or reduced: a closing fused diagonal writes it directly, and
+otherwise one copy restores it.  The Pauli-transfer program, whose steps
+act on bit pairs, stays canonical.  A slot that mixes dense and diagonal
+rows does not scatter them back: it sorts the chunk by gate, dense gates
+first (one row gather), runs each kernel on its half in place of the
+other buffer, and carries the composed row order on; one row scatter at
+the end of the chunk restores the caller's order.  A fold — the rows of
 :meth:`~StatevectorSimulator.expectation_batch`, or the shifted rows of a
 shift-rule gradient, gathered from shared prefix states — instead reduces
 each chunk to expectations as soon as it is finished, so it never holds
@@ -96,6 +107,8 @@ from repro.backend.statevector import (
     Statevector,
     apply_diagonal,
     apply_matrix,
+    moved_axes,
+    permute_axes,
     sample_basis_bits,
 )
 from repro.utils.array_api import (
@@ -141,72 +154,99 @@ def batch_chunk_rows(
     return max(1, chunk_bytes // (16 * 2**num_qubits))
 
 
-def apply_parametric_stack(data, gate, thetas, qubits, num_qubits, backend=None):
-    """Apply one parametric gate with per-row angles to an amplitude stack.
-
-    ``thetas`` has one entry per row of ``data``; diagonal gates route
-    through the elementwise kernel, everything else through the stacked
-    matrix kernel, into a fresh stack.  Matrix stacks are built from the
-    host parameter array; on a non-numpy ``backend`` the dense stack is
-    staged by :meth:`ParametricGate.matrix_batch` (and a diagonal stack
-    by the kernel) in one copy per gate/slot.
-    """
-    if getattr(gate, "is_diagonal", False):
-        matrices = gate.matrix_batch(thetas)
-        diagonals = np.diagonal(matrices, axis1=-2, axis2=-1)
-        return apply_diagonal(data, diagonals, qubits, num_qubits, backend=backend)
-    matrices = gate.matrix_batch(thetas, backend=backend)
-    return apply_matrix(data, matrices, qubits, num_qubits, backend=backend)
-
-
-def _apply_gate_group(
-    data, gates, codes, thetas, diagonal, qubits, num_qubits, backend, out
-):
-    """Apply a slot's per-row gates to ``data``, all dense or all diagonal.
-
-    Row ``i`` gets ``gates[codes[i]]`` at angle ``thetas[i]``.  The
-    per-gate matrix stacks are assembled host-side into one contiguous
-    operand stack (the kernels are per-row independent, so one mixed
-    call carries the same bits as per-gate calls) and applied in one
-    kernel call writing ``out``.
-    """
+def _slot_operands(gates, keys, thetas, counts=None) -> np.ndarray:
+    """``(B, 2**k, 2**k)`` operand table of a slot's rows: row ``i`` holds
+    ``gates[keys[i]]`` at angle ``thetas[i]``, from one ``matrix_batch``
+    call per gate (``keys`` is ``None`` for a one-gate slot).  With
+    ``counts``, the keys are sorted and gate ``g`` has the ``counts[g]``
+    rows of one run.  Diagonal rows read the table's diagonal."""
+    if keys is None:
+        return gates[0].matrix_batch(thetas)
     dim = gates[0].dim
-    shape = (codes.size, dim) if diagonal else (codes.size, dim, dim)
-    operands = np.empty(shape, dtype=COMPLEX_DTYPE)
-    for code, gate in enumerate(gates):
-        sel = np.flatnonzero(codes == code)
-        if sel.size == 0:
-            continue
-        matrices = gate.matrix_batch(thetas[sel])
-        operands[sel] = (
-            np.diagonal(matrices, axis1=-2, axis2=-1) if diagonal else matrices
-        )
-    kernel = apply_diagonal if diagonal else apply_matrix
-    kernel(data, operands, qubits, num_qubits, backend=backend, out=out)
-
-
-def _apply_fixed_operation(data, op, num_qubits, backend=None, out=None):
-    """Apply a fixed or bound-parameter operation: one shared operand."""
-    matrix = op.matrix(None)
-    if getattr(op.gate, "is_diagonal", False):
-        return apply_diagonal(
-            data, np.diagonal(matrix), op.qubits, num_qubits,
-            backend=backend, out=out,
-        )
-    return apply_matrix(
-        data, matrix, op.qubits, num_qubits, backend=backend, out=out
-    )
+    table = np.empty((thetas.size, dim, dim), dtype=COMPLEX_DTYPE)
+    if counts is not None:
+        first = 0
+        for gate, count in zip(gates, counts):
+            if count:
+                run = slice(first, first + count)
+                table[run] = gate.matrix_batch(thetas[run])
+            first += count
+        return table
+    for key, gate in enumerate(gates):
+        sel = np.flatnonzero(keys == key)
+        if sel.size:
+            table[sel] = gate.matrix_batch(thetas[sel])
+    return table
 
 
 @lru_cache(maxsize=64)
-def _fused_unit_diagonal(run: "Tuple[Operation, ...]", num_qubits: int) -> np.ndarray:
+def _fused_unit_diagonal(
+    run: "Tuple[Operation, ...]", num_qubits: int, axes: "Optional[tuple]" = None
+) -> np.ndarray:
     """Full-space ``(2**n,)`` product of a run of exact-unit diagonals,
     memoized: circuits built from one skeleton share their entangler runs,
-    so a plan per structure circuit fuses each run once.  Read-only."""
+    so a plan per structure circuit fuses each run once.  With ``axes``,
+    its entries in that axis order (see :mod:`repro.backend.statevector`).
+    Read-only."""
+    if axes is not None:
+        fused = _fused_unit_diagonal(run, num_qubits)
+        return fused.reshape((2,) * num_qubits).transpose(axes).reshape(-1)
     fused = np.ones(2**num_qubits, dtype=COMPLEX_DTYPE)
     for op in run:
         fused = apply_diagonal(fused, np.diagonal(op.matrix(None)), op.qubits, num_qubits)
     return fused
+
+
+def _start_axes(steps, num_qubits: int) -> "Tuple[int, ...]":
+    """The axis order a chunk starts in: each single-qubit target of the
+    program's opening gates, in first-use order, is on the trailing axis
+    when its gate comes (a layer over qubits ``0..n-1`` starts reversed
+    and ends reversed again)."""
+    seen: "List[int]" = []
+    for kind, _, _, payload in steps:
+        if kind == "fused_diag":
+            continue
+        if len(payload.qubits) > 1:
+            break
+        if payload.qubits[0] not in seen:
+            seen.append(payload.qubits[0])
+    rest = tuple(q for q in range(num_qubits) if q not in seen)
+    return rest + tuple(reversed(seen))
+
+
+def _ordered_program(plan: "MegaBatchPlan", steps) -> tuple:
+    """Compile plan steps for the chunk loop; see
+    :meth:`StatevectorSimulator._program`."""
+    num_qubits = plan.num_qubits
+    canonical = tuple(range(num_qubits))
+    axes = first = _start_axes(steps, num_qubits)
+    program = []
+    for index, (kind, lo, hi, payload) in enumerate(steps):
+        if kind == "fused_diag":
+            if index == len(steps) - 1:
+                # Written in canonical order, so the chunk needs no
+                # closing copy.
+                program.append(("diagonal", lo, hi, (payload, canonical, axes)))
+                axes = canonical
+            else:
+                run = tuple(plan.template.operations[lo:hi])
+                fused = _fused_unit_diagonal(run, num_qubits, axes)
+                program.append(("diagonal", lo, hi, (fused, axes, axes)))
+            continue
+        qubits = payload.qubits
+        if kind == "slot":
+            program.append(("slot", lo, hi, (payload, axes)))
+        elif getattr(payload.gate, "is_diagonal", False):
+            diagonal = np.diagonal(payload.matrix(None))
+            program.append(("diagonal", lo, hi, (diagonal, qubits, axes)))
+        else:
+            program.append(("matrix", lo, hi, (payload.matrix(None), qubits, axes)))
+        axes = moved_axes(axes, qubits)
+    return (
+        program,
+        None if first == canonical else first,
+        None if axes == canonical else axes,
+    )
 
 
 class MegaBatchPlan:
@@ -265,10 +305,11 @@ class MegaBatchPlan:
         # Registry gates are singletons, so keying by name is keying by
         # object.
         self.slot_gates: Dict[int, Tuple[List[ParametricGate], np.ndarray]] = {}
-        #: Per trainable position: boolean per-code table marking diagonal
-        #: gates, so slot execution classifies rows with one fancy index
-        #: instead of set membership tests.
-        self.slot_diagonal: Dict[int, np.ndarray] = {}
+        #: Per trainable position: ``(ranked, keys, num_dense)`` — the
+        #: distinct gates with the dense ones first, each circuit's index
+        #: into ``ranked``, and how many of ``ranked`` are dense.  Sorting
+        #: a slot's rows by key puts every gate's rows in one run.
+        self.slot_ranks: Dict[int, Tuple[List[ParametricGate], np.ndarray, int]] = {}
         for pos, op in enumerate(template.operations):
             if not op.is_trainable:
                 continue
@@ -283,10 +324,19 @@ class MegaBatchPlan:
                     gates.append(gate)
                 codes[c_index] = code
             self.slot_gates[pos] = (gates, codes)
-            self.slot_diagonal[pos] = np.array(
-                [bool(getattr(gate, "is_diagonal", False)) for gate in gates]
+            diagonal = [bool(getattr(gate, "is_diagonal", False)) for gate in gates]
+            ranked = sorted(range(len(gates)), key=diagonal.__getitem__)
+            # Small unsigned keys sort by radix, not by timsort.
+            keys = np.argsort(ranked)[codes].astype(
+                np.min_scalar_type(len(gates) - 1)
+            )
+            self.slot_ranks[pos] = (
+                [gates[code] for code in ranked], keys, diagonal.count(False)
             )
         self.steps = self._compile_steps()
+        #: Compiled chunk-loop programs by operation range (see
+        #: :meth:`StatevectorSimulator._program`).
+        self.programs: "Dict[tuple, tuple]" = {}
 
     @property
     def num_circuits(self) -> int:
@@ -578,12 +628,12 @@ class StatevectorSimulator:
 
         The rows run in :func:`batch_chunk_rows` chunks, one after the
         other, between two chunk-sized buffers allocated once per call:
-        each chunk copies its initial rows into one buffer, every kernel
-        but a slot step's (see :meth:`_apply_megabatch_slot`) writes
-        the other (``out=``) and the two swap, and one
-        ``put_rows`` writes the chunk into the freshly allocated result in
-        the caller's row order.  ``initial_state`` is only read, so the
-        result never aliases it.
+        each chunk copies its initial rows into one buffer in the
+        program's first axis order, every statevector step writes the
+        other (``out=``) and the two swap, canonical order is restored,
+        and one ``put_rows`` writes the chunk into the freshly allocated
+        result in the caller's row order.  ``initial_state`` is only
+        read, so the result never aliases it.
 
         With ``initial_rows``, row ``i`` is gathered straight into the
         chunk buffer from row ``initial_rows[i]`` of the per-row stack.
@@ -593,17 +643,21 @@ class StatevectorSimulator:
         batch_array, rows, start, stop = self._check_plan_run(
             plan, params_batch, row_circuits, start, stop
         )
-        steps = self._program(plan, start, stop)
+        steps, first_axes, last_axes = self._program(plan, start, stop)
         num_qubits = plan.num_qubits
         register = self._REGISTER_FACTOR * num_qubits
         batch = batch_array.shape[0]
         dim = 2**register
         backend = self.backend
         complex_dtype = backend.complex_dtype
+        canonical = tuple(range(register))
         shared = self._initial_row(initial_state, num_qubits)
         if shared is not None:
             if initial_rows is not None:
                 raise ValueError("initial_rows needs a per-row initial stack")
+            if first_axes is not None:
+                shared = np.asarray(shared).reshape((2,) * register)
+                shared = shared.transpose(first_axes).reshape(-1)
             initial = backend.asarray(shared, dtype=complex_dtype)
         else:
             initial = self._per_row_stack(initial_state, initial_rows, batch, dim)
@@ -614,38 +668,44 @@ class StatevectorSimulator:
         # bandwidth.  Rows are independent, so chunk boundaries are
         # invisible to the results.
         chunk = batch_chunk_rows(register, backend)
+        # One contiguous row of angles per parameter: a slot gathers its
+        # column through ``order`` without striding over the whole batch.
+        angles = np.ascontiguousarray(batch_array.T)
         result = None if estimate else backend.zeros((batch, dim), complex_dtype)
         buffer = backend.zeros((min(chunk, batch), dim), complex_dtype)
         spare_buffer = backend.empty_like(buffer)
-        all_qubits = range(num_qubits)
         for first in range(0, batch, chunk):
             last = min(first + chunk, batch)
             data = buffer[: last - first]
             spare = spare_buffer[: last - first]
             if shared is not None:
                 data[...] = initial
-            elif initial_rows is not None:
-                backend.take_rows(initial, initial_rows[first:last], out=data)
             else:
-                data[...] = initial[first:last]
+                rows_in = data if first_axes is None else spare
+                if initial_rows is not None:
+                    backend.take_rows(initial, initial_rows[first:last], out=rows_in)
+                else:
+                    rows_in[...] = initial[first:last]
+                if first_axes is not None:
+                    permute_axes(rows_in, canonical, first_axes, register, data, backend)
             # order[i]: the caller's row that data[i] holds.
             order = np.arange(first, last)
             for kind, lo, _, payload in steps:
                 if kind == "slot":
                     data, spare, order = self._apply_megabatch_slot(
-                        plan, lo, payload, data, spare, batch_array, rows,
-                        order, backend,
+                        plan, lo, payload, data, spare, angles, rows, order,
+                        backend,
                     )
                     continue
-                if kind == "fused_diag":
-                    apply_diagonal(
-                        data, payload, all_qubits, num_qubits,
-                        backend=backend, out=spare,
-                    )
-                else:
-                    _apply_fixed_operation(
-                        data, payload, num_qubits, backend, out=spare
-                    )
+                operand, qubits, axes = payload
+                kernel = apply_matrix if kind == "matrix" else apply_diagonal
+                kernel(
+                    data, operand, qubits, num_qubits,
+                    backend=backend, out=spare, axes=axes,
+                )
+                data, spare = spare, data
+            if last_axes is not None:
+                permute_axes(data, last_axes, canonical, register, spare, backend)
                 data, spare = spare, data
             if estimate:
                 self._estimate_rows(data, order, *estimate)
@@ -678,20 +738,33 @@ class StatevectorSimulator:
         return batch_array, rows, start, stop
 
     @staticmethod
-    def _program(plan: MegaBatchPlan, start: int, stop: int) -> "List[tuple]":
-        """The plan's compiled steps covering operations ``[start, stop)``."""
-        steps = []
-        for step in plan.steps:
-            lo, hi = step[1], step[2]
-            if hi <= start or lo >= stop:
-                continue
-            if lo < start or hi > stop:
-                raise ValueError(
-                    f"operation range [{start}, {stop}) splits the fused "
-                    f"diagonal run covering operations [{lo}, {hi})"
-                )
-            steps.append(step)
-        return steps
+    def _program(plan: MegaBatchPlan, start: int, stop: int) -> tuple:
+        """``(steps, first_axes, last_axes)`` covering operations
+        ``[start, stop)``, compiled once per plan and range.
+
+        ``steps`` are ``(kind, lo, hi, payload)``: a ``"slot"`` carries
+        ``(op, axes)``, a ``"matrix"`` or ``"diagonal"`` step ``(operand,
+        qubits, axes)``, where ``axes`` is the order the chunk is in when
+        the step runs (see :mod:`repro.backend.statevector`).  A chunk
+        starts in ``first_axes`` and ends in ``last_axes``; ``None`` is
+        canonical order.  A fused diagonal run is applied in the current
+        order, except as the last step, where it writes canonical order.
+        """
+        program = plan.programs.get((start, stop))
+        if program is None:
+            steps = []
+            for step in plan.steps:
+                lo, hi = step[1], step[2]
+                if hi <= start or lo >= stop:
+                    continue
+                if lo < start or hi > stop:
+                    raise ValueError(
+                        f"operation range [{start}, {stop}) splits the fused "
+                        f"diagonal run covering operations [{lo}, {hi})"
+                    )
+                steps.append(step)
+            program = plan.programs[(start, stop)] = _ordered_program(plan, steps)
+        return program
 
     @staticmethod
     def _initial_row(initial_state, num_qubits: int):
@@ -727,62 +800,65 @@ class StatevectorSimulator:
     def _apply_megabatch_slot(
         plan: MegaBatchPlan,
         pos: int,
-        op,
+        payload: tuple,
         data,
         spare,
-        batch_array: np.ndarray,
+        angles: np.ndarray,
         rows: np.ndarray,
         order: np.ndarray,
         backend: ArrayBackend,
     ):
         """Apply one trainable slot with per-row gates to a chunk.
 
-        ``data[i]`` holds the caller's row ``order[i]``; its angle and
-        gate code are looked up through ``order``.  Returns ``(data,
-        spare, order)`` for the next step.  A slot of one gate (every slot
-        of a one-circuit plan) returns a fresh stack: written into
-        ``spare``, the dense kernel's transpose temporaries would be freed
-        on top of the heap, handed back to the OS and faulted in again on
-        every gate (glibc, numpy 2.4, 2-core x86-64: a 200-row, 10-qubit
-        fold took 81k minor faults per pass instead of 39k, and 1.3x the
-        time).  A slot whose chunk rows
-        are all dense or all diagonal runs one kernel from ``data`` into
-        ``spare`` (the buffers swap).  A mixed slot gathers ``data`` into
-        ``spare`` in stable dense-first order, then runs the dense kernel
-        into the leading rows of ``data`` and the diagonal kernel into the
-        rest, and hands the composed order on — rows are not scattered
-        back.
+        ``payload`` is ``(op, axes)``; ``data[i]`` holds the caller's row
+        ``order[i]``, whose angle (``angles[param_index][order[i]]``, the
+        transposed parameter batch) and gate are looked up through
+        ``order``.  Returns ``(data, spare, order)`` for the next step.
+        The slot's rows get one operand table (:func:`_slot_operands`).
+        A slot whose chunk rows are all dense or all diagonal runs one
+        kernel from ``data`` into ``spare`` (the buffers swap).  A mixed
+        slot gathers ``data`` into ``spare`` sorted by gate, dense gates
+        first, so each gate's rows are one run of the table, then runs the dense kernel into the leading rows of ``data`` and
+        the diagonal kernel into the rest, and hands the composed order
+        on — rows are not scattered back.  Both kernels leave the target
+        leading, so the halves agree on the chunk's axis order.
         Operand assembly is host-side (it indexes tiny per-row metadata);
         each kernel stages its operand stack to the backend in one copy.
         """
+        op, axes = payload
         num_qubits = plan.num_qubits
-        gates, codes = plan.slot_gates[pos]
-        thetas = batch_array[order, op.param_index]
-        if len(gates) == 1:
-            fresh = apply_parametric_stack(
-                data, gates[0], thetas, op.qubits, num_qubits, backend=backend
-            )
-            return fresh, spare, order
-        row_codes = codes[rows[order]]
-        row_is_diagonal = plan.slot_diagonal[pos][row_codes]
-        num_diagonal = int(np.count_nonzero(row_is_diagonal))
-        if num_diagonal in (0, order.size):
-            _apply_gate_group(
-                data, gates, row_codes, thetas, num_diagonal > 0, op.qubits,
-                num_qubits, backend, spare,
-            )
+        ranked, circuit_keys, num_dense = plan.slot_ranks[pos]
+        thetas = angles[op.param_index][order]
+        keys = counts = None
+        dense = order.size if num_dense else 0
+        if len(ranked) > 1:
+            keys = circuit_keys[rows[order]]
+            counts = np.bincount(keys, minlength=len(ranked)).tolist()
+            dense = sum(counts[:num_dense])
+        if dense in (0, order.size):
+            table = _slot_operands(ranked, keys, thetas)
+            if dense:
+                apply_matrix(
+                    data, table, op.qubits, num_qubits,
+                    backend=backend, out=spare, axes=axes,
+                )
+            else:
+                apply_diagonal(
+                    data, np.diagonal(table, axis1=1, axis2=2), op.qubits,
+                    num_qubits, backend=backend, out=spare, axes=axes,
+                )
             return spare, data, order
-        perm = np.argsort(row_is_diagonal, kind="stable")
+        perm = np.argsort(keys, kind="stable")
         backend.take_rows(data, perm, out=spare)
-        order, row_codes, thetas = order[perm], row_codes[perm], thetas[perm]
-        dense = order.size - num_diagonal
-        _apply_gate_group(
-            spare[:dense], gates, row_codes[:dense], thetas[:dense], False,
-            op.qubits, num_qubits, backend, data[:dense],
+        order, thetas = order[perm], thetas[perm]
+        table = _slot_operands(ranked, keys, thetas, counts)
+        apply_matrix(
+            spare[:dense], table[:dense], op.qubits, num_qubits,
+            backend=backend, out=data[:dense], axes=axes,
         )
-        _apply_gate_group(
-            spare[dense:], gates, row_codes[dense:], thetas[dense:], True,
-            op.qubits, num_qubits, backend, data[dense:],
+        apply_diagonal(
+            spare[dense:], np.diagonal(table[dense:], axis1=1, axis2=2),
+            op.qubits, num_qubits, backend=backend, out=data[dense:], axes=axes,
         )
         return data, spare, order
 

@@ -50,6 +50,34 @@ The numpy kernels hand ``out`` straight to :func:`numpy.matmul` /
 as usual and assign into ``out``.  The mega-batch loop runs every chunk
 between two such buffers, which ends per-gate allocation churn.
 
+Axis orders
+-----------
+A ``(B, 2**n)`` stack is a ``(B,) + (2,) * n`` tensor, and ``axes=`` on
+:func:`apply_matrix` and :func:`apply_diagonal` names the qubit each of
+its ``n`` tensor axes holds.  Omitted, the order is canonical (axis ``i``
+holds qubit ``i``) in and out, with the layouts above.  Given, the
+result holds the gate's targets on its leading axes, then the other axes
+in their order (:func:`moved_axes`), so no kernel transposes back:
+
+* targets on the trailing axes: the stack's ``(B, rest, 2**k)`` view,
+  transposed, is one F-ordered ``(2**k, rest)`` block per row, which
+  :func:`numpy.matmul` hands to ZGEMM as it is and which writes ``out``
+  directly (the canonical kernel's last-qubit gate makes the same call);
+* targets on the leading axes: a C-ordered ``(2**k, rest)`` view, the
+  single-qubit fast path's GEMM;
+* any other targets: one transpose copy brings them to the front.
+
+A diagonal reads the stack through a view in the result's order and
+writes ``out`` contiguously.  Every layout is still a left-multiplying
+GEMM, and the diagonal the same elementwise multiply, so a row carries
+the canonical kernels' bits in any order on a BLAS build where the GEMM
+of an F-ordered block equals the GEMM of its C-ordered copy
+(``tests/backend/test_axis_order.py`` pins both properties).  The
+mega-batch chunk loop tracks each chunk's order; every other caller
+(adjoint sweeps, observables, Pauli-transfer steps, oracles) runs
+canonical order, and reductions need it, since they sum in index order.
+:func:`permute_axes` writes a stack into another order in one copy.
+
 Measurement sampling has a batched form too: :meth:`Statevector.sample_batch`
 / :meth:`Statevector.sample_counts_batch` draw per-row multinomial samples
 from one ``(B, 2**k)`` marginal probability matrix
@@ -187,6 +215,55 @@ def _check_targets(qubits: Sequence[int], num_qubits: int) -> None:
     )
 
 
+def moved_axes(axes: Sequence[int], qubits: Sequence[int]) -> Tuple[int, ...]:
+    """The axis order a gate on ``qubits`` leaves a stack in ``axes`` in:
+    its targets leading, in gate order, then the other axes in their
+    order."""
+    return tuple(qubits) + tuple(q for q in axes if q not in qubits)
+
+
+def _target_block(states: np.ndarray, qubits, num_qubits: int, axes):
+    """``(B, 2**k, rest)`` view of a stack in ``axes`` order whose middle
+    axis runs over the targets (most significant gate qubit first).
+
+    Targets on the trailing axes give an F-ordered view and targets on
+    the leading axes a C-ordered one; neither copies.  Any other targets
+    are transposed to the front in one copy.
+    """
+    batch, k = states.shape[0], len(qubits)
+    rest = 2 ** (num_qubits - k)
+    positions = [axes.index(q) for q in qubits]
+    first = positions[0]
+    if positions == list(range(first, first + k)):
+        if first == 0:
+            return states.reshape(batch, 2**k, rest)
+        if first + k == num_qubits:
+            return states.reshape(batch, rest, 2**k).transpose(0, 2, 1)
+    forward = [0] + [p + 1 for p in positions]
+    forward += [p + 1 for p in range(num_qubits) if p not in positions]
+    tensor = states.reshape((batch,) + (2,) * num_qubits).transpose(forward)
+    return tensor.reshape(batch, 2**k, rest)
+
+
+def permute_axes(
+    state, axes: Sequence[int], new_axes: Sequence[int], num_qubits: int,
+    out, backend: Optional[ArrayBackend] = None,
+):
+    """Write a ``(B, 2**n)`` stack held in ``axes`` order into ``out`` in
+    ``new_axes`` order (one copy); returns ``out``."""
+    batch = int(state.shape[0])
+    shape = (batch,) + (2,) * num_qubits
+    forward = [0] + [axes.index(q) + 1 for q in new_axes]
+    device = _device_backend(state, backend)
+    if device is None:
+        np.copyto(out.reshape(shape), state.reshape(shape).transpose(forward))
+    else:
+        out[...] = device.reshape(
+            device.permute(device.reshape(state, shape), forward), (batch, -1)
+        )
+    return out
+
+
 def apply_matrix(
     state: np.ndarray,
     matrix: np.ndarray,
@@ -194,6 +271,7 @@ def apply_matrix(
     num_qubits: int,
     backend: Optional[ArrayBackend] = None,
     out=None,
+    axes: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Apply a ``k``-qubit unitary to ``state`` and return the new vector.
 
@@ -223,6 +301,12 @@ def apply_matrix(
         Optional C-contiguous ``(B, 2**num_qubits)`` complex128 buffer
         that receives the result (see the module docstring); a flat
         state is ``B = 1`` and gets row 0 of ``out`` back.
+    axes:
+        The qubit held by each tensor axis of the stack (see "Axis
+        orders" in the module docstring).  Omitted, the stack is in
+        canonical order and so is the result.  Given, the result holds
+        ``qubits`` on its leading axes, then the other axes in their
+        order (:func:`moved_axes`).
 
     Returns
     -------
@@ -235,17 +319,25 @@ def apply_matrix(
     if state.ndim == 1 and matrix.ndim == 2:
         # One state is a one-row stack: the same kernels, the same bits.
         return apply_matrix(
-            state[None], matrix, qubits, num_qubits, backend, out
+            state[None], matrix, qubits, num_qubits, backend, out, axes
         )[0]
     device = _device_backend(state, backend)
     if device is not None:
-        result = _apply_matrix_device(state, matrix, qubits, num_qubits, device)
+        result = _apply_matrix_device(
+            state, matrix, qubits, num_qubits, device, axes
+        )
         return _device_result(result, out, num_qubits, device)
 
     batch = _batch_size(state, matrix, matrix.ndim == 3)
     if out is not None:
         _check_out(out, batch, 2**num_qubits, COMPLEX_DTYPE)
     states = state if state.ndim == 2 else np.broadcast_to(state, (batch, state.size))
+    if axes is not None:
+        block = _target_block(states, qubits, num_qubits, axes)
+        if out is None:
+            return np.matmul(matrix, block).reshape(batch, -1)
+        np.matmul(matrix, block, out=out.reshape(block.shape))
+        return out
     if k == 1:
         # Single-qubit fast path: viewing the stack as
         # (batch, 2**q, 2, rest) puts the target axis where a stacked
@@ -292,13 +384,15 @@ def apply_matrix(
 
 
 def _apply_matrix_device(
-    state, matrix, qubits: Sequence[int], num_qubits: int, b: ArrayBackend
+    state, matrix, qubits: Sequence[int], num_qubits: int, b: ArrayBackend,
+    axes=None,
 ):
     """Generic on-namespace :func:`apply_matrix`.
 
     Mirrors the reference transpose layout exactly (never the numpy
-    single-qubit fast path); host-built operands are staged once per
-    call.
+    single-qubit fast path); with ``axes`` it skips the inverse
+    transpose, leaving the targets leading.  Host-built operands are
+    staged once per call.
     """
     k = len(qubits)
     matrix = b.asarray(matrix, dtype=b.complex_dtype)
@@ -309,17 +403,16 @@ def _apply_matrix_device(
         else b.broadcast_to(state, (batch, int(state.shape[0])))
     )
     tensor = b.reshape(states, (batch,) + (2,) * num_qubits)
-    target_set = set(q + 1 for q in qubits)
-    forward = (
-        [0]
-        + [q + 1 for q in qubits]
-        + [ax for ax in range(1, num_qubits + 1) if ax not in target_set]
-    )
+    positions = list(qubits) if axes is None else [axes.index(q) for q in qubits]
+    forward = [0] + [p + 1 for p in positions]
+    forward += [p + 1 for p in range(num_qubits) if p not in positions]
+    tensor = b.reshape(b.permute(tensor, forward), (batch, 2**k, -1))
+    tensor = b.matmul(matrix, tensor)
+    if axes is not None:
+        return b.reshape(tensor, (batch, -1))
     inverse = [0] * (num_qubits + 1)
     for position, axis in enumerate(forward):
         inverse[axis] = position
-    tensor = b.reshape(b.permute(tensor, forward), (batch, 2**k, -1))
-    tensor = b.matmul(matrix, tensor)
     tensor = b.permute(
         b.reshape(tensor, (batch,) + (2,) * num_qubits), inverse
     )
@@ -333,24 +426,26 @@ def apply_diagonal(
     num_qubits: int,
     backend: Optional[ArrayBackend] = None,
     out=None,
+    axes: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Apply a diagonal gate given its diagonal entries (length ``2**k``).
 
     Accepts the same batched layouts as :func:`apply_matrix`: ``state``
     may be ``(B, 2**n)`` and ``diagonal`` may be ``(B, 2**k)``.  The
-    ``qubits``, ``backend`` and ``out`` parameters follow
-    :func:`apply_matrix`.
+    ``qubits``, ``backend``, ``out`` and ``axes`` parameters follow
+    :func:`apply_matrix`; with ``axes`` the stack is read through a view
+    in :func:`moved_axes` order, so no copy is made.
     """
     _check_targets(qubits, num_qubits)
     k = len(qubits)
     if state.ndim == 1 and diagonal.ndim == 1:
         return apply_diagonal(
-            state[None], diagonal, qubits, num_qubits, backend, out
+            state[None], diagonal, qubits, num_qubits, backend, out, axes
         )[0]
     device = _device_backend(state, backend)
     if device is not None:
         result = _apply_diagonal_device(
-            state, diagonal, qubits, num_qubits, device
+            state, diagonal, qubits, num_qubits, device, axes
         )
         return _device_result(result, out, num_qubits, device)
 
@@ -361,6 +456,16 @@ def apply_diagonal(
     tensor = states.reshape((batch,) + (2,) * num_qubits)
     lead = diagonal.shape[0] if diagonal.ndim == 2 else 1
     diag = diagonal.reshape((lead,) + (2,) * k + (1,) * (num_qubits - k))
+    if axes is not None:
+        # Read the stack through a view in the result's order, in which
+        # the targets lead and the diagonal broadcasts as it is.
+        new_axes = moved_axes(axes, qubits)
+        if new_axes != tuple(axes):
+            tensor = tensor.transpose([0] + [axes.index(q) + 1 for q in new_axes])
+        if out is None:
+            out = np.empty((batch, 2**num_qubits), dtype=COMPLEX_DTYPE)
+        np.multiply(tensor, diag, out=out.reshape(tensor.shape))
+        return out
     # Transpose the (batch, diag axes, padding) layout so diag axis ``i``
     # lands on state axis ``qubits[i] + 1`` and broadcasting applies the
     # entries elementwise (explicit permutation — see apply_matrix).
@@ -375,9 +480,12 @@ def apply_diagonal(
 
 
 def _apply_diagonal_device(
-    state, diagonal, qubits: Sequence[int], num_qubits: int, b: ArrayBackend
+    state, diagonal, qubits: Sequence[int], num_qubits: int, b: ArrayBackend,
+    axes=None,
 ):
-    """Generic on-namespace :func:`apply_diagonal` (reference layout)."""
+    """Generic on-namespace :func:`apply_diagonal` (reference layout);
+    with ``axes`` the stack is first permuted to :func:`moved_axes`
+    order."""
     k = len(qubits)
     diagonal = b.asarray(diagonal, dtype=b.complex_dtype)
     batch = _batch_size(state, diagonal, diagonal.ndim == 2)
@@ -391,6 +499,9 @@ def _apply_diagonal_device(
     diag = b.reshape(
         diagonal, (lead,) + (2,) * k + (1,) * (num_qubits - k)
     )
+    if axes is not None:
+        forward = [0] + [axes.index(q) + 1 for q in moved_axes(axes, qubits)]
+        return b.reshape(b.permute(tensor, forward) * diag, (batch, -1))
     order = [0] + list(range(k + 1, num_qubits + 1))
     for destination, source in sorted(
         zip((q + 1 for q in qubits), range(1, k + 1))

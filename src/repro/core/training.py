@@ -39,7 +39,7 @@ from repro.initializers.registry import PAPER_METHODS
 from repro.optim import Optimizer, get_optimizer, resolve_optimizer_name
 from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_register_fits
 
 __all__ = [
     "TrainingConfig",
@@ -106,6 +106,7 @@ class TrainingConfig:
         if self.noise is not None:
             model = NoiseModel.from_dict(dict(self.noise))
             self.noise = None if model.is_trivial else model.to_dict()
+        check_register_fits(self.num_qubits, noisy=self.noise is not None)
 
     def build_ansatz(self) -> HardwareEfficientAnsatz:
         """The Eq. 3 ansatz for this configuration."""

@@ -51,7 +51,7 @@ from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_names
 from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_register_fits
 
 __all__ = [
     "VarianceConfig",
@@ -167,6 +167,8 @@ class VarianceConfig:
             # exact execution, and the fingerprints stay aligned).
             model = NoiseModel.from_dict(dict(self.noise))
             self.noise = None if model.is_trivial else model.to_dict()
+        for q in counts:
+            check_register_fits(q, noisy=self.noise is not None)
 
     def build_initializers(self) -> Dict[str, Initializer]:
         """Instantiate the configured initialization methods by name."""

@@ -6,7 +6,8 @@ with actionable messages instead of deep numpy stack traces.
 
 from __future__ import annotations
 
-from typing import Iterable
+import os
+from typing import Iterable, Optional
 
 
 def check_positive_int(value: int, name: str) -> int:
@@ -43,3 +44,39 @@ def check_in_choices(value: str, choices: Iterable[str], name: str) -> str:
     if value not in options:
         raise ValueError(f"{name} must be one of {options}, got {value!r}")
     return value
+
+
+def host_memory_bytes() -> Optional[int]:
+    """This host's physical memory in bytes, or ``None`` where the OS
+    does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _format_bytes(size: int) -> str:
+    for unit in ("B", "KiB", "MiB", "GiB", "TiB", "PiB"):
+        if size < 1024 or unit == "PiB":
+            return f"{size:.1f} {unit}" if unit != "B" else f"{size} B"
+        size /= 1024
+    raise AssertionError("unreachable")
+
+
+def check_register_fits(num_qubits: int, noisy: bool = False) -> int:
+    """Reject a width whose single register row exceeds physical memory.
+
+    A statevector row holds ``2**n`` complex128 amplitudes (``16 * 2**n``
+    bytes); a noisy run's Pauli-vector row ``4**n`` (``16 * 4**n``).  A
+    width no row of which fits would only die allocating its first stack.
+    """
+    row_bytes = 16 * 2 ** (2 * num_qubits if noisy else num_qubits)
+    memory = host_memory_bytes()
+    if memory is not None and row_bytes > memory:
+        kind = "Pauli-vector" if noisy else "statevector"
+        raise ValueError(
+            f"{num_qubits} qubits do not fit this host: one {kind} row takes "
+            f"{_format_bytes(row_bytes)}, the host has "
+            f"{_format_bytes(memory)} of physical memory"
+        )
+    return num_qubits
