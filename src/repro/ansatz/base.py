@@ -11,12 +11,46 @@ order :meth:`repro.initializers.Initializer.sample` produces.
 from __future__ import annotations
 
 import abc
+from typing import Sequence, Tuple
 
 from repro.backend.circuit import QuantumCircuit
+from repro.backend.gates import Gate, ParametricGate, get_gate
 from repro.initializers.base import ParameterShape
 from repro.utils.validation import check_positive_int
 
-__all__ = ["AnsatzTemplate"]
+__all__ = ["AnsatzTemplate", "check_entangler", "check_rotation_gates"]
+
+
+def _named_gate(name: str, field: str) -> Gate:
+    if not isinstance(name, str):
+        raise ValueError(f"{field} must name gates, got {name!r}")
+    try:
+        return get_gate(name)
+    except KeyError:
+        raise ValueError(f"{field}: unknown gate {name!r}") from None
+
+
+def check_rotation_gates(names: Sequence[str], field: str) -> Tuple[str, ...]:
+    """Upper-cased ``names``, each a 1-qubit parametric gate (a repeat is
+    kept); a ``ValueError`` naming ``field`` otherwise."""
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"{field} must be a non-empty list of gate names")
+    for name in names:
+        gate = _named_gate(name, field)
+        if not isinstance(gate, ParametricGate) or gate.num_qubits != 1:
+            raise ValueError(
+                f"{field} entries must be 1-qubit parametric gates, got {name!r}"
+            )
+    return tuple(name.upper() for name in names)
+
+
+def check_entangler(name: str) -> str:
+    """Upper-cased ``name`` of a fixed 2-qubit gate; a ``ValueError``
+    naming the ``entangler`` field otherwise."""
+    gate = _named_gate(name, "entangler")
+    if gate.num_qubits != 2 or gate.num_params:
+        raise ValueError(f"entangler must be a fixed 2-qubit gate, got {name!r}")
+    return name.upper()
 
 
 class AnsatzTemplate(abc.ABC):

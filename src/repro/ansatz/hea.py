@@ -9,12 +9,11 @@ parameters, matching Section IV-D exactly.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from repro.ansatz.base import AnsatzTemplate
+from repro.ansatz.base import AnsatzTemplate, check_entangler, check_rotation_gates
 from repro.ansatz.entanglement import apply_entanglement, entanglement_pairs
 from repro.backend.circuit import QuantumCircuit
-from repro.backend.gates import ParametricGate, get_gate
 
 __all__ = ["HardwareEfficientAnsatz"]
 
@@ -52,24 +51,11 @@ class HardwareEfficientAnsatz(AnsatzTemplate):
         final_rotation_layer: bool = False,
     ):
         super().__init__(num_qubits, num_layers)
-        if not rotation_gates:
-            raise ValueError("rotation_gates must be non-empty")
-        for name in rotation_gates:
-            gate = get_gate(name)
-            if not isinstance(gate, ParametricGate) or gate.num_qubits != 1:
-                raise ValueError(
-                    f"rotation gate must be a 1-qubit parametric gate, got {name!r}"
-                )
-        entangling_gate = get_gate(entangler)
-        if entangling_gate.num_qubits != 2 or entangling_gate.num_params:
-            raise ValueError(
-                f"entangler must be a fixed 2-qubit gate, got {entangler!r}"
-            )
+        self.rotation_gates = check_rotation_gates(rotation_gates, "rotation_gates")
+        self.entangler = check_entangler(entangler)
         # Validates the pattern name eagerly.
         entanglement_pairs(entanglement, num_qubits)
-        self.rotation_gates: Tuple[str, ...] = tuple(g.upper() for g in rotation_gates)
         self.entanglement = entanglement
-        self.entangler = entangler.upper()
         self.final_rotation_layer = final_rotation_layer
 
     @property

@@ -5,8 +5,9 @@ independently per qubit per layer, one rotation gate from the pool
 ``G = {RX, RY, RZ}``, followed by the CZ chain.  The *structure* (which
 gate sits where) is part of the random instance; the *angles* come from the
 initializer under test.  :class:`RandomPQC` therefore separates the two:
-the constructor samples and freezes a structure from a seed, ``build``
-returns the corresponding trainable circuit, and the structure is
+the constructor samples and freezes a structure from a seed as an integer
+code table (``codes``, indices into the pool), ``build`` returns the
+corresponding trainable circuit, and the structure is
 inspectable/serializable for reproducibility.
 
 Shape fingerprints
@@ -19,19 +20,22 @@ identity of the rotation occupying each slot varies.
 fingerprint (gate types and wires for fixed operations, wires and
 parameter slots — *not* gate names or angles — for trainable ones).
 Structures with equal fingerprints can be folded into one mega-batched
-execution (:class:`repro.backend.simulator.MegaBatchPlan`), which is how
-the variance engine turns hundreds of per-structure executions into a
-handful of hundred-row ones.
+execution (:class:`repro.backend.simulator.MegaBatchPlan`).  The variance
+engine builds no circuit per structure: one plan over the configuration's
+:meth:`RandomPQC.skeleton` and the stacked code tables turns hundreds of
+per-structure executions into a handful of hundred-row ones.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ansatz.base import AnsatzTemplate
+import numpy as np
+
+from repro.ansatz.base import AnsatzTemplate, check_entangler, check_rotation_gates
 from repro.ansatz.entanglement import apply_entanglement, entanglement_pairs
-from repro.backend.circuit import Operation, QuantumCircuit
-from repro.backend.gates import ParametricGate, get_gate
+from repro.backend.circuit import QuantumCircuit
+from repro.backend.gates import get_gate
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["RandomPQC", "DEFAULT_GATE_POOL", "circuit_shape_key"]
@@ -70,11 +74,11 @@ def circuit_shape_key(circuit: QuantumCircuit) -> ShapeKey:
 DEFAULT_GATE_POOL: Tuple[str, ...] = ("RX", "RY", "RZ")
 
 #: Per-configuration circuit skeletons (canonical gate plans): one
-#: validated append-built circuit plus its rotation-slot positions, shared
-#: by every :meth:`RandomPQC.build` of that configuration (see its
-#: docstring).  Keyed by (num_qubits, num_layers, entanglement, entangler)
-#: and bounded FIFO so long-lived processes sweeping many configurations
-#: cannot grow it without limit.
+#: validated append-built circuit, shared by every
+#: :meth:`RandomPQC.skeleton` of that configuration (see its docstring).
+#: Keyed by (num_qubits, num_layers, entanglement, entangler) and bounded
+#: FIFO so long-lived processes sweeping many configurations cannot grow
+#: it without limit.
 _SKELETON_CACHE: dict = {}
 _SKELETON_CACHE_MAX = 32
 
@@ -95,6 +99,13 @@ class RandomPQC(AnsatzTemplate):
     structure:
         Explicit structure overriding the random draw: a list of
         ``num_layers`` rows, each with ``num_qubits`` gate names.
+
+    Attributes
+    ----------
+    codes:
+        The drawn structure, a ``(num_layers, num_qubits)`` integer array
+        of indices into ``gate_pool`` (a name the pool repeats is coded by
+        its first position when the structure is given explicitly).
     """
 
     def __init__(
@@ -108,33 +119,23 @@ class RandomPQC(AnsatzTemplate):
         structure: Optional[Sequence[Sequence[str]]] = None,
     ):
         super().__init__(num_qubits, num_layers)
-        pool = tuple(name.upper() for name in gate_pool)
-        if not pool:
-            raise ValueError("gate_pool must be non-empty")
-        for name in pool:
-            gate = get_gate(name)
-            if not isinstance(gate, ParametricGate) or gate.num_qubits != 1:
-                raise ValueError(
-                    f"gate pool entries must be 1-qubit parametric gates, got {name!r}"
-                )
+        self.gate_pool = pool = check_rotation_gates(gate_pool, "gate_pool")
+        self.entangler = check_entangler(entangler)
         entanglement_pairs(entanglement, num_qubits)
-        self.gate_pool = pool
         self.entanglement = entanglement
-        self.entangler = entangler.upper()
 
         if structure is not None:
-            self.structure = self._validate_structure(structure)
+            self.codes = self._validate_structure(structure)
         else:
             rng = ensure_rng(seed)
             # One vectorized draw; numpy's bounded-integer sampling
             # consumes the bit stream exactly as the equivalent
             # per-element draws would, so seeded structures are unchanged.
-            draws = rng.integers(len(pool), size=(num_layers, num_qubits))
-            self.structure = [[pool[g] for g in row] for row in draws]
+            self.codes = rng.integers(len(pool), size=(num_layers, num_qubits))
 
     def _validate_structure(
         self, structure: Sequence[Sequence[str]]
-    ) -> List[List[str]]:
+    ) -> np.ndarray:
         rows = [list(name.upper() for name in row) for row in structure]
         if len(rows) != self.num_layers or any(
             len(row) != self.num_qubits for row in rows
@@ -142,32 +143,35 @@ class RandomPQC(AnsatzTemplate):
             raise ValueError(
                 f"structure must be {self.num_layers} x {self.num_qubits} gate names"
             )
-        for row in rows:
-            for name in row:
-                if name not in self.gate_pool:
-                    raise ValueError(
-                        f"structure gate {name!r} is not in the pool {self.gate_pool}"
-                    )
-        return rows
+        for name in (name for row in rows for name in row):
+            if name not in self.gate_pool:
+                raise ValueError(
+                    f"structure gate {name!r} is not in the pool {self.gate_pool}"
+                )
+        return np.array([[self.gate_pool.index(name) for name in row] for row in rows])
+
+    @property
+    def structure(self) -> List[List[str]]:
+        """The drawn gate names: ``num_layers`` rows of ``num_qubits``."""
+        pool = self.gate_pool
+        return [[pool[code] for code in row] for row in self.codes.tolist()]
 
     @property
     def params_per_qubit(self) -> int:
         return 1
 
-    def build(self) -> QuantumCircuit:
-        """Construct the trainable circuit for the frozen structure.
+    def skeleton(self) -> QuantumCircuit:
+        """A copy of the circuit skeleton every instance of this
+        ``(num_qubits, num_layers, entanglement, entangler)`` shares.
 
-        All instances of one ``(num_qubits, num_layers, entanglement,
-        entangler)`` configuration share a circuit skeleton — the
-        canonical gate plan: wire pattern, parameter slots, entangling
-        sub-layers.  The skeleton is built (and validated) once through
-        the ordinary append path and cached per configuration; subsequent
-        builds clone its operation list and swap each rotation slot's
-        gate for this structure's draw.  The result compares equal,
-        operation by operation, to an appended build — fixed operations
-        are even the *same* objects, which the mega-batch shape checks
-        exploit — while skipping the per-gate validation the constructor
-        already performed.
+        One trainable rotation slot per qubit per layer (layer-major: slot
+        ``k`` is parameter ``k`` and code ``codes.flat[k]``) plus the
+        entangling sub-layers, appended and validated once per
+        configuration and cached.  Copies share its operation objects, so
+        caller edits never reach the cache.  The pool gate a skeleton slot
+        holds is unspecified: :meth:`build` sets every slot, and a
+        :class:`~repro.backend.simulator.MegaBatchPlan` reads them from a
+        code table.
         """
         key = (
             self.num_qubits,
@@ -175,60 +179,33 @@ class RandomPQC(AnsatzTemplate):
             self.entanglement,
             self.entangler,
         )
-        cached = _SKELETON_CACHE.get(key)
-        if cached is None:
+        skeleton = _SKELETON_CACHE.get(key)
+        if skeleton is None:
             skeleton = QuantumCircuit(self.num_qubits)
-            rotation_slots: List[int] = []
-            for layer in self.structure:
-                for qubit, gate_name in enumerate(layer):
-                    skeleton.append(gate_name, [qubit])
-                    rotation_slots.append(len(skeleton.operations) - 1)
+            for _ in range(self.num_layers):
+                for qubit in range(self.num_qubits):
+                    skeleton.append(self.gate_pool[0], [qubit])
                 apply_entanglement(skeleton, self.entanglement, self.entangler)
-            # Never hand the cached skeleton itself to callers: even the
-            # first build goes through the clone path below, so caller
-            # mutations (appends, in-place edits) cannot corrupt every
-            # later build of this configuration.
             while len(_SKELETON_CACHE) >= _SKELETON_CACHE_MAX:
                 _SKELETON_CACHE.pop(next(iter(_SKELETON_CACHE)))
-            cached = _SKELETON_CACHE[key] = (skeleton, tuple(rotation_slots))
-        template, rotation_slots = cached
-        circuit = QuantumCircuit(self.num_qubits)
-        operations = list(template.operations)
-        names = (name for layer in self.structure for name in layer)
-        for pos, name in zip(rotation_slots, names):
-            old = operations[pos]
-            gate = get_gate(name)
-            if gate is not old.gate:
-                operations[pos] = Operation(
-                    gate, old.qubits, param_index=old.param_index
-                )
-        circuit.operations = operations
-        circuit._num_parameters = template.num_parameters
-        return circuit
+            _SKELETON_CACHE[key] = skeleton
+        return skeleton.copy()
+
+    def build(self) -> QuantumCircuit:
+        """Construct the trainable circuit for the frozen structure.
+
+        The :meth:`skeleton` with each rotation slot set to this
+        structure's draw.  The result compares equal, operation by
+        operation, to an appended build — fixed operations are even the
+        *same* objects across structures — while skipping the per-gate
+        validation the constructor already performed.
+        """
+        gates = [get_gate(name) for name in self.gate_pool]
+        return self.skeleton().with_slot_gates(
+            [gates[code] for code in self.codes.ravel().tolist()]
+        )
 
     @property
     def last_gate(self) -> str:
         """Rotation gate carrying the last trainable parameter."""
-        return self.structure[-1][-1]
-
-    @property
-    def shape_key(self) -> ShapeKey:
-        """This instance's circuit-shape fingerprint.
-
-        Every :class:`RandomPQC` drawn from the same ``(num_qubits,
-        num_layers, entanglement, entangler)`` configuration shares one
-        shape key regardless of which pool gates were sampled — the
-        property the variance engine's shape-bucket planner relies on to
-        fold a whole grid cell into one mega-batched execution.  The key
-        is derived from the configuration alone (equal keys imply equal
-        :func:`circuit_shape_key` of the built circuits, without paying
-        for a per-structure walk over the operations); the namespace tag
-        keeps it disjoint from circuit-level keys.
-        """
-        return (
-            "RandomPQC",
-            self.num_qubits,
-            self.num_layers,
-            self.entanglement,
-            self.entangler,
-        )
+        return self.gate_pool[self.codes[-1, -1]]

@@ -245,6 +245,20 @@ class QuantumCircuit:
         out._num_parameters = self._num_parameters
         return out
 
+    def with_slot_gates(self, gates: Sequence[ParametricGate]) -> "QuantumCircuit":
+        """A copy whose ``k``-th trainable operation applies ``gates[k]``
+        (wires and parameter slots kept, unchanged operations shared)."""
+        out = self.copy()
+        ops = out.operations
+        slots = [pos for pos, op in enumerate(ops) if op.is_trainable]
+        if len(gates) != len(slots):
+            raise ValueError(f"got {len(gates)} gates for {len(slots)} slots")
+        for pos, gate in zip(slots, gates):
+            old = ops[pos]
+            if gate is not old.gate:
+                ops[pos] = Operation(gate, old.qubits, param_index=old.param_index)
+        return out
+
     def bind(self, params: Sequence[float]) -> "QuantumCircuit":
         """Return a copy with every trainable angle bound as a constant."""
         params = np.asarray(params, dtype=float)

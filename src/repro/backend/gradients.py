@@ -63,7 +63,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend.circuit import QuantumCircuit
-from repro.backend.gates import ParametricGate
 from repro.backend.observables import Observable
 from repro.backend.simulator import MegaBatchPlan, StatevectorSimulator
 from repro.backend.statevector import Statevector, apply_diagonal, apply_matrix
@@ -113,10 +112,11 @@ def _resolve_indices(
     return indices
 
 
-def _resolve_shift_rules(
-    circuit: QuantumCircuit, indices: Sequence[int]
-) -> "list[Tuple[Tuple[float, float], ...]]":
-    """Shift terms for each differentiated parameter, in index order.
+def _shift_rules(
+    plan: MegaBatchPlan, indices: Sequence[int]
+) -> "list[list[Tuple[Tuple[float, float], ...]]]":
+    """Per circuit of ``plan``, the shift terms of each differentiated
+    parameter in index order, read off the plan's slot gates.
 
     Raises
     ------
@@ -124,18 +124,17 @@ def _resolve_shift_rules(
         If a differentiated gate carries no exact shift rule at all; use
         ``adjoint_gradient`` or ``finite_difference`` for such gates.
     """
-    position_of = circuit.parameter_map()
-    rules = []
+    columns = []
     for index in indices:
-        gate = circuit.operations[position_of[index]].gate
-        assert isinstance(gate, ParametricGate)
-        if gate.shift_terms is None:
-            raise ValueError(
-                f"gate {gate.name} has no exact parameter-shift rule; "
-                "use the adjoint or finite-difference engine"
-            )
-        rules.append(gate.shift_terms)
-    return rules
+        gates, codes = plan.slot_gates[plan.param_positions[index]]
+        for gate in gates:
+            if gate.shift_terms is None:
+                raise ValueError(
+                    f"gate {gate.name} has no exact parameter-shift rule; "
+                    "use the adjoint or finite-difference engine"
+                )
+        columns.append([gates[code].shift_terms for code in codes.tolist()])
+    return [list(rules) for rules in zip(*columns)]
 
 
 def _coerce_batch(params: Sequence[float]) -> Tuple[np.ndarray, bool]:
@@ -202,7 +201,6 @@ def parameter_shift(
 
 
 def _shift_fold(
-    circuits: Sequence[QuantumCircuit],
     plan: MegaBatchPlan,
     observable: Observable,
     batches: "Sequence[np.ndarray]",
@@ -215,11 +213,12 @@ def _shift_fold(
 ) -> "Tuple[list[np.ndarray], list[np.ndarray]]":
     """The folded shift-rule execution every shift engine runs.
 
-    Per base row of every circuit (circuits in order, rows within each)
-    the fold holds an optional unshifted row (``include_values``), then
-    every shifted vector the circuit's own rules require, in (parameter,
-    term) order.  All agree with their base row before the first
-    differentiated parameter, so that prefix runs once per base row and
+    Per base row of every circuit of ``plan`` (circuits in order, rows
+    within each) the fold holds an optional unshifted row
+    (``include_values``), then every shifted vector the circuit's own
+    rules require, in (parameter, term) order.  All agree with their base
+    row before the first differentiated parameter, so that prefix runs
+    once per base row and
     the folded rows branch off its states (copying amplitudes is exact),
     executed and reduced one memory-bounded chunk at a time.  Sampled,
     base row ``b``'s evaluations draw from its generator in fold order.
@@ -227,9 +226,7 @@ def _shift_fold(
     Returns per-circuit ``(M_s,)`` values (set with ``include_values``)
     and ``(M_s, len(indices))`` gradients, terms summed in rule order.
     """
-    rules_per_circuit = [
-        _resolve_shift_rules(circuit, indices) for circuit in circuits
-    ]
+    rules_per_circuit = _shift_rules(plan, indices)
     lead = 1 if include_values else 0
     blocks, widths = [], []
     for batch, rules in zip(batches, rules_per_circuit):
@@ -254,7 +251,7 @@ def _shift_fold(
         rngs = [base_rngs[base] for base in base_of]
     estimates = np.empty(folded.shape[0], dtype=FLOAT_DTYPE)
     estimate = (observable, estimates, shots, rngs)
-    position_of = plan.template.parameter_map()
+    position_of = plan.param_positions
     first_pos = min((position_of[index] for index in indices), default=0)
     if first_pos > 0:
         # Prefix states stay resident on the simulator's backend; each
@@ -355,7 +352,7 @@ def batch_parameter_shift(
         empty = np.empty((batch.shape[0], 0), dtype=FLOAT_DTYPE)
         return empty[0] if single else empty
     _, (grads,) = _shift_fold(
-        [circuit], circuit.execution_plan(), observable, [batch], simulator,
+        circuit.execution_plan(), observable, [batch], simulator,
         indices, initial_state, shots, seed, include_values=False,
     )
     return grads[0] if single else grads
@@ -394,7 +391,7 @@ def batch_parameter_shift_value_and_gradient(
     batch, single = _coerce_batch(params)
     indices = _resolve_indices(circuit, param_indices)
     (values,), (grads,) = _shift_fold(
-        [circuit], circuit.execution_plan(), observable, [batch], simulator,
+        circuit.execution_plan(), observable, [batch], simulator,
         indices, initial_state, shots, seed, include_values=True,
     )
     if single:
@@ -403,31 +400,28 @@ def batch_parameter_shift_value_and_gradient(
 
 
 def _coerce_mega_batches(
-    circuits: Sequence[QuantumCircuit],
+    plan: MegaBatchPlan,
     params_batches: Sequence[Sequence[float]],
 ) -> "list[np.ndarray]":
     """Normalize per-circuit parameter stacks to ``(M_s, P)`` arrays."""
-    if len(circuits) != len(params_batches):
+    if len(params_batches) != plan.num_circuits:
         raise ValueError(
             f"got {len(params_batches)} parameter stacks for "
-            f"{len(circuits)} circuits"
+            f"{plan.num_circuits} circuits"
         )
-    batches = []
-    for circuit, params in zip(circuits, params_batches):
-        array = np.asarray(params, dtype=FLOAT_DTYPE)
-        if array.ndim == 1:
-            array = array.reshape(1, -1)
-        if array.ndim != 2 or array.shape[1] != circuit.num_parameters:
+    batches = [np.asarray(params, dtype=FLOAT_DTYPE) for params in params_batches]
+    batches = [array.reshape(1, -1) if array.ndim == 1 else array for array in batches]
+    for array in batches:
+        if array.ndim != 2 or array.shape[1] != plan.num_parameters:
             raise ValueError(
                 f"each parameter stack must be (rows, "
-                f"{circuit.num_parameters}), got shape {array.shape}"
+                f"{plan.num_parameters}), got shape {array.shape}"
             )
-        batches.append(array)
     return batches
 
 
 def megabatch_parameter_shift(
-    circuits: Sequence[QuantumCircuit],
+    circuits: "Sequence[QuantumCircuit] | MegaBatchPlan",
     observable: Observable,
     params_batches: Sequence[Sequence[float]],
     simulator: Optional[StatevectorSimulator] = None,
@@ -435,7 +429,6 @@ def megabatch_parameter_shift(
     initial_state: Optional[Statevector] = None,
     shots: Optional[int] = None,
     seed=None,
-    plan: Optional[MegaBatchPlan] = None,
 ) -> "list[np.ndarray]":
     """Shift-rule gradients for a whole shape bucket in one execution.
 
@@ -445,17 +438,21 @@ def megabatch_parameter_shift(
     folded into one mega-batched execution with the effective batch size
     ``sum_s M_s * terms``, whose circuit prefix before the first
     differentiated parameter runs once per base row and whose folded rows
-    are executed and reduced one chunk at a time.  Circuit ``s``'s block is recombined with *its own* shift rules (the
-    probed gate, and therefore the rule, may differ per circuit) in the
-    same accumulation order as the per-circuit engine, so entry ``s`` is
-    bit-identical to ``batch_parameter_shift(circuits[s], observable,
+    are executed and reduced one chunk at a time.  Circuit ``s``'s block
+    is recombined with *its own* shift rules (the probed gate, and
+    therefore the rule, may differ per circuit; it is read off the plan's
+    slot gates) in the same accumulation order as the per-circuit engine,
+    so entry ``s`` is bit-identical to
+    ``batch_parameter_shift(plan.circuit(s), observable,
     params_batches[s], ...)``.
 
     Parameters
     ----------
     circuits:
-        Circuits sharing a gate-sequence shape (one
-        :class:`~repro.backend.simulator.MegaBatchPlan` bucket).
+        Circuits sharing a gate-sequence shape, or their
+        :class:`~repro.backend.simulator.MegaBatchPlan` (built here from
+        a sequence) — e.g. one built from gate codes, with no circuit per
+        structure.
     observable:
         The measured operator, shared by every circuit.
     params_batches:
@@ -472,9 +469,6 @@ def megabatch_parameter_shift(
         ``s`` consumes its generator exactly as
         ``batch_parameter_shift(circuits[s], ..., seed=<that row's
         seed>)`` would.
-    plan:
-        Pre-built :class:`~repro.backend.simulator.MegaBatchPlan` for
-        ``circuits`` (built here when omitted).
 
     Returns
     -------
@@ -487,13 +481,13 @@ def megabatch_parameter_shift(
         If a differentiated gate carries no exact shift rule.
     """
     simulator = simulator or StatevectorSimulator()
-    batches = _coerce_mega_batches(circuits, params_batches)
-    plan = plan or MegaBatchPlan(circuits)
+    plan = circuits if isinstance(circuits, MegaBatchPlan) else MegaBatchPlan(circuits)
+    batches = _coerce_mega_batches(plan, params_batches)
     indices = _resolve_indices(plan.template, param_indices)
     if not indices:
         return [np.empty((batch.shape[0], 0), dtype=FLOAT_DTYPE) for batch in batches]
     _, grads = _shift_fold(
-        circuits, plan, observable, batches, simulator, indices,
+        plan, observable, batches, simulator, indices,
         initial_state, shots, seed, include_values=False,
     )
     return grads
@@ -603,7 +597,7 @@ def _adjoint_sweep(
     """Adjoint forward pass + backward sweep over a ``(B, 2**n)`` stack.
 
     The one sweep every adjoint engine runs; row ``b`` belongs to
-    ``plan.circuits[rows[b]]``, and ``want_values`` also reads each row's
+    ``plan.circuit(rows[b])``, and ``want_values`` also reads each row's
     expectation off the forward pass.  Rows never mix (on numpy the inner
     products stay per-row ``vdot`` calls), so row ``b`` carries the same
     bits as a one-row sweep.  A non-numpy backend runs the whole sweep
@@ -770,13 +764,12 @@ def batch_adjoint_value_and_gradient(
 
 
 def megabatch_adjoint_gradient(
-    circuits: Sequence[QuantumCircuit],
+    circuits: "Sequence[QuantumCircuit] | MegaBatchPlan",
     observable: Observable,
     params_batches: Sequence[Sequence[float]],
     simulator: Optional[StatevectorSimulator] = None,
     param_indices: Optional[Sequence[int]] = None,
     initial_state: Optional[Statevector] = None,
-    plan: Optional[MegaBatchPlan] = None,
 ) -> "list[np.ndarray]":
     """Adjoint gradients for a whole shape bucket in one stacked sweep.
 
@@ -788,13 +781,13 @@ def megabatch_adjoint_gradient(
     fixed operations use the plan template's cached static adjoints on the
     whole stack (exact-unit diagonals elementwise).  Rows evolve
     independently, so entry ``s`` is bit-identical to
-    ``batch_adjoint_gradient(circuits[s], observable, params_batches[s],
-    ...)``.
+    ``batch_adjoint_gradient(plan.circuit(s), observable,
+    params_batches[s], ...)``.
 
     Parameters
     ----------
     circuits, observable, params_batches, simulator, param_indices,
-    initial_state, plan:
+    initial_state:
         As in :func:`megabatch_parameter_shift` (the adjoint engine has
         no sampled mode).
 
@@ -804,8 +797,8 @@ def megabatch_adjoint_gradient(
         One ``(M_s, len(param_indices))`` gradient block per circuit.
     """
     simulator = simulator or StatevectorSimulator()
-    batches = _coerce_mega_batches(circuits, params_batches)
-    plan = plan or MegaBatchPlan(circuits)
+    plan = circuits if isinstance(circuits, MegaBatchPlan) else MegaBatchPlan(circuits)
+    batches = _coerce_mega_batches(plan, params_batches)
     indices = _resolve_indices(plan.template, param_indices)
     counts = [batch.shape[0] for batch in batches]
     _, grads = _adjoint_sweep(

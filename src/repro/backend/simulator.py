@@ -45,8 +45,9 @@ Mega-batched execution
 one circuit to a whole *shape bucket* of circuits: many circuits sharing a
 gate-sequence shape (same wires, same parameter slots, same fixed layers —
 see :func:`repro.ansatz.random_pqc.circuit_shape_key`) evolve together in
-one ``(B, 2**n)`` stack.  A :class:`MegaBatchPlan` validates the bucket
-once and stores, per trainable slot, the per-circuit gate table; at
+one ``(B, 2**n)`` stack.  A :class:`MegaBatchPlan` stores, per trainable
+slot, the per-circuit gate table (read off its circuits, or off a code
+table of draws with no circuit per structure); at
 execution time each slot applies one per-row operand stack to its dense
 (RX, RY) rows and one to its diagonal (RZ) rows.  Because every kernel in
 this module is per-row independent, row ``b`` remains bit-identical to
@@ -249,14 +250,51 @@ def _ordered_program(plan: "MegaBatchPlan", steps) -> tuple:
     )
 
 
+def _code_table(ops, slots, gates, codes) -> tuple:
+    """The distinct ``gates`` and ``codes`` as a validated ``(circuits,
+    slots)`` table of indices into them.  Gates are distinct by name:
+    registry gates are singletons, and a pool naming a gate twice codes
+    it once."""
+    table = np.asarray([] if codes is None else codes)
+    if not len(table):
+        raise ValueError("MegaBatchPlan needs at least one circuit")
+    table = table.reshape(len(table), -1) if table.ndim != 2 else table
+    if table.shape[1] != len(slots):
+        raise ValueError(
+            f"code rows have {table.shape[1]} entries, the template has "
+            f"{len(slots)} trainable operations"
+        )
+    if table.size and (table.min() < 0 or table.max() >= len(gates)):
+        raise ValueError(f"gate codes must index the {len(gates)} given gates")
+    distinct: Dict[str, ParametricGate] = {}
+    for gate in gates:
+        distinct.setdefault(gate.name, gate)
+    code_of = {name: code for code, name in enumerate(distinct)}
+    table = np.array([code_of[gate.name] for gate in gates], dtype=np.intp)[table]
+    gates = list(distinct.values())
+    arity = [g.num_qubits if isinstance(g, ParametricGate) else 0 for g in gates]
+    wires = [len(ops[pos].qubits) for pos in slots]
+    if np.any(np.array(arity, dtype=np.intp)[table] != wires):
+        raise ValueError("every coded gate must be parametric on its slot's qubits")
+    return gates, table
+
+
+def _ranks(key: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``(slots, circuits)``: each circuit's gate's rank among its slot's
+    gates ordered by ``key[gate, slot]`` (distinct among present gates)."""
+    rank = (key[None, :, :] < key[:, None, :]).sum(axis=1)
+    return np.ascontiguousarray(np.take_along_axis(rank, table, axis=0).T)
+
+
 class MegaBatchPlan:
     """Validated execution plan for a *shape bucket* of circuits.
 
     Circuits share a shape when their operation sequences agree on
     everything except which parametric gate occupies each trainable slot
-    (:func:`repro.ansatz.random_pqc.circuit_shape_key`).  The plan checks
-    that once, up front, and compiles the shared skeleton into an
-    execution program:
+    (:func:`repro.ansatz.random_pqc.circuit_shape_key`).  A bucket is a
+    template circuit plus a code table, one row per circuit and one column
+    per trainable slot, naming the gate each circuit applies there.  The
+    plan compiles the shared template into an execution program:
 
     * each trainable slot carries the per-circuit gate table — the
       "per-row gate-parameter table" that lets
@@ -271,76 +309,107 @@ class MegaBatchPlan:
       (sign-of-zero on exactly-zero amplitudes is the only bit that may
       differ — invisible to ``np.array_equal``, the library's equality).
 
-    A plan of one circuit is the program
-    :meth:`StatevectorSimulator.run_batch` runs;
-    :meth:`QuantumCircuit.execution_plan` builds it once per circuit.
-
-    Parameters
-    ----------
-    circuits:
-        Non-empty sequence of same-shape circuits.  Index positions in
-        this sequence are the circuit indices ``row_circuits`` refers to
-        at execution time.
+    There are two ways in.  ``MegaBatchPlan(circuits)`` checks that the
+    circuits share the first one's shape and reads the code table off
+    their slots; a plan of one circuit is the program
+    :meth:`StatevectorSimulator.run_batch` runs
+    (:meth:`QuantumCircuit.execution_plan` builds it once per circuit).
+    ``MegaBatchPlan(template=..., gates=..., codes=...)`` takes the table
+    directly, with no circuit per row: ``codes`` has one row per circuit
+    (e.g. each :class:`~repro.ansatz.random_pqc.RandomPQC`'s ``codes``
+    over its skeleton) of indices into ``gates``, a pool where a name
+    given twice is one gate; column ``k`` is the template's ``k``-th
+    trainable operation, whose own gate is not read.  Either way the
+    slot tables are the same, and row ``b`` of a run equals
+    ``run_batch(plan.circuit(row_circuits[b]), ...)``'s row, where
+    :meth:`circuit` rebuilds circuit ``i`` from the template and row
+    ``i`` of the table.
 
     Raises
     ------
     ValueError
         If the circuits do not share a shape (mismatched wires, parameter
-        slots, or fixed operations), or the sequence is empty.
+        slots, or fixed operations), no circuit or code row is given, or
+        a code table does not fit its template and gates.
     """
 
-    def __init__(self, circuits: Sequence[QuantumCircuit]):
-        circuits = list(circuits)
-        if not circuits:
-            raise ValueError("MegaBatchPlan needs at least one circuit")
-        template = circuits[0]
-        for index, other in enumerate(circuits[1:], start=1):
-            self._check_same_shape(template, other, index)
-        self.circuits = circuits
+    def __init__(
+        self,
+        circuits: Sequence[QuantumCircuit] = (),
+        *,
+        template: Optional[QuantumCircuit] = None,
+        gates: Sequence[ParametricGate] = (),
+        codes=None,
+    ):
+        if template is None:
+            circuits = list(circuits)
+            if not circuits:
+                raise ValueError("MegaBatchPlan needs at least one circuit")
+            template = circuits[0]
+            for index, other in enumerate(circuits[1:], start=1):
+                self._check_same_shape(template, other, index)
+        elif circuits:
+            raise ValueError("give MegaBatchPlan circuits or a template, not both")
+        ops = template.operations
+        slots = [pos for pos, op in enumerate(ops) if op.is_trainable]
+        if circuits:
+            # Every circuit's slot gates, each its own code.
+            gates = [c.operations[pos].gate for c in circuits for pos in slots]
+            codes = np.arange(len(gates)).reshape(len(circuits), len(slots))
+        gates, table = _code_table(ops, slots, list(gates), codes)
         self.template = template
         self.num_qubits = template.num_qubits
         self.num_parameters = template.num_parameters
+        self.num_circuits = table.shape[0]
+        #: ``param_index -> operation position`` of the template.
+        self.param_positions = {ops[pos].param_index: pos for pos in slots}
         # Per trainable position: the distinct gates (first-appearance
         # order) plus a per-circuit code array selecting among them.
-        # Registry gates are singletons, so keying by name is keying by
-        # object.
         self.slot_gates: Dict[int, Tuple[List[ParametricGate], np.ndarray]] = {}
         #: Per trainable position: ``(ranked, keys, num_dense)`` — the
         #: distinct gates with the dense ones first, each circuit's index
         #: into ``ranked``, and how many of ``ranked`` are dense.  Sorting
         #: a slot's rows by key puts every gate's rows in one run.
         self.slot_ranks: Dict[int, Tuple[List[ParametricGate], np.ndarray, int]] = {}
-        for pos, op in enumerate(template.operations):
-            if not op.is_trainable:
-                continue
-            gates: List[ParametricGate] = []
-            code_of: Dict[str, int] = {}
-            codes = np.empty(len(circuits), dtype=np.intp)
-            for c_index, circuit in enumerate(circuits):
-                gate = circuit.operations[pos].gate
-                code = code_of.get(gate.name)
-                if code is None:
-                    code = code_of[gate.name] = len(gates)
-                    gates.append(gate)
-                codes[c_index] = code
-            self.slot_gates[pos] = (gates, codes)
-            diagonal = [bool(getattr(gate, "is_diagonal", False)) for gate in gates]
-            ranked = sorted(range(len(gates)), key=diagonal.__getitem__)
-            # Small unsigned keys sort by radix, not by timsort.
-            keys = np.argsort(ranked)[codes].astype(
-                np.min_scalar_type(len(gates) - 1)
-            )
-            self.slot_ranks[pos] = (
-                [gates[code] for code in ranked], keys, diagonal.count(False)
-            )
+        self._slot_tables(slots, gates, table)
         self.steps = self._compile_steps()
         #: Compiled chunk-loop programs by operation range (see
         #: :meth:`StatevectorSimulator._program`).
         self.programs: "Dict[tuple, tuple]" = {}
 
-    @property
-    def num_circuits(self) -> int:
-        return len(self.circuits)
+    def _slot_tables(self, slots, gates, table) -> None:
+        """Fill :attr:`slot_gates` and :attr:`slot_ranks` from a
+        ``(circuits, slots)`` table of distinct-gate indices, with column
+        operations: every column's gates in first-appearance order, and
+        again with the dense ones first."""
+        height = table.shape[0]
+        rows = np.arange(height)[:, None]
+        # first[g, k]: the first circuit with gate g in slot k (height: none).
+        first = np.full((len(gates), table.shape[1]), height)
+        for g in range(len(gates)):
+            first[g] = np.where(table == g, rows, height).min(axis=0)
+        diagonal = np.array([g.is_diagonal for g in gates], dtype=bool)
+        # Dense gates first; absent gates (never ranked) last.
+        dense_first = first + height * diagonal[:, None]
+        dense_first[first == height] = 2 * height
+        codes = _ranks(first, table)
+        keys = _ranks(dense_first, table).astype(np.min_scalar_type(len(gates) - 1))
+        for k, (pos, column, dense_column) in enumerate(
+            zip(slots, first.T.tolist(), dense_first.T.tolist())
+        ):
+            order = [g for g in range(len(gates)) if column[g] < height]
+            order.sort(key=column.__getitem__)
+            ranked = sorted(order, key=dense_column.__getitem__)
+            num_dense = sum(not diagonal[g] for g in order)
+            self.slot_gates[pos] = ([gates[g] for g in order], codes[k])
+            self.slot_ranks[pos] = ([gates[g] for g in ranked], keys[k], num_dense)
+
+    def circuit(self, index: int) -> QuantumCircuit:
+        """Circuit ``index`` of the bucket: the template with that
+        circuit's gate in every trainable slot."""
+        return self.template.with_slot_gates(
+            [gates[codes[index]] for gates, codes in self.slot_gates.values()]
+        )
 
     def _compile_steps(self) -> "List[tuple]":
         """Compile the template into ``(kind, lo, hi, payload)`` steps.
@@ -402,11 +471,8 @@ class MegaBatchPlan:
                     "non-trainable mismatch with the plan template"
                 )
             if op_a.is_trainable:
-                if (
-                    op_a.qubits != op_b.qubits
-                    or op_a.param_index != op_b.param_index
-                    or not isinstance(op_b.gate, ParametricGate)
-                ):
+                # The code table checks the slot's gate.
+                if (op_a.qubits, op_a.param_index) != (op_b.qubits, op_b.param_index):
                     raise ValueError(
                         f"circuit {index}, operation {pos}: trainable slot "
                         f"differs from the plan template (wires "
@@ -565,8 +631,8 @@ class StatevectorSimulator:
         gate, like the angle, is row data.  The permutation is undone
         once, when the result is written.  Rows evolve independently
         through exactly the kernels :meth:`run_batch` dispatches per
-        gate, so row ``b`` equals ``self.run_batch(plan.circuits[
-        row_circuits[b]], params_batch[b:b+1])[0]`` bit for bit (up to
+        gate, so row ``b`` equals ``self.run_batch(plan.circuit(
+        row_circuits[b]), params_batch[b:b+1])[0]`` bit for bit (up to
         the sign of exactly-zero amplitudes under fused diagonals — see
         :class:`MegaBatchPlan`): mega-batching is a pure throughput
         change, the contract the variance engine's shape-bucket fold
@@ -580,7 +646,7 @@ class StatevectorSimulator:
             ``(B, num_parameters)`` array — one parameter vector per row.
         row_circuits:
             Length-``B`` index array mapping each row to its circuit in
-            ``plan.circuits``.
+            the plan (a row of its code table).
         initial_state:
             Starting state: ``None`` for ``|0...0>``, a shared
             :class:`Statevector`, or a per-row ``(B, 2**n)`` amplitude

@@ -39,6 +39,7 @@ from repro.backend.observables import (
 )
 from repro.backend.simulator import StatevectorSimulator
 from repro.backend.statevector import Statevector
+from repro.utils.validation import check_in_choices
 
 __all__ = [
     "ObservableCost",
@@ -46,6 +47,7 @@ __all__ = [
     "local_identity_cost",
     "state_learning_cost",
     "make_cost",
+    "check_cost_kind",
 ]
 
 
@@ -296,10 +298,13 @@ def make_cost(
     simulator: Optional[StatevectorSimulator] = None,
 ) -> ObservableCost:
     """Build a named identity-learning cost: ``"global"`` or ``"local"``."""
-    try:
-        builder = _COST_BUILDERS[kind.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown cost kind {kind!r}; choose from {sorted(_COST_BUILDERS)}"
-        ) from None
+    builder = _COST_BUILDERS[check_cost_kind(kind).lower()]
     return builder(circuit, gradient_engine=gradient_engine, simulator=simulator)
+
+
+def check_cost_kind(kind: str) -> str:
+    """``kind`` if it names a cost (case-insensitive, as :func:`make_cost`
+    reads it); a ``ValueError`` naming the ``cost_kind`` field otherwise."""
+    name = kind.lower() if isinstance(kind, str) else kind
+    check_in_choices(name, _COST_BUILDERS, "cost_kind")
+    return kind

@@ -28,18 +28,25 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ansatz.base import check_entangler, check_rotation_gates
+from repro.ansatz.entanglement import ENTANGLEMENT_PATTERNS
 from repro.ansatz.hea import HardwareEfficientAnsatz
+from repro.backend.gradients import GRADIENT_ENGINES
 from repro.backend.noise import NoiseModel, resolve_noise_model
 from repro.backend.ptm import PauliTransferSimulator
 from repro.backend.simulator import StatevectorSimulator
-from repro.core.cost import ObservableCost, make_cost
+from repro.core.cost import ObservableCost, check_cost_kind, make_cost
 from repro.core.results import TrainingHistory
 from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS
 from repro.optim import Optimizer, get_optimizer, resolve_optimizer_name
 from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
-from repro.utils.validation import check_positive_int, check_register_fits
+from repro.utils.validation import (
+    check_in_choices,
+    check_positive_int,
+    check_register_fits,
+)
 
 __all__ = [
     "TrainingConfig",
@@ -96,6 +103,15 @@ class TrainingConfig:
         check_positive_int(self.num_layers, "num_layers")
         check_positive_int(self.iterations, "iterations")
         resolve_optimizer_name(self.optimizer)
+        # Gate names are stored upper-case, so spellings of one circuit
+        # share a fingerprint.
+        self.rotation_gates = check_rotation_gates(
+            self.rotation_gates, "rotation_gates"
+        )
+        check_in_choices(self.entanglement, ENTANGLEMENT_PATTERNS, "entanglement")
+        self.entangler = check_entangler(self.entangler)
+        check_cost_kind(self.cost_kind)
+        check_in_choices(self.gradient_engine, GRADIENT_ENGINES, "gradient_engine")
         if self.learning_rate <= 0:
             raise ValueError(
                 f"learning_rate must be positive, got {self.learning_rate}"

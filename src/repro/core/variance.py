@@ -9,21 +9,22 @@ Pairing matters: the same circuit structures — and, per structure, the same
 RNG child streams — are reused across methods, so method comparisons are
 paired rather than confounded by structure resampling noise.
 
-A shard runs in two steps.  First every structure is built and every
+A shard runs in two steps.  First every structure's gate codes
+(:attr:`RandomPQC.codes <repro.ansatz.random_pqc.RandomPQC>`) and every
 method's angles are drawn, structure by structure and in method order,
-before anything is evaluated.  Then structures sharing a circuit *shape*
-— for this sampler, every structure of a grid cell
-(:func:`repro.ansatz.random_pqc.circuit_shape_key`) — are grouped into
-shape buckets by :func:`plan_shape_buckets`, and each bucket's
-(structures x methods x shift terms) rows run in one
+before anything is evaluated; no circuit is built per structure.  Every
+structure of a shard shares one circuit shape, so the codes stack into
+one table over the configuration's skeleton: one
+:class:`~repro.backend.simulator.MegaBatchPlan` and one cost per shard,
+whose (structures x methods x shift terms) rows run in one
 :func:`repro.backend.gradients.megabatch_parameter_shift` call, with
-batch sizes in the hundreds.  Noisy shards fold the same buckets:
+batch sizes in the hundreds.  Noisy shards fold the same plan:
 :class:`~repro.backend.ptm.PauliTransferSimulator` runs the statevector
-simulator's row loop over a bucket's plan, each row with its own gate's
-channel.  Since all sampling happens before any
-evaluation, the seeded gradients do not depend on how the grid is cut
-into shards or which executor runs them; ``tests/oracles.py`` keeps the
-per-structure, per-method shift loop they are checked against.
+simulator's row loop over it, each row with its own gate's channel.
+Since all sampling happens before any evaluation, the seeded gradients
+do not depend on how the grid is cut into shards or which executor runs
+them; ``tests/oracles.py`` keeps the per-structure, per-method shift
+loop, over built circuits, they are checked against.
 
 With ``VarianceConfig.shots`` the probed gradients are estimated from
 finite measurement samples instead of analytically: each method reserves
@@ -38,27 +39,31 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ansatz.base import check_entangler, check_rotation_gates
+from repro.ansatz.entanglement import ENTANGLEMENT_PATTERNS
 from repro.ansatz.random_pqc import DEFAULT_GATE_POOL, RandomPQC
-from repro.backend.circuit import QuantumCircuit
+from repro.backend.gates import get_gate
 from repro.backend.gradients import megabatch_parameter_shift
 from repro.backend.noise import NoiseModel, resolve_noise_model
-from repro.backend.observables import Observable
 from repro.backend.ptm import PauliTransferSimulator
-from repro.backend.simulator import StatevectorSimulator
-from repro.core.cost import make_cost
+from repro.backend.simulator import MegaBatchPlan, StatevectorSimulator
+from repro.core.cost import check_cost_kind, make_cost
 from repro.core.results import GradientSamples, VarianceResult
 from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_names
 from repro.utils.array_api import check_array_backend_name
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
-from repro.utils.validation import check_positive_int, check_register_fits
+from repro.utils.validation import (
+    check_in_choices,
+    check_positive_int,
+    check_register_fits,
+)
 
 __all__ = [
     "VarianceConfig",
     "VarianceAnalysis",
     "VarianceShard",
     "plan_variance_shards",
-    "plan_shape_buckets",
     "run_variance_shard",
     "merge_variance_outputs",
     "format_variance_progress",
@@ -153,6 +158,12 @@ class VarianceConfig:
                 self.method_kwargs.values(),
             )
         )
+        # Gate names are stored upper-case, so spellings of one circuit
+        # share a fingerprint.
+        self.gate_pool = check_rotation_gates(self.gate_pool, "gate_pool")
+        check_in_choices(self.entanglement, ENTANGLEMENT_PATTERNS, "entanglement")
+        self.entangler = check_entangler(self.entangler)
+        check_cost_kind(self.cost_kind)
         if self.param_position not in ("first", "middle", "last"):
             raise ValueError(
                 "param_position must be 'first', 'middle' or 'last', got "
@@ -240,77 +251,9 @@ def plan_variance_shards(
     return shards
 
 
-def plan_shape_buckets(keys: Sequence) -> List[List[int]]:
-    """Group structure indices into shape buckets, first-appearance order.
-
-    ``keys`` are hashable shape fingerprints (one per structure, e.g. from
-    :func:`repro.ansatz.random_pqc.circuit_shape_key`); the result is one
-    index list per distinct key, each list in ascending order.  For the
-    paper's sampler every structure of a grid cell shares one shape, so a
-    shard typically collapses into a single bucket of
-    ``num_circuits x methods x shift-terms`` foldable rows — but the
-    planner stays general for samplers whose wire patterns vary.
-    """
-    buckets: "Dict[object, List[int]]" = {}
-    for index, key in enumerate(keys):
-        buckets.setdefault(key, []).append(index)
-    return list(buckets.values())
-
-
-@dataclass
-class _StructureRows:
-    """One structure's contribution to a shape bucket's mega-batch."""
-
-    circuit: QuantumCircuit
-    observable: Observable
-    scale: float
-    #: ``(num_methods, P)`` angle matrix, method order.
-    params: np.ndarray
-    #: Per-method sampling streams (``None`` in analytic mode).
-    sample_rngs: Optional[list]
-
-
-def _observable_signature(observable: Observable):
-    """Hashable identity of an observable, folded into bucket keys.
-
-    A bucket shares its first structure's observable across all rows, so
-    only structures whose observables are *known equal* may share a
-    bucket.  The current cost kinds depend on the qubit count alone, but
-    the key guards the invariant structurally: an unrecognized (or
-    future structure-dependent) observable falls back to object identity,
-    which degrades those structures to singleton buckets — still correct,
-    just unfolded — instead of silently evaluating against the wrong
-    operator.
-    """
-    from repro.backend.observables import PauliString, PauliSum, Projector
-
-    if isinstance(observable, Projector):
-        return ("projector", observable.bits)
-    if isinstance(observable, PauliString):
-        return ("pauli", observable.word, observable.coefficient)
-    if isinstance(observable, PauliSum):
-        return (
-            "pauli_sum",
-            tuple((term.word, term.coefficient) for term in observable.terms),
-        )
-    return ("opaque", id(observable))
-
-
-def _probe_index(config: VarianceConfig, count: int) -> int:
-    """Resolve ``config.param_position`` to a parameter index."""
-    if config.param_position == "first":
-        return 0
-    if config.param_position == "middle":
-        return count // 2
-    return count - 1
-
-
-def _build_simulator(
-    config: VarianceConfig, noise_model: Optional[NoiseModel] = None
-):
+def _build_simulator(config: VarianceConfig):
     """Simulator for a config: statevector, or PTM when noise is set."""
-    if noise_model is None:
-        noise_model = resolve_noise_model(config.noise)
+    noise_model = resolve_noise_model(config.noise)
     if noise_model is not None:
         return PauliTransferSimulator(noise_model, backend=config.backend)
     return StatevectorSimulator(backend=config.backend)
@@ -328,101 +271,64 @@ def run_variance_shard(
     payloads only, keyed so :func:`merge_variance_outputs` can reassemble
     the full grid in order.
     """
-    noise_model = resolve_noise_model(config.noise)
-    simulator = simulator or _build_simulator(config, noise_model)
+    simulator = simulator or _build_simulator(config)
     initializers = config.build_initializers()
-    keys: List = []
-    items: List[_StructureRows] = []
+    codes: List[np.ndarray] = []
+    params: List[np.ndarray] = []
+    sample_rngs: Optional[list] = [] if config.shots is not None else None
     for i in range(shard.num_circuits):
-        structure_rng = ensure_rng(shard.seeds[2 * i])
-        angles_rng = ensure_rng(shard.seeds[2 * i + 1])
         pqc = RandomPQC(
             num_qubits=shard.num_qubits,
             num_layers=config.num_layers,
             gate_pool=config.gate_pool,
             entanglement=config.entanglement,
             entangler=config.entangler,
-            seed=structure_rng,
+            seed=shard.seeds[2 * i],
         )
-        circuit = pqc.build()
-        cost = make_cost(config.cost_kind, circuit, simulator=simulator)
+        angles_rng = ensure_rng(shard.seeds[2 * i + 1])
         shape = pqc.parameter_shape
         # Per-method child streams derived from one per-circuit parent keep
         # the comparison paired and order-independent.  Every method's
         # angles are drawn before anything is evaluated.
-        draws = {
-            method: initializer.sample(shape, spawn_rng(angles_rng))
-            for method, initializer in initializers.items()
-        }
+        draws = [
+            initializer.sample(shape, spawn_rng(angles_rng))
+            for initializer in initializers.values()
+        ]
         # Sampled probes reserve one further child per method, in method
         # order after every angle draw, so the draw streams above stay
         # bit-stable.
-        sample_rngs = None
-        if config.shots is not None:
-            sample_rngs = [spawn_rng(angles_rng) for _ in config.methods]
-        keys.append((pqc.shape_key, _observable_signature(cost.observable)))
-        items.append(
-            _StructureRows(
-                circuit=circuit,
-                observable=cost.observable,
-                scale=cost.scale,
-                params=np.stack(
-                    [
-                        np.asarray(draws[m], dtype=float).reshape(-1)
-                        for m in config.methods
-                    ]
-                ),
-                sample_rngs=sample_rngs,
-            )
-        )
+        if sample_rngs is not None:
+            sample_rngs.extend(spawn_rng(angles_rng) for _ in config.methods)
+        codes.append(pqc.codes)
+        params.append(np.stack([np.ravel(draw) for draw in draws]))
+    # Every structure of the shard shares the skeleton, and every cost
+    # kind depends on the width alone: one plan and one cost.
+    plan = MegaBatchPlan(
+        template=pqc.skeleton(),
+        gates=[get_gate(name) for name in pqc.gate_pool],
+        codes=codes,
+    )
+    cost = make_cost(config.cost_kind, plan.template, simulator=simulator)
+    count = plan.num_parameters
+    probe = {"first": 0, "middle": count // 2, "last": count - 1}
+    # Base rows are structures in order, methods within each, and so are
+    # the per-base-row sampling streams.
+    outs = megabatch_parameter_shift(
+        plan,
+        cost.observable,
+        params,
+        simulator=simulator,
+        param_indices=[probe[config.param_position]],
+        shots=config.shots,
+        seed=sample_rngs,
+    )
     return {
         "num_qubits": shard.num_qubits,
         "start": shard.start,
-        "gradients": _execute_buckets(
-            config, items, plan_shape_buckets(keys), simulator
-        ),
-    }
-
-
-def _execute_buckets(
-    config: VarianceConfig,
-    items: Sequence[_StructureRows],
-    buckets: Sequence[Sequence[int]],
-    simulator: StatevectorSimulator,
-) -> Dict[str, List[float]]:
-    """Run a shard's structures bucket by bucket; gradients per method.
-
-    Every bucket folds its (structures x methods x shift terms) rows into
-    one :func:`~repro.backend.gradients.megabatch_parameter_shift`
-    execution; the per-structure gradient blocks are then read back in
-    original structure order.
-    """
-    per_structure: List[Optional[np.ndarray]] = [None] * len(items)
-    for bucket in buckets:
-        first = items[bucket[0]]
-        index = _probe_index(config, first.circuit.num_parameters)
-        seed = None
-        if config.shots is not None:
-            # Per-base-row streams: structures in bucket order, methods
-            # within each structure.
-            seed = [rng for i in bucket for rng in items[i].sample_rngs]
-        outs = megabatch_parameter_shift(
-            [items[i].circuit for i in bucket],
-            first.observable,
-            [items[i].params for i in bucket],
-            simulator=simulator,
-            param_indices=[index],
-            shots=config.shots,
-            seed=seed,
-        )
-        for i, out in zip(bucket, outs):
-            per_structure[i] = out
-    return {
-        method: [
-            float(item.scale * raw[slot, 0])
-            for item, raw in zip(items, per_structure)
-        ]
-        for slot, method in enumerate(config.methods)
+        "gradients": {
+            method: [float(cost.scale * raw[slot, 0]) for raw in outs]
+            for slot, method in enumerate(config.methods)
+        },
     }
 
 

@@ -126,14 +126,24 @@ class TestSkeletonBuild:
             if not op_a.is_trainable:
                 assert op_a is op_b
 
-    def test_shape_key_shared_across_draws(self):
-        keys = {RandomPQC(3, 4, seed=s).shape_key for s in range(6)}
-        assert len(keys) == 1
+    def test_skeleton_shared_across_draws(self):
+        skeletons = [RandomPQC(3, 4, seed=s).skeleton() for s in range(6)]
+        for skeleton in skeletons[1:]:
+            assert skeleton.operations == skeletons[0].operations
+            assert skeleton is not skeletons[0]
 
-    def test_shape_key_distinguishes_configs(self):
-        base = RandomPQC(3, 4, seed=0).shape_key
-        assert RandomPQC(3, 4, entanglement="ring", seed=0).shape_key != base
-        assert RandomPQC(3, 4, entangler="CX", seed=0).shape_key != base
+    def test_skeleton_distinguishes_configs(self):
+        base = RandomPQC(3, 4, seed=0).skeleton().operations
+        assert RandomPQC(3, 4, entanglement="ring", seed=0).skeleton().operations != base
+        assert RandomPQC(3, 4, entangler="CX", seed=0).skeleton().operations != base
+
+    def test_codes_index_the_pool(self):
+        pqc = RandomPQC(3, 4, gate_pool=("RX", "RX", "RZ"), seed=5)
+        assert pqc.codes.shape == (4, 3)
+        assert pqc.structure == [[pqc.gate_pool[c] for c in row] for row in pqc.codes]
+        explicit = RandomPQC(2, 1, gate_pool=("rx", "RX", "RZ"), structure=[["RX", "rz"]])
+        assert explicit.codes.tolist() == [[0, 2]]
+        assert explicit.structure == [["RX", "RZ"]]
 
     def test_first_build_does_not_alias_cache(self):
         """Mutating the very first build of a configuration must not

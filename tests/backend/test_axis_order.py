@@ -175,7 +175,7 @@ def _buckets(draw):
 def _oracle_rows(plan, params, rows, initial=None, stop=None):
     out = []
     for row, circuit_index in enumerate(rows):
-        circuit = plan.circuits[circuit_index]
+        circuit = plan.circuit(circuit_index)
         if initial is None:
             data = np.zeros(2**circuit.num_qubits, dtype=complex)
             data[0] = 1.0

@@ -411,9 +411,8 @@ class TestFixedAdjointRouting:
             for size in sizes
         ]
         blocks = megabatch_adjoint_gradient(
-            circuits, observable, batches,
+            MegaBatchPlan(circuits), observable, batches,
             simulator=StatevectorSimulator(backend=backend_name),
-            plan=MegaBatchPlan(circuits),
         )
         self._assert_routing(circuits[0], undo_calls)
         for circuit, batch, block in zip(circuits, batches, blocks):

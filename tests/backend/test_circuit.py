@@ -174,7 +174,8 @@ class TestExecutionPlan:
         circuit = QuantumCircuit(2).rx(0).cz(0, 1)
         plan = circuit.execution_plan()
         assert circuit.execution_plan() is plan
-        assert plan.circuits == [circuit]
+        assert plan.num_circuits == 1
+        assert plan.circuit(0).operations == circuit.operations
         circuit.ry(1)
         rebuilt = circuit.execution_plan()
         assert rebuilt is not plan

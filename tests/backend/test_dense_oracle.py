@@ -207,8 +207,7 @@ def test_every_gradient_engine_matches_the_dense_derivative(case):
     plan = MegaBatchPlan([circuit, twin])
     for engine in (megabatch_adjoint_gradient, megabatch_parameter_shift):
         got = engine(
-            [circuit, twin], observable, [rows[:2], rows[2:]],
-            simulator=simulator, plan=plan,
+            plan, observable, [rows[:2], rows[2:]], simulator=simulator
         )
         assert np.allclose(got[0], expected[:2], atol=ATOL), engine.__name__
         assert np.allclose(got[1], twin_expected[2:], atol=ATOL), engine.__name__

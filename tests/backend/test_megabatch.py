@@ -50,11 +50,12 @@ class TestShapeKey:
     def test_same_config_same_key(self):
         a = RandomPQC(3, 4, seed=0)
         b = RandomPQC(3, 4, seed=99)
-        assert a.shape_key == b.shape_key
         assert circuit_shape_key(a.build()) == circuit_shape_key(b.build())
 
     def test_different_width_differs(self):
-        assert RandomPQC(3, 4, seed=0).shape_key != RandomPQC(4, 4, seed=0).shape_key
+        key_a = circuit_shape_key(RandomPQC(3, 4, seed=0).build())
+        key_b = circuit_shape_key(RandomPQC(4, 4, seed=0).build())
+        assert key_a != key_b
 
     def test_different_depth_differs(self):
         key_a = circuit_shape_key(RandomPQC(3, 4, seed=0).build())
@@ -272,7 +273,7 @@ class TestMixedSlots:
         assert states.shape == (len(self.ROWS), 2**self.NUM_QUBITS)
         for b, c in enumerate(self.ROWS):
             row = reference.run_batch(
-                plan.circuits[c],
+                plan.circuit(c),
                 params[b : b + 1],
                 None if initial is None else Statevector(initial[b], validate=False),
             )[0]

@@ -283,10 +283,27 @@ class TestOracleShard:
             {"noise": _NOISE, "qubit_counts": (2, 3)},
             {"noise": _NOISE, "shots": 32, "qubit_counts": (2, 3)},
             {"noise": _PER_GATE_NOISE, "qubit_counts": (2, 3)},
+            # Circuit shapes: pools of one to three rotations (a repeated
+            # name weights the draw), every pattern, CZ and CNOT.
+            {"gate_pool": ("RX",)},
+            {"gate_pool": ("RX", "RX", "RZ"), "param_position": "first"},
+            {"gate_pool": ("ry", "RZ"), "entanglement": "ring", "entangler": "CNOT"},
+            {"entanglement": "full", "entangler": "cnot", "param_position": "middle"},
+            {"entanglement": "none", "shots": 64, "qubit_counts": (1, 2, 5)},
+            {"gate_pool": ("RX", "RY"), "entanglement": "ring", "shots": 64},
+            {"noise": _PER_GATE_NOISE, "gate_pool": ("RX", "RX", "RZ"), "qubit_counts": (1, 3)},
+            {
+                "noise": _PER_GATE_NOISE,
+                "entangler": "CNOT",
+                "param_position": "first",
+                "qubit_counts": (2, 3),
+            },
         ],
         ids=[
             "global", "local", "first", "middle", "shots", "noise",
-            "noise-shots", "noise-per-gate",
+            "noise-shots", "noise-per-gate", "pool-1", "pool-repeat-first",
+            "ring-cnot", "full-middle", "none-shots", "ring-shots",
+            "noise-repeat", "noise-cnot-first",
         ],
     )
     def test_shard_equals_oracle(self, overrides):
@@ -318,26 +335,40 @@ class TestOracleShard:
                 ), (got["num_qubits"], method)
 
 
-class TestPlanShapeBuckets:
-    def test_groups_in_first_appearance_order(self):
-        from repro.core.variance import plan_shape_buckets
+class TestShardPlan:
+    """A shard draws gate codes and runs one plan over its skeleton: no
+    circuit per structure, one plan and one cost per shard."""
 
-        buckets = plan_shape_buckets(["a", "b", "a", "c", "b", "a"])
-        assert buckets == [[0, 2, 5], [1, 4], [3]]
-
-    def test_empty(self):
-        from repro.core.variance import plan_shape_buckets
-
-        assert plan_shape_buckets([]) == []
-
-    def test_variance_shard_buckets_cover_grid(self):
-        """A shard's structures all share one shape -> one bucket."""
+    def test_one_plan_and_one_cost_per_shard(self, monkeypatch):
+        import repro.core.variance as vmod
         from repro.ansatz.random_pqc import RandomPQC
+        from repro.backend.simulator import MegaBatchPlan
 
-        keys = [RandomPQC(3, 4, seed=s).shape_key for s in range(5)]
-        from repro.core.variance import plan_shape_buckets
+        calls = {"plan": 0, "cost": 0, "init": 0}
 
-        assert plan_shape_buckets(keys) == [[0, 1, 2, 3, 4]]
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def no_build(self):
+            raise AssertionError("a shard built a circuit")
+
+        monkeypatch.setattr(MegaBatchPlan, "__init__", counted("plan", MegaBatchPlan.__init__))
+        monkeypatch.setattr(RandomPQC, "__init__", counted("init", RandomPQC.__init__))
+        monkeypatch.setattr(RandomPQC, "build", no_build)
+        monkeypatch.setattr(vmod, "make_cost", counted("cost", vmod.make_cost))
+        config = _tiny_config()
+        shards = plan_variance_shards(config, 5, circuits_per_shard=3)
+        for shard in shards:
+            run_variance_shard(config, shard)
+        assert calls == {
+            "plan": len(shards),
+            "cost": len(shards),
+            "init": config.num_circuits * len(config.qubit_counts),
+        }
 
 
 class TestShardValidation:
