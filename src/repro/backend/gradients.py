@@ -29,10 +29,13 @@ Parameter shift (``megabatch_parameter_shift``, ``batch_parameter_shift``, ``par
 
 Adjoint (``megabatch_adjoint_gradient``, ``batch_adjoint_gradient``, ``adjoint_gradient``)
     Reverse-mode differentiation through the statevector (Jones & Gacon,
-    2020).  One forward pass plus one backward sweep applying per-row
-    adjoint/derivative stacks (:meth:`ParametricGate.matrix_batch` /
-    ``derivative_batch``) gives the *full* gradient of every row in
-    ``O(#gates)`` — the engine used for training.  Fixed and
+    2020).  One forward pass plus one backward sweep gives the *full*
+    gradient of every row in ``O(#gates)`` — the engine used for
+    training.  Each trainable slot builds one per-row adjoint table and
+    one derivative table
+    (:meth:`~repro.backend.simulator.MegaBatchPlan.slot_operands`) and
+    applies each to the whole stack densely, so no row is gathered by
+    gate.  Fixed and
     bound-parameter gate adjoints are cached on the circuit
     (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps — one per
     training iteration — rebuild only the trainable matrices.  Fixed
@@ -645,48 +648,24 @@ def _adjoint_sweep(
             psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
             lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
             continue
-        # Rows partition by their circuit's drawn gate; a slot of one gate
-        # sweeps the whole stack in place of a gather/scatter per segment.
-        gates, codes = plan.slot_gates[pos]
+        # Every row's own gate, from one operand table per slot.
         thetas = batch[:, op.param_index]
+        adjoint = plan.slot_operands(pos, rows, thetas).conj().transpose(0, 2, 1)
+        # Undo the gate: |psi_k> (states before it).
+        psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
         wanted_slot = slot_of.get(op.param_index)
-        if len(gates) > 1:
-            row_codes = codes[rows]
-            psi_new, lam_new = b.empty_like(psi), b.empty_like(lam)
-        for code, gate in enumerate(gates):
-            if len(gates) == 1:
-                idx, seg_thetas, seg_psi, seg_lam = slice(None), thetas, psi, lam
-            else:
-                idx = np.flatnonzero(row_codes == code)
-                if idx.size == 0:
-                    continue
-                seg_thetas = thetas[idx]
-                seg_psi, seg_lam = b.take_rows(psi, idx), b.take_rows(lam, idx)
-            adjoint = gate.matrix_batch(seg_thetas).conj().transpose(0, 2, 1)
-            # Undo this gate on the segment: |psi_k> (states before it).
-            seg_psi = apply_matrix(seg_psi, adjoint, op.qubits, num_qubits, backend=b)
-            if wanted_slot is not None:
-                d_matrices = gate.derivative_batch(seg_thetas)
-                d_psi = apply_matrix(
-                    seg_psi, d_matrices, op.qubits, num_qubits, backend=b
+        if wanted_slot is not None:
+            d_matrices = plan.slot_operands(pos, rows, thetas, derivative=True)
+            d_psi = apply_matrix(psi, d_matrices, op.qubits, num_qubits, backend=b)
+            if device:
+                grads[:, wanted_slot] = 2.0 * np.real(
+                    b.to_numpy(b.sum(b.conj(lam) * d_psi, axis=1))
                 )
-                if device:
-                    grads[idx, wanted_slot] = 2.0 * np.real(
-                        b.to_numpy(b.sum(b.conj(seg_lam) * d_psi, axis=1))
-                    )
-                else:
-                    grads[idx, wanted_slot] = [
-                        2.0 * float(np.real(np.vdot(l, d)))
-                        for l, d in zip(seg_lam, d_psi)
-                    ]
-            seg_lam = apply_matrix(seg_lam, adjoint, op.qubits, num_qubits, backend=b)
-            if len(gates) == 1:
-                psi, lam = seg_psi, seg_lam
             else:
-                b.put_rows(psi_new, idx, seg_psi)
-                b.put_rows(lam_new, idx, seg_lam)
-        if len(gates) > 1:
-            psi, lam = psi_new, lam_new
+                grads[:, wanted_slot] = [
+                    2.0 * float(np.real(np.vdot(l, d))) for l, d in zip(lam, d_psi)
+                ]
+        lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
     if len(slot_of) < len(indices):
         # A repeated index was filled in its last slot only; copy it out.
         grads = grads[:, [slot_of[index] for index in indices]]
@@ -775,10 +754,10 @@ def megabatch_adjoint_gradient(
 
     The mega-batched form of :func:`batch_adjoint_gradient` (which is its
     one-circuit call): one forward pass over every circuit's rows, then a
-    single backward sweep.  At each trainable slot the rows partition by
-    their circuit's drawn gate, and each partition applies that gate's
-    per-row adjoint / derivative stacks through the broadcasting kernels;
-    fixed operations use the plan template's cached static adjoints on the
+    single backward sweep.  Each trainable slot applies one per-row
+    adjoint table and one derivative table of every row's own gate to
+    the whole stack; fixed
+    operations use the plan template's cached static adjoints on the
     whole stack (exact-unit diagonals elementwise).  Rows evolve
     independently, so entry ``s`` is bit-identical to
     ``batch_adjoint_gradient(plan.circuit(s), observable,

@@ -368,9 +368,7 @@ class PauliTransferSimulator(StatevectorSimulator):
         return steps, None, None
 
     @staticmethod
-    def _apply_megabatch_slot(
-        plan, pos, payload, data, spare, angles, rows, order, backend
-    ):
+    def _apply_megabatch_slot(plan, pos, payload, data, spare, params, rows, backend):
         """Apply one operation's PTM, then its channel on each gate qubit.
 
         A trainable slot builds its per-row PTMs by gate code
@@ -386,13 +384,13 @@ class PauliTransferSimulator(StatevectorSimulator):
         register = 2 * plan.num_qubits
         if ptm is None:
             gates, codes = plan.slot_gates[pos]
-            thetas = angles[op.param_index][order]
+            thetas = params[:, op.param_index]
             if len(gates) == 1:
                 ptm = ptm_of_unitary_batch(gates[0].matrix_batch(thetas))
             else:
-                row_codes = codes[rows[order]]
+                row_codes = codes[rows]
                 dim = 4 ** len(op.qubits)
-                ptm = np.empty((order.size, dim, dim), dtype=COMPLEX_DTYPE)
+                ptm = np.empty((rows.size, dim, dim), dtype=COMPLEX_DTYPE)
                 for code, gate in enumerate(gates):
                     sel = np.flatnonzero(row_codes == code)
                     if sel.size:
@@ -404,7 +402,7 @@ class PauliTransferSimulator(StatevectorSimulator):
         )
         uniform = all(channel is channels[0] for channel in channels)
         if uniform and channels[0] is None:
-            return data, spare, order
+            return data, spare
         for qubit in op.qubits:
             axes = _ptm_axes([qubit])
             if uniform:
@@ -419,7 +417,7 @@ class PauliTransferSimulator(StatevectorSimulator):
                         backend=backend,
                     )
                     backend.put_rows(data, sel, part)
-        return data, spare, order
+        return data, spare
 
     # ------------------------------------------------------------------
     # readout

@@ -47,15 +47,20 @@ gate-sequence shape (same wires, same parameter slots, same fixed layers —
 see :func:`repro.ansatz.random_pqc.circuit_shape_key`) evolve together in
 one ``(B, 2**n)`` stack.  A :class:`MegaBatchPlan` stores, per trainable
 slot, the per-circuit gate table (read off its circuits, or off a code
-table of draws with no circuit per structure); at
-execution time each slot applies one per-row operand stack to its dense
-(RX, RY) rows and one to its diagonal (RZ) rows.  Because every kernel in
-this module is per-row independent, row ``b`` remains bit-identical to
-running its own circuit through ``run_batch`` (and therefore through
-``run``) — mega-batching, like batching, is a pure throughput change.
-This is what lets the variance experiment fold a grid cell's hundreds of
-(structure, method, shift-term) evaluations into a handful of hundred-row
-executions.
+table of draws with no circuit per structure).
+
+One rule applies every trainable slot, one-circuit plans included: its
+rows get one per-row table of their gates' matrices at their angles
+(:meth:`MegaBatchPlan.slot_operands`) and one :func:`apply_matrix` call
+— diagonal gates (RZ, RZZ, CRZ, PHASE) too, so a row's kernel never
+depends on its neighbours' gates.  Fused CZ runs and fixed or bound
+diagonals stay on :func:`apply_diagonal`.  Every kernel is per-row
+independent, so row ``b`` is bit-identical to its own circuit's
+``run_batch`` (and ``run``) row: mega-batching is a pure throughput
+change, which lets the variance experiment fold a grid cell's
+(structure, method, shift-term) evaluations into a few hundred-row
+executions.  The rule's bits are part of the numerics stamp
+(:func:`repro.utils.machine.numerics_stamp`).
 
 One loop, two programs
 ----------------------
@@ -67,7 +72,9 @@ diagonal runs) on ``2**n`` amplitudes; the Pauli-transfer program maps
 every operation to its transfer matrix and the noise model's channel
 transfer matrices on a doubled register of ``4**n`` components.  The
 subclass supplies only the register width, the default row, the program
-and the slot step; estimation and the sampled stages are shared.
+and the slot step (the statevector's is the slot rule's one
+:func:`apply_matrix` call; the Pauli-transfer step builds each gate
+code's transfer matrices); estimation and the sampled stages are shared.
 
 The stack evolves one cache-sized chunk at a time between two buffers
 allocated once per call: every step writes into the spare buffer
@@ -83,11 +90,9 @@ the stack.  Fused CZ-chain diagonals are applied permuted to the current
 order.  Canonical order comes back once per chunk, before its rows are
 written or reduced: a closing fused diagonal writes it directly, and
 otherwise one copy restores it.  The Pauli-transfer program, whose steps
-act on bit pairs, stays canonical.  A slot that mixes dense and diagonal
-rows does not scatter them back: it sorts the chunk by gate, dense gates
-first (one row gather), runs each kernel on its half in place of the
-other buffer, and carries the composed row order on; one row scatter at
-the end of the chunk restores the caller's order.  A fold — the rows of
+act on bit pairs, stays canonical.  A chunk's rows stay in the caller's
+order throughout, so a finished chunk is one slice write into the
+result.  A fold — the rows of
 :meth:`~StatevectorSimulator.expectation_batch`, or the shifted rows of a
 shift-rule gradient, gathered from shared prefix states — instead reduces
 each chunk to expectations as soon as it is finished, so it never holds
@@ -153,31 +158,6 @@ def batch_chunk_rows(
         _RUN_BATCH_CHUNK_BYTES if backend is None else backend.chunk_bytes
     )
     return max(1, chunk_bytes // (16 * 2**num_qubits))
-
-
-def _slot_operands(gates, keys, thetas, counts=None) -> np.ndarray:
-    """``(B, 2**k, 2**k)`` operand table of a slot's rows: row ``i`` holds
-    ``gates[keys[i]]`` at angle ``thetas[i]``, from one ``matrix_batch``
-    call per gate (``keys`` is ``None`` for a one-gate slot).  With
-    ``counts``, the keys are sorted and gate ``g`` has the ``counts[g]``
-    rows of one run.  Diagonal rows read the table's diagonal."""
-    if keys is None:
-        return gates[0].matrix_batch(thetas)
-    dim = gates[0].dim
-    table = np.empty((thetas.size, dim, dim), dtype=COMPLEX_DTYPE)
-    if counts is not None:
-        first = 0
-        for gate, count in zip(gates, counts):
-            if count:
-                run = slice(first, first + count)
-                table[run] = gate.matrix_batch(thetas[run])
-            first += count
-        return table
-    for key, gate in enumerate(gates):
-        sel = np.flatnonzero(keys == key)
-        if sel.size:
-            table[sel] = gate.matrix_batch(thetas[sel])
-    return table
 
 
 @lru_cache(maxsize=64)
@@ -279,13 +259,6 @@ def _code_table(ops, slots, gates, codes) -> tuple:
     return gates, table
 
 
-def _ranks(key: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``(slots, circuits)``: each circuit's gate's rank among its slot's
-    gates ordered by ``key[gate, slot]`` (distinct among present gates)."""
-    rank = (key[None, :, :] < key[:, None, :]).sum(axis=1)
-    return np.ascontiguousarray(np.take_along_axis(rank, table, axis=0).T)
-
-
 class MegaBatchPlan:
     """Validated execution plan for a *shape bucket* of circuits.
 
@@ -299,7 +272,10 @@ class MegaBatchPlan:
     * each trainable slot carries the per-circuit gate table — the
       "per-row gate-parameter table" that lets
       :meth:`StatevectorSimulator.run_megabatch` apply different gates
-      and angles to different rows of a single amplitude stack;
+      and angles to different rows of a single amplitude stack, every
+      row by its gate's matrix (:meth:`slot_operands`) in one dense
+      kernel call: a kernel chosen per slot or per chunk would make a
+      row's bits depend on its neighbours;
     * maximal runs of fixed diagonal operations whose entries are exact
       units (components 0/±1 — e.g. a CZ entangling chain; see
       :func:`~repro.backend.circuit.is_exact_unit_diagonal`) are fused
@@ -366,11 +342,6 @@ class MegaBatchPlan:
         # Per trainable position: the distinct gates (first-appearance
         # order) plus a per-circuit code array selecting among them.
         self.slot_gates: Dict[int, Tuple[List[ParametricGate], np.ndarray]] = {}
-        #: Per trainable position: ``(ranked, keys, num_dense)`` — the
-        #: distinct gates with the dense ones first, each circuit's index
-        #: into ``ranked``, and how many of ``ranked`` are dense.  Sorting
-        #: a slot's rows by key puts every gate's rows in one run.
-        self.slot_ranks: Dict[int, Tuple[List[ParametricGate], np.ndarray, int]] = {}
         self._slot_tables(slots, gates, table)
         self.steps = self._compile_steps()
         #: Compiled chunk-loop programs by operation range (see
@@ -378,31 +349,43 @@ class MegaBatchPlan:
         self.programs: "Dict[tuple, tuple]" = {}
 
     def _slot_tables(self, slots, gates, table) -> None:
-        """Fill :attr:`slot_gates` and :attr:`slot_ranks` from a
-        ``(circuits, slots)`` table of distinct-gate indices, with column
-        operations: every column's gates in first-appearance order, and
-        again with the dense ones first."""
+        """Fill :attr:`slot_gates` from a ``(circuits, slots)`` table of
+        distinct-gate indices, with column operations: every column's
+        gates in first-appearance order."""
         height = table.shape[0]
         rows = np.arange(height)[:, None]
         # first[g, k]: the first circuit with gate g in slot k (height: none).
         first = np.full((len(gates), table.shape[1]), height)
         for g in range(len(gates)):
             first[g] = np.where(table == g, rows, height).min(axis=0)
-        diagonal = np.array([g.is_diagonal for g in gates], dtype=bool)
-        # Dense gates first; absent gates (never ranked) last.
-        dense_first = first + height * diagonal[:, None]
-        dense_first[first == height] = 2 * height
-        codes = _ranks(first, table)
-        keys = _ranks(dense_first, table).astype(np.min_scalar_type(len(gates) - 1))
-        for k, (pos, column, dense_column) in enumerate(
-            zip(slots, first.T.tolist(), dense_first.T.tolist())
-        ):
-            order = [g for g in range(len(gates)) if column[g] < height]
-            order.sort(key=column.__getitem__)
-            ranked = sorted(order, key=dense_column.__getitem__)
-            num_dense = sum(not diagonal[g] for g in order)
-            self.slot_gates[pos] = ([gates[g] for g in order], codes[k])
-            self.slot_ranks[pos] = ([gates[g] for g in ranked], keys[k], num_dense)
+        # codes[k, c]: circuit c's gate's rank among slot k's gates.
+        rank = (first[None, :, :] < first[:, None, :]).sum(axis=1)
+        codes = np.ascontiguousarray(np.take_along_axis(rank, table, axis=0).T)
+        for pos, column, slot_codes in zip(slots, first.T.tolist(), codes):
+            present = [g for g in range(len(gates)) if column[g] < height]
+            present.sort(key=column.__getitem__)
+            self.slot_gates[pos] = ([gates[g] for g in present], slot_codes)
+
+    def slot_operands(
+        self, pos: int, rows: np.ndarray, thetas: np.ndarray, derivative: bool = False
+    ) -> np.ndarray:
+        """``(B, 2**k, 2**k)`` operand table of trainable slot ``pos``:
+        row ``i`` holds the matrix (or, with ``derivative``, the
+        derivative) of circuit ``rows[i]``'s gate at angle ``thetas[i]``,
+        from one batched call per gate.  Diagonal gates are their
+        matrices too: the slot rule that keeps a row's bits its own."""
+        gates, codes = self.slot_gates[pos]
+        batch = "derivative_batch" if derivative else "matrix_batch"
+        if len(gates) == 1:
+            return getattr(gates[0], batch)(thetas)
+        keys = codes[rows]
+        dim = gates[0].dim
+        table = np.empty((len(thetas), dim, dim), dtype=COMPLEX_DTYPE)
+        for key, gate in enumerate(gates):
+            sel = np.flatnonzero(keys == key)
+            if sel.size:
+                table[sel] = getattr(gate, batch)(thetas[sel])
+        return table
 
     def circuit(self, index: int) -> QuantumCircuit:
         """Circuit ``index`` of the bucket: the template with that
@@ -625,13 +608,11 @@ class StatevectorSimulator:
         every circuit in a :class:`MegaBatchPlan`'s shape bucket.  Fixed
         operations apply one shared matrix to all rows (fused entangler
         runs apply their precomputed diagonal in one elementwise pass);
-        at each trainable slot the rows are permuted into at most two
-        groups — dense gates, sharing one per-row matrix stack, and
-        diagonal gates, sharing one per-row diagonal stack — so the drawn
-        gate, like the angle, is row data.  The permutation is undone
-        once, when the result is written.  Rows evolve independently
-        through exactly the kernels :meth:`run_batch` dispatches per
-        gate, so row ``b`` equals ``self.run_batch(plan.circuit(
+        each trainable slot is one dense kernel call with a per-row
+        table of every row's own gate matrix, diagonal gates included,
+        so the drawn gate, like the angle, is row data.  Rows evolve
+        independently through exactly the kernels :meth:`run_batch`
+        dispatches per gate, so row ``b`` equals ``self.run_batch(plan.circuit(
         row_circuits[b]), params_batch[b:b+1])[0]`` bit for bit (up to
         the sign of exactly-zero amplitudes under fused diagonals — see
         :class:`MegaBatchPlan`): mega-batching is a pure throughput
@@ -697,9 +678,9 @@ class StatevectorSimulator:
         each chunk copies its initial rows into one buffer in the
         program's first axis order, every statevector step writes the
         other (``out=``) and the two swap, canonical order is restored,
-        and one ``put_rows`` writes the chunk into the freshly allocated
-        result in the caller's row order.  ``initial_state`` is only
-        read, so the result never aliases it.
+        and the chunk is written into its rows of the freshly allocated
+        result.  ``initial_state`` is only read, so the result never
+        aliases it.
 
         With ``initial_rows``, row ``i`` is gathered straight into the
         chunk buffer from row ``initial_rows[i]`` of the per-row stack.
@@ -734,9 +715,6 @@ class StatevectorSimulator:
         # bandwidth.  Rows are independent, so chunk boundaries are
         # invisible to the results.
         chunk = batch_chunk_rows(register, backend)
-        # One contiguous row of angles per parameter: a slot gathers its
-        # column through ``order`` without striding over the whole batch.
-        angles = np.ascontiguousarray(batch_array.T)
         result = None if estimate else backend.zeros((batch, dim), complex_dtype)
         buffer = backend.zeros((min(chunk, batch), dim), complex_dtype)
         spare_buffer = backend.empty_like(buffer)
@@ -754,12 +732,11 @@ class StatevectorSimulator:
                     rows_in[...] = initial[first:last]
                 if first_axes is not None:
                     permute_axes(rows_in, canonical, first_axes, register, data, backend)
-            # order[i]: the caller's row that data[i] holds.
-            order = np.arange(first, last)
+            chunk_params, chunk_rows = batch_array[first:last], rows[first:last]
             for kind, lo, _, payload in steps:
                 if kind == "slot":
-                    data, spare, order = self._apply_megabatch_slot(
-                        plan, lo, payload, data, spare, angles, rows, order,
+                    data, spare = self._apply_megabatch_slot(
+                        plan, lo, payload, data, spare, chunk_params, chunk_rows,
                         backend,
                     )
                     continue
@@ -773,10 +750,16 @@ class StatevectorSimulator:
             if last_axes is not None:
                 permute_axes(data, last_axes, canonical, register, spare, backend)
                 data, spare = spare, data
-            if estimate:
-                self._estimate_rows(data, order, *estimate)
+            if estimate is None:
+                result[first:last] = data
+                continue
+            observable, out, shots, rngs = estimate
+            if shots is None:
+                out[first:last] = self._analytic_rows(data, observable)
             else:
-                backend.put_rows(result, order, data)
+                out[first:last] = self.sampled_expectation_rows(
+                    data, observable, shots, rngs[first:last]
+                )
         return result
 
     def _check_plan_run(self, plan, params_batch, row_circuits, start, stop):
@@ -869,81 +852,28 @@ class StatevectorSimulator:
         payload: tuple,
         data,
         spare,
-        angles: np.ndarray,
+        params: np.ndarray,
         rows: np.ndarray,
-        order: np.ndarray,
         backend: ArrayBackend,
     ):
         """Apply one trainable slot with per-row gates to a chunk.
 
-        ``payload`` is ``(op, axes)``; ``data[i]`` holds the caller's row
-        ``order[i]``, whose angle (``angles[param_index][order[i]]``, the
-        transposed parameter batch) and gate are looked up through
-        ``order``.  Returns ``(data, spare, order)`` for the next step.
-        The slot's rows get one operand table (:func:`_slot_operands`).
-        A slot whose chunk rows are all dense or all diagonal runs one
-        kernel from ``data`` into ``spare`` (the buffers swap).  A mixed
-        slot gathers ``data`` into ``spare`` sorted by gate, dense gates
-        first, so each gate's rows are one run of the table, then runs the dense kernel into the leading rows of ``data`` and
-        the diagonal kernel into the rest, and hands the composed order
-        on — rows are not scattered back.  Both kernels leave the target
-        leading, so the halves agree on the chunk's axis order.
-        Operand assembly is host-side (it indexes tiny per-row metadata);
-        each kernel stages its operand stack to the backend in one copy.
+        ``payload`` is ``(op, axes)``, ``params`` the chunk's ``(rows, P)``
+        parameters and ``rows`` the plan circuit of each chunk row.
+        The slot's rows get one operand table
+        (:meth:`MegaBatchPlan.slot_operands`) and one :func:`apply_matrix`
+        call from ``data`` into ``spare``; returns ``(spare, data)``, the
+        buffers swapped for the next step.  Operand assembly is host-side
+        (it indexes tiny per-row metadata); the kernel stages the table to
+        the backend in one copy.
         """
         op, axes = payload
-        num_qubits = plan.num_qubits
-        ranked, circuit_keys, num_dense = plan.slot_ranks[pos]
-        thetas = angles[op.param_index][order]
-        keys = counts = None
-        dense = order.size if num_dense else 0
-        if len(ranked) > 1:
-            keys = circuit_keys[rows[order]]
-            counts = np.bincount(keys, minlength=len(ranked)).tolist()
-            dense = sum(counts[:num_dense])
-        if dense in (0, order.size):
-            table = _slot_operands(ranked, keys, thetas)
-            if dense:
-                apply_matrix(
-                    data, table, op.qubits, num_qubits,
-                    backend=backend, out=spare, axes=axes,
-                )
-            else:
-                apply_diagonal(
-                    data, np.diagonal(table, axis1=1, axis2=2), op.qubits,
-                    num_qubits, backend=backend, out=spare, axes=axes,
-                )
-            return spare, data, order
-        perm = np.argsort(keys, kind="stable")
-        backend.take_rows(data, perm, out=spare)
-        order, thetas = order[perm], thetas[perm]
-        table = _slot_operands(ranked, keys, thetas, counts)
+        table = plan.slot_operands(pos, rows, params[:, op.param_index])
         apply_matrix(
-            spare[:dense], table[:dense], op.qubits, num_qubits,
-            backend=backend, out=data[:dense], axes=axes,
+            data, table, op.qubits, plan.num_qubits,
+            backend=backend, out=spare, axes=axes,
         )
-        apply_diagonal(
-            spare[dense:], np.diagonal(table[dense:], axis1=1, axis2=2),
-            op.qubits, num_qubits, backend=backend, out=data[dense:], axes=axes,
-        )
-        return data, spare, order
-
-    def _estimate_rows(self, states, order, observable, out, shots, rngs):
-        """Reduce one finished chunk: ``out[order[i]] = <O>`` of ``states[i]``.
-
-        Sampled rows first get the caller's order back: consecutive rows
-        may share one generator (``rngs[r]`` is row ``r``'s) and must draw
-        in that order.
-        """
-        if shots is None:
-            out[order] = self._analytic_rows(states, observable)
-            return
-        if np.any(order[1:] < order[:-1]):
-            perm = np.argsort(order)
-            states, order = self.backend.take_rows(states, perm), order[perm]
-        out[order] = self.sampled_expectation_rows(
-            states, observable, shots, [rngs[row] for row in order]
-        )
+        return spare, data
 
     @staticmethod
     def _analytic_rows(states, observable) -> np.ndarray:

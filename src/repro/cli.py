@@ -696,6 +696,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     from repro.initializers import available_initializers
     from repro.optim import available_optimizers
     from repro.utils.array_api import array_backend_status
+    from repro.utils.machine import numerics_stamp
 
     backends = []
     for status in array_backend_status():
@@ -715,6 +716,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     print(f"backends:     {', '.join(backends)}")
     print(f"fixed gates:  {', '.join(sorted(FIXED_GATES))}")
     print(f"param gates:  {', '.join(sorted(PARAMETRIC_GATES))}")
+    print(f"numerics:     {numerics_stamp()}")
     return 0
 
 

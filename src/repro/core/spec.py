@@ -96,6 +96,7 @@ from repro.core.variance import (
 from repro.core import variance as _variance_module
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_names
 from repro.utils.array_api import check_array_backend_name, get_array_backend
+from repro.utils.machine import numerics_stamp
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
 from repro.utils.validation import check_positive_int
 
@@ -494,6 +495,13 @@ class ExperimentSpec:
           anything that changes how work is *cut into units* (e.g.
           ``{"circuits_per_shard": n}``) because resuming under a
           different plan must invalidate shard checkpoints.
+        * Every digest — this one and each work unit's — carries the
+          process's :func:`~repro.utils.machine.numerics_stamp` (kernel
+          version, numpy version, BLAS vendor).  Output bits depend on
+          them, so results, shards and checkpoints written under other
+          numerics miss and are recomputed instead of mixing bits; a
+          store shared by two numpy/BLAS builds keeps their entries
+          apart.  Nothing sets the stamp.
 
         The digest is the SHA-1 hex of the canonical sorted-keys JSON.
         """
@@ -614,7 +622,10 @@ class ExperimentSpec:
 
 
 def _digest(body: dict) -> str:
-    """SHA-1 hex of the canonical (sorted-keys) JSON form of ``body``."""
+    """SHA-1 hex of the canonical (sorted-keys) JSON form of ``body``,
+    stamped with the numerics its bits depend on (every run and unit
+    fingerprint is one of these)."""
+    body = dict(body, numerics=numerics_stamp())
     canonical = json.dumps(body, sort_keys=True, default=list)
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
 

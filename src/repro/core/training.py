@@ -41,7 +41,7 @@ from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS
 from repro.optim import Optimizer, get_optimizer, resolve_optimizer_name
 from repro.utils.array_api import check_array_backend_name
-from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
+from repro.utils.rng import SeedLike, derive_seeds, ensure_rng, spawn_seeds
 from repro.utils.validation import (
     check_in_choices,
     check_positive_int,
@@ -400,11 +400,13 @@ def _split_trajectory_seeds(seeds: Sequence[SeedLike], shots: Optional[int]):
     ``sample_seeds`` is ``None``; shot-based trajectories split each
     child into an initialization seed and an independent measurement-
     stream seed.  Every training call site derives its streams here,
-    which is what makes shot-based results identical across executors.
+    which is what makes shot-based results identical across executors;
+    deriving leaves each child seed as it was, so a retried unit draws
+    the same numbers (:func:`~repro.utils.rng.derive_seeds`).
     """
     if shots is None:
         return [ensure_rng(seed) for seed in seeds], None
-    pairs = [spawn_seeds(seed, 2) for seed in seeds]
+    pairs = [derive_seeds(seed, 2) for seed in seeds]
     return [init for init, _ in pairs], [sample for _, sample in pairs]
 
 

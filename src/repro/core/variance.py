@@ -52,7 +52,7 @@ from repro.core.results import GradientSamples, VarianceResult
 from repro.initializers import Initializer, get_initializer
 from repro.initializers.registry import PAPER_METHODS, resolve_initializer_names
 from repro.utils.array_api import check_array_backend_name
-from repro.utils.rng import SeedLike, ensure_rng, spawn_rng, spawn_seeds
+from repro.utils.rng import SeedLike, derive_seeds, spawn_seeds
 from repro.utils.validation import (
     check_in_choices,
     check_positive_int,
@@ -109,7 +109,7 @@ class VarianceConfig:
     #: Estimate every probed gradient from this many measurement samples
     #: instead of analytically — the hardware-realistic noise extension.
     #: Each method gets an independent per-circuit sampling stream (one
-    #: ``spawn_rng`` child per method, reserved after the angle draws), so
+    #: child seed per method, after the angle draws' children), so
     #: sampled grids stay bit-identical across executors too.
     shots: Optional[int] = None
     #: Array backend the statevector kernels run on: ``"numpy"`` (default,
@@ -275,7 +275,10 @@ def run_variance_shard(
     initializers = config.build_initializers()
     codes: List[np.ndarray] = []
     params: List[np.ndarray] = []
-    sample_rngs: Optional[list] = [] if config.shots is not None else None
+    sample_seeds: Optional[list] = [] if config.shots is not None else None
+    # Sampled probes take one further child per method, in method order
+    # after every angle draw's, so the draw streams stay bit-stable.
+    per_structure = len(initializers) * (1 if sample_seeds is None else 2)
     for i in range(shard.num_circuits):
         pqc = RandomPQC(
             num_qubits=shard.num_qubits,
@@ -285,20 +288,18 @@ def run_variance_shard(
             entangler=config.entangler,
             seed=shard.seeds[2 * i],
         )
-        angles_rng = ensure_rng(shard.seeds[2 * i + 1])
-        shape = pqc.parameter_shape
         # Per-method child streams derived from one per-circuit parent keep
-        # the comparison paired and order-independent.  Every method's
-        # angles are drawn before anything is evaluated.
+        # the comparison paired and order-independent; deriving them leaves
+        # the parent as it was, so a retried shard draws the same numbers.
+        # Every method's angles are drawn before anything is evaluated.
+        children = derive_seeds(shard.seeds[2 * i + 1], per_structure)
+        shape = pqc.parameter_shape
         draws = [
-            initializer.sample(shape, spawn_rng(angles_rng))
-            for initializer in initializers.values()
+            initializer.sample(shape, child)
+            for initializer, child in zip(initializers.values(), children)
         ]
-        # Sampled probes reserve one further child per method, in method
-        # order after every angle draw, so the draw streams above stay
-        # bit-stable.
-        if sample_rngs is not None:
-            sample_rngs.extend(spawn_rng(angles_rng) for _ in config.methods)
+        if sample_seeds is not None:
+            sample_seeds.extend(children[len(initializers):])
         codes.append(pqc.codes)
         params.append(np.stack([np.ravel(draw) for draw in draws]))
     # Every structure of the shard shares the skeleton, and every cost
@@ -320,7 +321,7 @@ def run_variance_shard(
         simulator=simulator,
         param_indices=[probe[config.param_position]],
         shots=config.shots,
-        seed=sample_rngs,
+        seed=sample_seeds,
     )
     return {
         "num_qubits": shard.num_qubits,

@@ -1,4 +1,4 @@
-"""Host machine context for benchmark payloads.
+"""Host machine context for benchmark payloads, and the numerics stamp.
 
 Every ``BENCH_*.json`` emitted by the benchmark suite embeds
 :func:`machine_context`, so perf numbers collected across commits (and
@@ -8,17 +8,30 @@ combination.  Since the array-backend abstraction the context also
 records which array namespace produced the numbers (name, library
 version, device when an accelerator is importable) — a torch-on-GPU
 timing must never be compared against a numpy baseline unlabelled.
+
+:func:`numerics_stamp` names what output bits depend on besides a run's
+inputs: the kernels' own arithmetic (:data:`KERNEL_VERSION`), numpy's
+version and the BLAS it calls.  Every run and unit fingerprint carries
+it (``repro.core.spec``), so stored results, shards and checkpoints from
+other numerics miss instead of mixing with this process's bits.
 """
 
 from __future__ import annotations
 
 import os
 import platform
+from functools import lru_cache
 from typing import Any, Dict
 
 import numpy as np
 
-__all__ = ["machine_context"]
+__all__ = ["KERNEL_VERSION", "machine_context", "numerics_stamp"]
+
+#: Version of the kernels' arithmetic.  Bump it with any change that
+#: moves an output bit — which kernel a gate takes, the order of an
+#: accumulation — so results stored under the old arithmetic miss.
+#: 2: every trainable slot is one dense GEMM, diagonal gates included.
+KERNEL_VERSION = 2
 
 
 def _blas_vendor() -> "str | None":
@@ -69,15 +82,27 @@ def _array_backend_context(spec: str) -> Dict[str, Any]:
     return context
 
 
+@lru_cache(maxsize=None)
+def numerics_stamp() -> str:
+    """What this process's output bits depend on besides the inputs:
+    ``"kernels=<KERNEL_VERSION> numpy=<version> blas=<vendor>"``.
+
+    Computed once per process.  Nothing sets it: it is read off the
+    running code and libraries, so two builds that could disagree in a
+    last bit never share a fingerprint.
+    """
+    return f"kernels={KERNEL_VERSION} numpy={np.__version__} blas={_blas_vendor()}"
+
+
 def machine_context(array_backend: str = "numpy") -> Dict[str, Any]:
     """JSON-able snapshot of the hardware/software running a benchmark.
 
     Keys: ``cpu_count``, ``machine``, ``platform``, ``python_version``,
-    ``numpy_version``, ``blas_vendor`` (``None`` when undetectable), and
-    ``array_backend`` — the resolved namespace's ``{name, version,
-    device}`` (or ``{name, error}`` when it cannot be resolved).  Pass the
-    backend spec the benchmark actually ran on; the default records the
-    numpy backend.
+    ``numpy_version``, ``blas_vendor`` (``None`` when undetectable),
+    ``numerics`` (:func:`numerics_stamp`), and ``array_backend`` — the
+    resolved namespace's ``{name, version, device}`` (or ``{name,
+    error}`` when it cannot be resolved).  Pass the backend spec the
+    benchmark actually ran on; the default records the numpy backend.
     """
     return {
         "cpu_count": os.cpu_count(),
@@ -86,5 +111,6 @@ def machine_context(array_backend: str = "numpy") -> Dict[str, Any]:
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "blas_vendor": _blas_vendor(),
+        "numerics": numerics_stamp(),
         "array_backend": _array_backend_context(array_backend),
     }

@@ -72,6 +72,29 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
     return list(seed_seq.spawn(count))
 
 
+def derive_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
+    """The ``count`` children :func:`spawn_seeds` would reserve from
+    ``seed`` next, without advancing a :class:`~numpy.random.SeedSequence`.
+
+    Child ``k`` is exactly what ``seed.spawn`` returns, so the streams are
+    the same; but a work unit deriving its children this way draws the
+    same numbers however often it runs (a retry reuses its seed objects),
+    and its seeds, so its fingerprint, are unchanged once it has run.
+    Any other ``SeedLike`` goes through :func:`spawn_seeds`.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        return spawn_seeds(seed, count)
+    first = seed.n_children_spawned
+    return [
+        np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key + (first + k,),
+            pool_size=seed.pool_size,
+        )
+        for k in range(count)
+    ]
+
+
 def resolve_rngs(seed: "SeedLike | Sequence[SeedLike]", count: int) -> List[np.random.Generator]:
     """One independent generator per row of a batch of size ``count``.
 

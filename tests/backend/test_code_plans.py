@@ -76,12 +76,6 @@ def test_code_plan_equals_circuit_plan(pqcs):
         got_gates, got_codes = got.slot_gates[pos]
         assert got_gates == gates
         assert np.array_equal(got_codes, codes)
-        ranked, keys, num_dense = want.slot_ranks[pos]
-        got_ranked, got_keys, got_dense = got.slot_ranks[pos]
-        assert got_ranked == ranked
-        assert np.array_equal(got_keys, keys)
-        assert got_keys.dtype == keys.dtype
-        assert got_dense == num_dense
     assert [step[:3] for step in got.steps] == [step[:3] for step in want.steps]
     for (kind, _, _, payload), (_, _, _, expected) in zip(got.steps, want.steps):
         if kind == "fused_diag":

@@ -226,13 +226,12 @@ def _backends():
 class TestMixedSlots:
     """Every slot mixes dense and diagonal rows in every chunk.
 
-    Such a slot permutes the chunk rather than scattering it back, so
-    rows move between buffers at every slot and the chunk's row order
-    composes; one scatter at the end of the chunk must restore it.  The
-    chunk is shrunk to four rows, so eleven rows make three chunks with a
-    short last one.  Numpy rows must equal their own circuit's
-    ``run_batch`` row bit for bit; device backends match to device
-    tolerance.
+    Such a slot is one dense kernel call over a per-row table of every
+    row's own gate, so no row's bits may depend on which gates its
+    neighbours drew.  The chunk is shrunk to four rows, so eleven rows
+    make three chunks with a short last one.  Numpy rows must equal their
+    own circuit's ``run_batch`` row bit for bit; device backends match to
+    device tolerance.
     """
 
     NUM_QUBITS = 3

@@ -392,7 +392,20 @@ class TestRun:
 
 class TestFoldCheckpointCompatibility:
     """Payloads and checkpoints from before ``VarianceConfig.batched`` and
-    ``fold`` were retired keep their fingerprints, bytes and shards."""
+    ``fold`` were retired keep their fingerprints, bytes and shards.
+
+    Fingerprints carry the numerics stamp, so the literal pins hold it
+    fixed at the stamp they were taken under; the stamp's own effect is
+    tested in ``TestNumericsStamp``."""
+
+    #: The stamp the literal pins below were taken under.
+    _STAMP = "kernels=2 numpy=2.4.6 blas=scipy-openblas"
+
+    @pytest.fixture()
+    def pinned_stamp(self, monkeypatch):
+        from repro.core import spec as spec_module
+
+        monkeypatch.setattr(spec_module, "numerics_stamp", lambda: self._STAMP)
 
     #: The CI service lane's spec.
     _PAYLOAD = {
@@ -418,20 +431,20 @@ class TestFoldCheckpointCompatibility:
     @pytest.mark.parametrize(
         "executor", [None, "serial", "batched", "process_pool"]
     )
-    def test_payload_keeps_pinned_fingerprints(self, knobs, executor):
+    def test_payload_keeps_pinned_fingerprints(self, knobs, executor, pinned_stamp):
         payload = dict(self._PAYLOAD, executor=executor)
         payload["config"] = dict(payload["config"], **knobs)
         spec = ExperimentSpec.from_dict(payload)
-        assert spec.fingerprint() == "64d95a18b9608d1ccf0d41d8f2a1a213614c87ec"
+        assert spec.fingerprint() == "7a50cdd1ed4b53137ba67da15895e1bfd7c7b47a"
         if executor != "process_pool":
             assert sorted(plan_experiment(spec).unit_fingerprints.items()) == [
-                ("variance-q2-c00000", "903ce4874cb6cc028fdda222050effa04998a7f5"),
-                ("variance-q3-c00000", "21d0f995c447d96e3c8cd5c6a039e8cd4eaf321b"),
+                ("variance-q2-c00000", "0bfc4f9cc7c027073eb17537a6fdd8658175be48"),
+                ("variance-q3-c00000", "214d44904ca005d79d516d6870015b899f878d25"),
             ]
 
-    def test_default_spec_keeps_pinned_fingerprint(self):
+    def test_default_spec_keeps_pinned_fingerprint(self, pinned_stamp):
         spec = ExperimentSpec(kind="variance", seed=7)
-        assert spec.fingerprint() == "448824b0b81cd687f202401c9186670aee4cf3ab"
+        assert spec.fingerprint() == "8849de1d480d588d95af016aba913e3f0958ef6c"
 
     def test_legacy_payload_writes_the_same_bytes(self, tmp_path):
         from repro.io import save_result
@@ -763,3 +776,96 @@ class TestNoisyExecution:
         assert serial.histories["random"].losses == pytest.approx(
             lockstep.histories["random"].losses
         )
+
+
+class TestNumericsStamp:
+    """Every run and unit fingerprint carries the numerics stamp, so a
+    store or checkpoint directory written under other numerics (another
+    kernel version, numpy or BLAS) recomputes every unit instead of
+    mixing its bits with this process's."""
+
+    _OTHER = "kernels=1 numpy=0.0.0 blas=another-blas"
+
+    @staticmethod
+    def _spec(**overrides):
+        config = VarianceConfig(
+            qubit_counts=(2, 3), num_circuits=4, num_layers=2, methods=("random", "zeros")
+        )
+        return ExperimentSpec(kind="variance", config=config, seed=11, **overrides)
+
+    def _storeless_bytes(self, tmp_path):
+        from repro.io import save_result
+
+        path = tmp_path / "storeless.json"
+        save_result(repro.run(self._spec()), path)
+        return path.read_bytes()
+
+    @staticmethod
+    def _count_shards(monkeypatch):
+        from repro.core import variance as vmod
+
+        calls = []
+        original = vmod.run_variance_shard
+
+        def counting(config, shard, *args, **kwargs):
+            calls.append(shard.unit_id)
+            return original(config, shard, *args, **kwargs)
+
+        monkeypatch.setattr(vmod, "run_variance_shard", counting)
+        return calls
+
+    def test_fingerprints_carry_the_stamp(self, monkeypatch):
+        from repro.core import spec as spec_module
+
+        spec = self._spec()
+        here = (spec.fingerprint(), plan_experiment(spec).unit_fingerprints)
+        monkeypatch.setattr(spec_module, "numerics_stamp", lambda: self._OTHER)
+        other = (spec.fingerprint(), plan_experiment(spec).unit_fingerprints)
+        assert here[0] != other[0]
+        assert here[1].keys() == other[1].keys()
+        assert not set(here[1].values()) & set(other[1].values())
+
+    def test_checkpoints_from_other_numerics_recompute(self, tmp_path, monkeypatch):
+        from repro.core import spec as spec_module
+        from repro.io import save_result
+
+        checkpoints = tmp_path / "checkpoints"
+        with monkeypatch.context() as patch:
+            patch.setattr(spec_module, "numerics_stamp", lambda: self._OTHER)
+            repro.run(self._spec(checkpoint_dir=checkpoints))
+        assert list(checkpoints.glob("shard-*.json"))
+        calls = self._count_shards(monkeypatch)
+        path = tmp_path / "resumed.json"
+        save_result(repro.run(self._spec(checkpoint_dir=checkpoints)), path)
+        units = plan_experiment(self._spec()).units
+        assert sorted(calls) == sorted(unit.unit_id for unit in units)
+        assert path.read_bytes() == self._storeless_bytes(tmp_path)
+
+    def test_store_from_other_numerics_recomputes(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.core import spec as spec_module
+        from repro.service import JobQueue
+
+        def finished(job):
+            deadline = time.monotonic() + 60
+            while job.state not in ("done", "failed"):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert job.state == "done"
+            return job
+
+        queue = JobQueue(tmp_path / "store").start()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(spec_module, "numerics_stamp", lambda: self._OTHER)
+                finished(queue.submit(self._spec()))
+            calls = self._count_shards(monkeypatch)
+            job = finished(queue.submit(self._spec()))
+            served = queue.store.result_path(job.fingerprint).read_bytes()
+        finally:
+            queue.stop()
+        assert not job.cache_hit
+        assert job.cached_units == 0
+        assert len(calls) == job.total_units > 0
+        assert served == self._storeless_bytes(tmp_path)

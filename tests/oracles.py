@@ -76,9 +76,13 @@ def apply_diagonal_1d(state, diagonal, qubits, num_qubits):
 
 
 def apply_operation(data, op, params, num_qubits):
-    """Apply one circuit operation to a flat amplitude buffer."""
+    """Apply one circuit operation to a flat amplitude buffer.
+
+    A trainable operation goes through its matrix even when its gate is
+    diagonal (the library's slot rule); fixed and bound diagonal
+    operations go through their diagonal."""
     matrix = op.matrix(params)
-    if getattr(op.gate, "is_diagonal", False):
+    if getattr(op.gate, "is_diagonal", False) and not op.is_trainable:
         return apply_diagonal_1d(data, np.diagonal(matrix), op.qubits, num_qubits)
     return apply_matrix_1d(data, matrix, op.qubits, num_qubits)
 

@@ -44,6 +44,13 @@ class TestInfo:
         for name in ("serial", "batched", "process_pool"):
             assert name in out
 
+    def test_prints_numerics_stamp(self, capsys):
+        from repro.utils.machine import numerics_stamp
+
+        assert main(["info"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"numerics:     {numerics_stamp()}" in lines
+
 
 class TestVarianceCommand:
     def test_tiny_run(self, capsys):
