@@ -49,11 +49,20 @@ one ``(B, 2**n)`` stack.  A :class:`MegaBatchPlan` stores, per trainable
 slot, the per-circuit gate table (read off its circuits, or off a code
 table of draws with no circuit per structure).
 
-One rule applies every trainable slot, one-circuit plans included: its
-rows get one per-row table of their gates' matrices at their angles
-(:meth:`MegaBatchPlan.slot_operands`) and one :func:`apply_matrix` call
-— diagonal gates (RZ, RZZ, CRZ, PHASE) too, so a row's kernel never
-depends on its neighbours' gates.  Fused CZ runs and fixed or bound
+One rule applies every run of consecutive trainable slots, one-circuit
+plans included: per chunk, the run's rows get one per-row table of their
+gates' matrices at their angles (:meth:`MegaBatchPlan.slot_operands`,
+one batched call per gate), and dense :func:`apply_matrix` calls apply
+it — diagonal gates (RZ, RZZ, CRZ, PHASE) too, so a row's kernel never
+depends on its neighbours' gates.  Up to ``_FUSE_MAX`` consecutive
+single-qubit slots whose qubits sit on the chunk's trailing axes are one
+fused call: its operand is each row's ``(k, 2, 2)`` factor stack, which
+the kernel expands to their Kronecker product, so a ten-qubit rotation
+layer streams the chunk four times instead of ten.  The fused product
+rounds differently from gate-by-gate application (ulp-level), and a
+``start``/``stop`` cut inside a group splits it; a circuit whose slots
+form no group (the hardware-efficient ansatz, whose RX and RY share a
+qubit) keeps the gate-by-gate bits.  Fused CZ runs and fixed or bound
 diagonals stay on :func:`apply_diagonal`.  Every kernel is per-row
 independent, so row ``b`` is bit-identical to its own circuit's
 ``run_batch`` (and ``run``) row: mega-batching is a pure throughput
@@ -67,14 +76,15 @@ One loop, two programs
 :meth:`StatevectorSimulator._run_megabatch_data` is the one loop that
 evolves plan rows, for this simulator and for its subclass
 :class:`~repro.backend.ptm.PauliTransferSimulator`.  The statevector
-program is the plan's compiled steps (slots, fixed operations, fused
+program is the plan's compiled steps (slot runs, fixed operations, fused
 diagonal runs) on ``2**n`` amplitudes; the Pauli-transfer program maps
 every operation to its transfer matrix and the noise model's channel
 transfer matrices on a doubled register of ``4**n`` components.  The
 subclass supplies only the register width, the default row, the program
-and the slot step (the statevector's is the slot rule's one
-:func:`apply_matrix` call; the Pauli-transfer step builds each gate
-code's transfer matrices); estimation and the sampled stages are shared.
+and the slot step (the statevector's is the slot rule's one operand
+table and one :func:`apply_matrix` call per group; the Pauli-transfer
+step builds each gate code's transfer matrices, one slot at a time);
+estimation and the sampled stages are shared.
 
 The stack evolves one cache-sized chunk at a time between two buffers
 allocated once per call: every step writes into the spare buffer
@@ -134,10 +144,19 @@ __all__ = [
     "batch_chunk_rows",
 ]
 
-#: Target working-set size for one :meth:`StatevectorSimulator.run_batch`
-#: chunk (amplitude buffer bytes).  8 MiB keeps a chunk L2/L3-resident on
-#: typical hardware; results are independent of the chunking.
-_RUN_BATCH_CHUNK_BYTES = 8 * 2**20
+#: Most consecutive single-qubit slots one fused rotation call applies.
+#: A group of ``k`` slots is one ``2**k``-square Kronecker operand per
+#: row, so it streams the chunk once instead of ``k`` times, at
+#: ``2**(k-1) / k`` times the flops (1.33x for 3, 2x for 4).  Median of
+#: four warm paper-scale Fig. 5a passes per setting, interleaved in one
+#: process (2-core x86-64, numpy 2.4.6, scipy-openblas), by most slots
+#: per GEMM and numpy chunk budget: 1 at 8 MiB 2.58 s, 2 at 8 MiB
+#: 1.79 s, 3 at 8 MiB 1.81 s, 4 at 8 MiB 2.04 s; 2 at 2 MiB 1.72 s,
+#: 3 at 2 MiB 1.75 s, 3 at 4 MiB 1.72 s, 4 at 2 MiB 1.83 s.  Past 3 the
+#: flops cost more than the saved stream; 2 and 3 tie within the host's
+#: noise, and 3 makes a third fewer calls.  The budget stays 8 MiB, as
+#: smaller chunks gain nothing once slots fuse.
+_FUSE_MAX = 3
 
 
 def batch_chunk_rows(
@@ -150,13 +169,12 @@ def batch_chunk_rows(
     :meth:`StatevectorSimulator.run_megabatch`,
     :meth:`StatevectorSimulator.sampled_expectation_rows`, and the
     benchmarks that report effective fold sizes.  The budget is
-    per-backend (``backend.chunk_bytes``): the numpy default keeps a
-    chunk cache-resident, accelerator backends use a much larger budget
-    so kernel-launch overhead amortizes over the biggest resident batch.
+    per-backend (``backend.chunk_bytes``, the numpy backend's when
+    ``backend`` is omitted): the numpy default keeps a chunk
+    cache-resident, accelerator backends use a much larger budget so
+    kernel-launch overhead amortizes over the biggest resident batch.
     """
-    chunk_bytes = (
-        _RUN_BATCH_CHUNK_BYTES if backend is None else backend.chunk_bytes
-    )
+    chunk_bytes = resolve_array_backend(backend).chunk_bytes
     return max(1, chunk_bytes // (16 * 2**num_qubits))
 
 
@@ -195,14 +213,75 @@ def _start_axes(steps, num_qubits: int) -> "Tuple[int, ...]":
     return rest + tuple(reversed(seen))
 
 
+def _slot_runs(steps) -> list:
+    """``steps`` with each run of consecutive single-qubit trainable slots
+    merged into one ``("slot", lo, hi, ops)`` step (a slot on more
+    qubits is a run of its own)."""
+    merged = []
+    for kind, lo, hi, payload in steps:
+        if kind != "slot":
+            merged.append((kind, lo, hi, payload))
+        elif (
+            merged
+            and merged[-1][0] == "slot"
+            and len(payload.qubits) == 1
+            and len(merged[-1][3][-1].qubits) == 1
+        ):
+            merged[-1] = ("slot", merged[-1][1], hi, merged[-1][3] + (payload,))
+        else:
+            merged.append(("slot", lo, hi, (payload,)))
+    return merged
+
+
+def _fused_run(ops, lo: int, axes) -> tuple:
+    """The statevector slot step of a run of trainable slots (operations
+    ``lo, lo + 1, ...``) that starts in ``axes``, and the order it leaves.
+
+    The payload is ``(positions, param_indices, groups)``.  The run's
+    operand table is built last slot first (``positions``, and
+    ``param_indices`` their angles), so a group of slots is one slice
+    ``table[:, a:b]`` whose factor 0 is its last gate.  A group is up to
+    ``_FUSE_MAX`` consecutive single-qubit slots whose qubits hold the
+    chunk's trailing axes in reverse gate order, each slot's qubit
+    trailing when its gate comes; it is one :func:`apply_matrix` call
+    on those axes, ``(a, b, qubits, axes)``, and leaves the order its
+    gates would have left one by one.  A one-slot group's operand is
+    ``table[:, a]``.
+    """
+    count, limit = len(ops), min(_FUSE_MAX, len(axes))
+    groups = []
+    start = 0
+    while start < count:
+        stop = start + 1
+        if ops[start].qubits[0] == axes[-1]:
+            while (
+                stop < count
+                and stop - start < limit
+                and ops[stop].qubits[0] == axes[start - stop - 1]
+            ):
+                stop += 1
+        qubits = axes[start - stop :] if stop - start > 1 else ops[start].qubits
+        groups.append((count - stop, count - start, qubits, axes))
+        axes = moved_axes(axes, qubits)
+        start = stop
+    positions = tuple(range(lo + count - 1, lo - 1, -1))
+    param_indices = np.array([op.param_index for op in reversed(ops)], dtype=np.intp)
+    return (positions, param_indices, groups), axes
+
+
 def _ordered_program(plan: "MegaBatchPlan", steps) -> tuple:
     """Compile plan steps for the chunk loop; see
     :meth:`StatevectorSimulator._program`."""
     num_qubits = plan.num_qubits
     canonical = tuple(range(num_qubits))
     axes = first = _start_axes(steps, num_qubits)
+    steps = _slot_runs(steps)
     program = []
     for index, (kind, lo, hi, payload) in enumerate(steps):
+        if kind == "slot":
+            payload, axes = _fused_run(payload, lo, axes)
+            program.append(("slot", lo, hi, payload))
+            continue
         if kind == "fused_diag":
             if index == len(steps) - 1:
                 # Written in canonical order, so the chunk needs no
@@ -215,9 +294,7 @@ def _ordered_program(plan: "MegaBatchPlan", steps) -> tuple:
                 program.append(("diagonal", lo, hi, (fused, axes, axes)))
             continue
         qubits = payload.qubits
-        if kind == "slot":
-            program.append(("slot", lo, hi, (payload, axes)))
-        elif getattr(payload.gate, "is_diagonal", False):
+        if getattr(payload.gate, "is_diagonal", False):
             diagonal = np.diagonal(payload.matrix(None))
             program.append(("diagonal", lo, hi, (diagonal, qubits, axes)))
         else:
@@ -337,6 +414,12 @@ class MegaBatchPlan:
         self.num_qubits = template.num_qubits
         self.num_parameters = template.num_parameters
         self.num_circuits = table.shape[0]
+        #: The distinct gates, and the ``(circuits, slots)`` table of
+        #: indices into them: entry ``[c, k]`` is circuit ``c``'s gate in
+        #: the template's ``k``-th trainable operation.
+        self.gates, self.codes = gates, table
+        #: ``operation position -> column`` of :attr:`codes`.
+        self.slot_columns = {pos: column for column, pos in enumerate(slots)}
         #: ``param_index -> operation position`` of the template.
         self.param_positions = {ops[pos].param_index: pos for pos in slots}
         # Per trainable position: the distinct gates (first-appearance
@@ -347,6 +430,9 @@ class MegaBatchPlan:
         #: Compiled chunk-loop programs by operation range (see
         #: :meth:`StatevectorSimulator._program`).
         self.programs: "Dict[tuple, tuple]" = {}
+        #: :attr:`codes` columns of each slot run :meth:`slot_operands`
+        #: has built, by their positions.
+        self._run_codes: "Dict[tuple, np.ndarray]" = {}
 
     def _slot_tables(self, slots, gates, table) -> None:
         """Fill :attr:`slot_gates` from a ``(circuits, slots)`` table of
@@ -367,31 +453,49 @@ class MegaBatchPlan:
             self.slot_gates[pos] = ([gates[g] for g in present], slot_codes)
 
     def slot_operands(
-        self, pos: int, rows: np.ndarray, thetas: np.ndarray, derivative: bool = False
+        self, pos, rows: np.ndarray, thetas: np.ndarray, derivative: bool = False
     ) -> np.ndarray:
-        """``(B, 2**k, 2**k)`` operand table of trainable slot ``pos``:
-        row ``i`` holds the matrix (or, with ``derivative``, the
-        derivative) of circuit ``rows[i]``'s gate at angle ``thetas[i]``,
-        from one batched call per gate.  Diagonal gates are their
-        matrices too: the slot rule that keeps a row's bits its own."""
-        gates, codes = self.slot_gates[pos]
+        """Per-row operand table of trainable slot ``pos``: ``(B, 2**k,
+        2**k)``, row ``i`` the matrix (or, with ``derivative``, the
+        derivative) of circuit ``rows[i]``'s gate at angle ``thetas[i]``.
+
+        ``pos`` may also be a tuple of slot positions, all on ``k``
+        qubits, with ``(B, R)`` ``thetas``: the ``(B, R, 2**k, 2**k)``
+        table whose column ``r`` is slot ``pos[r]``'s.  Either way the
+        table takes one batched call per gate of the :attr:`codes` it
+        reads.  Diagonal gates are their matrices too: the slot rule that
+        keeps a row's bits its own.
+        """
         batch = "derivative_batch" if derivative else "matrix_batch"
-        if len(gates) == 1:
-            return getattr(gates[0], batch)(thetas)
-        keys = codes[rows]
-        dim = gates[0].dim
-        table = np.empty((len(thetas), dim, dim), dtype=COMPLEX_DTYPE)
-        for key, gate in enumerate(gates):
-            sel = np.flatnonzero(keys == key)
-            if sel.size:
-                table[sel] = getattr(gate, batch)(thetas[sel])
-        return table
+        several = isinstance(pos, tuple)
+        if not several:
+            gates = self.slot_gates[pos][0]
+            if len(gates) == 1:
+                return getattr(gates[0], batch)(thetas)
+        positions = pos if several else (pos,)
+        codes = self._run_codes.get(positions)
+        if codes is None:
+            columns = [self.slot_columns[p] for p in positions]
+            codes = self._run_codes[positions] = self.codes[:, columns]
+        keys = np.take(codes, rows, axis=0).reshape(-1)
+        thetas = np.asarray(thetas, dtype=FLOAT_DTYPE).reshape(-1)
+        present = np.flatnonzero(np.bincount(keys, minlength=len(self.gates)))
+        if len(present) == 1:
+            table = getattr(self.gates[present[0]], batch)(thetas)
+        else:
+            dim = self.gates[present[0]].dim
+            table = np.empty((keys.size, dim, dim), dtype=COMPLEX_DTYPE)
+            for code in present.tolist():
+                sel = np.flatnonzero(keys == code)
+                table[sel] = getattr(self.gates[code], batch)(thetas[sel])
+        head = codes.shape[1:] if several else ()
+        return table.reshape((len(rows),) + head + table.shape[1:])
 
     def circuit(self, index: int) -> QuantumCircuit:
         """Circuit ``index`` of the bucket: the template with that
         circuit's gate in every trainable slot."""
         return self.template.with_slot_gates(
-            [gates[codes[index]] for gates, codes in self.slot_gates.values()]
+            [self.gates[code] for code in self.codes[index].tolist()]
         )
 
     def _compile_steps(self) -> "List[tuple]":
@@ -677,10 +781,10 @@ class StatevectorSimulator:
         other, between two chunk-sized buffers allocated once per call:
         each chunk copies its initial rows into one buffer in the
         program's first axis order, every statevector step writes the
-        other (``out=``) and the two swap, canonical order is restored,
-        and the chunk is written into its rows of the freshly allocated
-        result.  ``initial_state`` is only read, so the result never
-        aliases it.
+        other (``out=``) and the two swap, and the chunk is written into
+        its rows of the freshly allocated result, in canonical order (a
+        chunk that ends permuted is permuted straight into them).
+        ``initial_state`` is only read, so the result never aliases it.
 
         With ``initial_rows``, row ``i`` is gathered straight into the
         chunk buffer from row ``initial_rows[i]`` of the per-row stack.
@@ -747,12 +851,18 @@ class StatevectorSimulator:
                     backend=backend, out=spare, axes=axes,
                 )
                 data, spare = spare, data
+            if estimate is None:
+                if last_axes is None:
+                    result[first:last] = data
+                else:
+                    permute_axes(
+                        data, last_axes, canonical, register, result[first:last],
+                        backend,
+                    )
+                continue
             if last_axes is not None:
                 permute_axes(data, last_axes, canonical, register, spare, backend)
                 data, spare = spare, data
-            if estimate is None:
-                result[first:last] = data
-                continue
             observable, out, shots, rngs = estimate
             if shots is None:
                 out[first:last] = self._analytic_rows(data, observable)
@@ -856,24 +966,28 @@ class StatevectorSimulator:
         rows: np.ndarray,
         backend: ArrayBackend,
     ):
-        """Apply one trainable slot with per-row gates to a chunk.
+        """Apply one run of trainable slots with per-row gates to a chunk.
 
-        ``payload`` is ``(op, axes)``, ``params`` the chunk's ``(rows, P)``
-        parameters and ``rows`` the plan circuit of each chunk row.
-        The slot's rows get one operand table
-        (:meth:`MegaBatchPlan.slot_operands`) and one :func:`apply_matrix`
-        call from ``data`` into ``spare``; returns ``(spare, data)``, the
-        buffers swapped for the next step.  Operand assembly is host-side
-        (it indexes tiny per-row metadata); the kernel stages the table to
-        the backend in one copy.
+        ``payload`` is ``(positions, param_indices, groups)`` (see
+        :func:`_fused_run`), ``params`` the chunk's ``(rows, P)``
+        parameters and ``rows`` the plan circuit of each chunk row.  The
+        run's rows get one operand table
+        (:meth:`MegaBatchPlan.slot_operands`), and each group one
+        :func:`apply_matrix` call, a fused group's operand its factor
+        stack; every call writes the spare buffer and the two swap.
+        Returns ``(data, spare)`` for the next step.  Operand assembly is
+        host-side (it indexes tiny per-row metadata); the kernel stages
+        the operand to the backend in one copy.
         """
-        op, axes = payload
-        table = plan.slot_operands(pos, rows, params[:, op.param_index])
-        apply_matrix(
-            data, table, op.qubits, plan.num_qubits,
-            backend=backend, out=spare, axes=axes,
-        )
-        return spare, data
+        positions, param_indices, groups = payload
+        table = plan.slot_operands(positions, rows, params[:, param_indices])
+        for lo, hi, qubits, axes in groups:
+            apply_matrix(
+                data, table[:, lo] if hi - lo == 1 else table[:, lo:hi],
+                qubits, plan.num_qubits, backend=backend, out=spare, axes=axes,
+            )
+            data, spare = spare, data
+        return data, spare
 
     @staticmethod
     def _analytic_rows(states, observable) -> np.ndarray:

@@ -37,6 +37,14 @@ on ``B``, so a row evolves to the same bits alone or in any stack — the
 property the batched and mega-batched engines rely on.
 :meth:`StatevectorSimulator.run_batch` builds on these kernels.
 
+A ``k``-qubit :func:`apply_matrix` operand may also be a ``(B, k, 2, 2)``
+*factor stack*: row ``b`` holds ``k`` single-qubit matrices, factor ``i``
+acting on ``qubits[i]`` (factor 0 the most significant).  The kernel
+expands it, on numpy and on device namespaces alike, to each row's
+Kronecker product (bit for bit ``functools.reduce(np.kron,
+factors[b])``) and applies that in its one GEMM.  The mega-batch loop
+fuses up to three rotation slots per call this way.
+
 Output buffers
 --------------
 :func:`apply_matrix` and :func:`apply_diagonal` take ``out=``: a
@@ -222,6 +230,38 @@ def moved_axes(axes: Sequence[int], qubits: Sequence[int]) -> Tuple[int, ...]:
     return tuple(qubits) + tuple(q for q in axes if q not in qubits)
 
 
+def _kron_rows(factors, k: int, backend: Optional[ArrayBackend] = None):
+    """``(B, 2**k, 2**k)`` per-row Kronecker products of a ``(B, k, 2, 2)``
+    factor stack, factor 0 most significant: row ``b`` equals
+    ``functools.reduce(np.kron, factors[b])`` bit for bit (each entry is
+    the same left-to-right product of factor entries).  With a non-numpy
+    ``backend`` the factors are already on its namespace."""
+    if tuple(factors.shape[1:]) != (k, 2, 2):
+        raise ValueError(
+            f"a factor stack for {k} target qubits is (batch, {k}, 2, 2), "
+            f"got shape {tuple(factors.shape)}"
+        )
+    batch = int(factors.shape[0])
+    if backend is None:
+        # Rows innermost and contiguous: each product is a few long
+        # elementwise loops rather than many loops over two entries.
+        columns = np.ascontiguousarray(factors.transpose(1, 2, 3, 0))
+        reshape, permute = np.reshape, np.transpose
+    else:
+        columns = backend.permute(factors, (1, 2, 3, 0))
+        reshape, permute = backend.reshape, backend.permute
+    product = columns[0]
+    for i in range(1, k):
+        dim = 2 ** (i + 1)
+        product = reshape(
+            product[:, None, :, None] * columns[i, None, :, None, :],
+            (dim, dim, batch),
+        )
+    product = permute(product, (2, 0, 1))
+    # A GEMM operand must be C-ordered per row (see apply_matrix).
+    return np.ascontiguousarray(product) if backend is None else product
+
+
 def _target_block(states: np.ndarray, qubits, num_qubits: int, axes):
     """``(B, 2**k, rest)`` view of a stack in ``axes`` order whose middle
     axis runs over the targets (most significant gate qubit first).
@@ -286,7 +326,9 @@ def apply_matrix(
         gate qubit first), or a per-batch-element stack of shape
         ``(B, 2**k, 2**k)``.  A 2-D matrix combined with a batched state
         is shared across the batch; a 3-D matrix with a 1-D state
-        broadcasts the state.
+        broadcasts the state.  A 4-D ``(B, k, 2, 2)`` factor stack is
+        each row's Kronecker product (factor ``i`` on
+        ``qubits[i]``), expanded here before the GEMM.
     qubits:
         Distinct target qubit indices in ``[0, num_qubits)``; anything
         else raises :class:`ValueError`.
@@ -328,6 +370,8 @@ def apply_matrix(
         )
         return _device_result(result, out, num_qubits, device)
 
+    if matrix.ndim == 4:
+        matrix = _kron_rows(matrix, k)
     batch = _batch_size(state, matrix, matrix.ndim == 3)
     if out is not None:
         _check_out(out, batch, 2**num_qubits, COMPLEX_DTYPE)
@@ -396,6 +440,8 @@ def _apply_matrix_device(
     """
     k = len(qubits)
     matrix = b.asarray(matrix, dtype=b.complex_dtype)
+    if matrix.ndim == 4:
+        matrix = _kron_rows(matrix, k, b)
     batch = _batch_size(state, matrix, matrix.ndim == 3)
     states = (
         state

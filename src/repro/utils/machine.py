@@ -31,7 +31,9 @@ __all__ = ["KERNEL_VERSION", "machine_context", "numerics_stamp"]
 #: moves an output bit — which kernel a gate takes, the order of an
 #: accumulation — so results stored under the old arithmetic miss.
 #: 2: every trainable slot is one dense GEMM, diagonal gates included.
-KERNEL_VERSION = 2
+#: 3: up to three consecutive rotation slots on the trailing axes are one
+#: GEMM by their Kronecker product.
+KERNEL_VERSION = 3
 
 
 def _blas_vendor() -> "str | None":

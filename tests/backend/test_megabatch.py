@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import repro
 from repro.ansatz.random_pqc import RandomPQC, circuit_shape_key
 from repro.backend.circuit import QuantumCircuit
@@ -159,16 +160,20 @@ class TestRunMegabatch:
         params = np.concatenate(batches)
         rows = np.repeat(np.arange(len(circuits)), 3)
         full = simulator.run_megabatch(plan, params, rows)
-        # Split at a trainable position (never inside a fused run).
-        split = max(
+        # Split at trainable positions (never inside a fused diagonal
+        # run): the last layer's first slot opens a rotation group, so
+        # that cut keeps every group whole and every bit; its last slot
+        # splits a two-slot group, whose halves round differently.
+        slots = [
             pos for pos, op in enumerate(plan.template.operations)
             if op.is_trainable
-        )
-        prefix = simulator.run_megabatch(plan, params, rows, stop=split)
-        resumed = simulator.run_megabatch(
-            plan, params, rows, prefix, start=split
-        )
-        assert np.array_equal(full, resumed)
+        ]
+        for split, fused in ((slots[-2], False), (slots[-1], True)):
+            prefix = simulator.run_megabatch(plan, params, rows, stop=split)
+            resumed = simulator.run_megabatch(
+                plan, params, rows, prefix, start=split
+            )
+            oracles.assert_oracle_match(resumed, full, fused)
 
     def test_mid_fused_run_split_raises(self):
         circuits, _ = _random_bucket(num_qubits=4, num_layers=1)
@@ -298,7 +303,9 @@ class TestMixedSlots:
             for pos, op in enumerate(plan.template.operations)
             if op.is_trainable
         ]
-        for split in (slots[1], slots[len(slots) // 2], slots[-1]):
+        # Each layer's three slots are one fused group: slot 6 opens layer
+        # 2, so only that cut keeps every group whole and every bit.
+        for split, fused in ((slots[1], True), (slots[6], False), (slots[-1], True)):
             prefix = simulator._run_megabatch_data(
                 plan, params, self.ROWS, stop=split
             )
@@ -306,7 +313,7 @@ class TestMixedSlots:
                 plan, params, self.ROWS, prefix, start=split
             )
             if simulator.backend.is_numpy:
-                assert np.array_equal(resumed, full), split
+                oracles.assert_oracle_match(resumed, full, fused)
             else:
                 np.testing.assert_allclose(
                     resumed, full, rtol=DEVICE_RTOL, atol=DEVICE_ATOL

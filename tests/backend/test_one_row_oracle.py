@@ -7,10 +7,13 @@ sweep, a shift-rule loop, a per-state sampler) and kept that tier
 bit-identical to the batched one with a runtime BLAS probe.  Those bodies
 now live in ``tests/oracles.py``; this module asserts with
 ``np.array_equal`` that each one-row entry point carries exactly their
-bits.  It takes over the probe's job: on a BLAS build where the
-single-qubit fast path's narrow GEMM slices and a full-width GEMM
-disagree, these tests fail instead of the library silently switching
-layouts.
+bits, and each kernel call too.  It takes over the probe's job: on a
+BLAS build where the single-qubit fast path's narrow GEMM slices and a
+full-width GEMM disagree, these tests fail instead of the library
+silently switching layouts.  A circuit whose rotation slots fuse into
+one Kronecker GEMM is held to ``oracles.FUSED_ATOL`` instead
+(``oracles.assert_oracle_match``); the hardware-efficient ansatz forms
+no group and stays bit for bit.
 """
 
 import importlib.util
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 import oracles
+from repro.ansatz.hea import HardwareEfficientAnsatz
 from repro.ansatz.random_pqc import RandomPQC
 from repro.backend.circuit import QuantumCircuit
 from repro.backend.gates import FIXED_GATES, PARAMETRIC_GATES
@@ -95,7 +99,16 @@ def _circuits():
         pytest.param(_mixed_circuit(), id="mixed5"),
         pytest.param(RandomPQC(4, 6, seed=3).build(), id="random4"),
         pytest.param(RandomPQC(9, 3, seed=5).build(), id="random9"),
+        pytest.param(HardwareEfficientAnsatz(4, 3).build(), id="hea4"),
     ]
+
+
+def _match(circuit, actual, desired):
+    """``actual`` against the oracle's ``desired``: bit for bit unless
+    the circuit's slots fuse."""
+    oracles.assert_oracle_match(
+        actual, desired, oracles.fuses(circuit.execution_plan())
+    )
 
 
 def _params(circuit, seed=0):
@@ -225,7 +238,8 @@ class TestKernels:
 class TestSimulator:
     def test_run(self, circuit):
         params = _params(circuit)
-        assert np.array_equal(
+        _match(
+            circuit,
             StatevectorSimulator().run(circuit, params).data,
             oracles.run(circuit, params).data,
         )
@@ -233,7 +247,8 @@ class TestSimulator:
     def test_run_from_an_initial_state(self, circuit):
         params = _params(circuit, seed=1)
         start = Statevector.random_state(circuit.num_qubits, seed=2)
-        assert np.array_equal(
+        _match(
+            circuit,
             StatevectorSimulator().run(circuit, params, start).data,
             oracles.run(circuit, params, start).data,
         )
@@ -242,7 +257,8 @@ class TestSimulator:
         if circuit.num_qubits > 6:
             pytest.skip("dense unitaries are for small registers")
         params = _params(circuit, seed=3)
-        assert np.array_equal(
+        _match(
+            circuit,
             StatevectorSimulator().unitary(circuit, params),
             oracles.unitary(circuit, params),
         )
@@ -254,10 +270,12 @@ class TestSimulator:
         observables["state_projector"] = StateProjector(
             Statevector.random_state(circuit.num_qubits, seed=9)
         )
-        for name, observable in observables.items():
-            assert simulator.expectation(
-                circuit, observable, params
-            ) == oracles.expectation(circuit, observable, params), name
+        for observable in observables.values():
+            _match(
+                circuit,
+                simulator.expectation(circuit, observable, params),
+                oracles.expectation(circuit, observable, params),
+            )
 
     def test_sampled_expectation(self, circuit):
         params = _params(circuit, seed=5)
@@ -285,7 +303,8 @@ class TestGradients:
             "repeated": [1, last, 1],
         }[param_indices]
         for observable in _observables(circuit.num_qubits).values():
-            assert np.array_equal(
+            _match(
+                circuit,
                 adjoint_gradient(
                     circuit, observable, params, param_indices=indices
                 ),
@@ -301,13 +320,14 @@ class TestGradients:
             expected_value, expected_grads = oracles.adjoint_value_and_gradient(
                 circuit, observable, params
             )
-            assert value == expected_value
-            assert np.array_equal(grads, expected_grads)
+            _match(circuit, value, expected_value)
+            _match(circuit, grads, expected_grads)
 
     def test_analytic_parameter_shift(self, circuit):
         params = _params(circuit, seed=9)
         for observable in _observables(circuit.num_qubits).values():
-            assert np.array_equal(
+            _match(
+                circuit,
                 parameter_shift(circuit, observable, params),
                 oracles.parameter_shift(circuit, observable, params),
             )

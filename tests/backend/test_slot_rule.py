@@ -1,13 +1,14 @@
-"""One kernel per trainable slot.
+"""One dense kernel rule for every trainable slot.
 
 Every row of a trainable slot is multiplied by its own gate's matrix from
-one per-row operand table, in one ``apply_matrix`` call, whatever gates
-the slot's rows drew — diagonal ones (RZ, RZZ, CRZ, PHASE) included.  So
-a row's bits never depend on its neighbours' gates: these tests hold
-``run_megabatch`` rows over mixed and all-diagonal slots to each
-circuit's own ``run_batch`` row and to the gate-by-gate oracle, bit for
-bit, across chunk boundaries; and they count the calls, so no slot goes
-back to a diagonal kernel or a row gather.
+one per-row operand table, in dense ``apply_matrix`` calls, whatever
+gates the slot's rows drew — diagonal ones (RZ, RZZ, CRZ, PHASE)
+included.  So a row's bits never depend on its neighbours' gates: these
+tests hold ``run_megabatch`` rows over mixed and all-diagonal slots to
+each circuit's own ``run_batch`` row bit for bit across chunk
+boundaries, and to the gate-by-gate oracle (within
+``oracles.FUSED_ATOL`` where rotation slots fuse); and no slot gathers
+rows.  ``test_fused_slots.py`` counts the calls.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repro.backend import simulator as simulator_module
 from repro.backend.circuit import QuantumCircuit
 from repro.backend.gradients import megabatch_adjoint_gradient
 from repro.backend.observables import total_z
@@ -75,10 +75,13 @@ def test_rows_equal_run_batch_and_oracle(bucket):
         patch.setattr(simulator.backend, "chunk_bytes", width * chunk_rows)
         states = simulator.run_megabatch(plan, params, rows)
     reference = StatevectorSimulator()
+    fused = oracles.fuses(plan)
     for b, c in enumerate(rows):
         own = reference.run_batch(circuits[c], params[b : b + 1])[0]
         assert np.array_equal(states[b], own), b
-        assert np.array_equal(own, oracles.run(circuits[c], params[b]).data), b
+        oracles.assert_oracle_match(
+            own, oracles.run(circuits[c], params[b]).data, fused
+        )
 
 
 def _diagonal_plan():
@@ -105,22 +108,6 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_each_slot_chunk_is_one_dense_call(monkeypatch):
-    plan = _diagonal_plan()
-    rows = [0, 1, 2, 2, 1, 0, 1]
-    params = np.random.default_rng(5).normal(size=(len(rows), plan.num_parameters))
-    simulator = StatevectorSimulator()
-    monkeypatch.setattr(simulator.backend, "chunk_bytes", 16 * 2**3 * 3)
-    calls = {}
-    for name in ("apply_matrix", "apply_diagonal"):
-        _counting(monkeypatch, simulator_module, name, calls)
-    for name in ("take_rows", "put_rows"):
-        _counting(monkeypatch, ArrayBackend, name, calls)
-    simulator.run_megabatch(plan, params, rows)
-    slots = sum(step[0] == "slot" for step in plan.steps)
-    assert calls == {"apply_matrix": slots * 3}  # three chunks
-
-
 def test_adjoint_sweep_gathers_no_rows(monkeypatch):
     plan = _diagonal_plan()
     params = np.random.default_rng(6).normal(size=(3, 2, plan.num_parameters))
@@ -134,4 +121,6 @@ def test_adjoint_sweep_gathers_no_rows(monkeypatch):
         _counting(monkeypatch, ArrayBackend, name, calls)
     grads = megabatch_adjoint_gradient(plan, total_z(3), list(params))
     assert calls == {}
-    assert np.array_equal(np.concatenate(grads), np.array(want))
+    # Each layer's three rotation slots fuse in the forward pass.
+    assert oracles.fuses(plan)
+    oracles.assert_oracle_match(np.concatenate(grads), np.array(want), fused=True)

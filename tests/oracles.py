@@ -24,6 +24,14 @@ method, one shift-rule execution per shifted vector; that loop lives on
 in :func:`variance_shard`, which ``tests/core/test_variance.py`` holds
 the shape-bucket fold of ``run_variance_shard`` to.
 
+The simulator applies up to three consecutive rotation slots as one
+GEMM by their Kronecker product, which rounds differently from this
+module's gate-by-gate kernels.  Where a circuit's slots form such a group
+(:func:`fuses`), an engine-vs-oracle comparison takes
+:data:`FUSED_ATOL` (:func:`assert_oracle_match`); where none forms, it
+stays bit for bit.  Comparisons of the engine with itself (a plan row
+with its ``run_batch`` row, chunkings, executors) never need it.
+
 Training once advanced one trajectory at a time next to the lock-step
 loop, with a three-way fork in ``ObservableCost.value_and_gradient``;
 that loop lives on in :func:`train_trajectory` (and a panel of it in
@@ -46,6 +54,38 @@ from repro.backend.statevector import Statevector
 from repro.utils.array_api import COMPLEX_DTYPE, FLOAT_DTYPE
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
+
+#: Absolute tolerance of an engine-vs-oracle comparison where rotation
+#: slots fuse.  Complex128 eps is 2.2e-16; the fused amplitudes of 45
+#: random PQCs of 4-12 qubits and 10-30 layers were measured within
+#: 5.9e-16 of :func:`run`.
+FUSED_ATOL = 1e-12
+
+
+def fuses(plan, start: int = 0, stop: Optional[int] = None) -> bool:
+    """Whether the simulator's program for operations ``[start, stop)`` of
+    ``plan`` applies two or more slots in one call."""
+    from repro.backend.simulator import StatevectorSimulator
+
+    if stop is None:
+        stop = len(plan.template.operations)
+    steps = StatevectorSimulator._program(plan, start, stop)[0]
+    return any(
+        hi - lo > 1
+        for kind, _, _, payload in steps
+        if kind == "slot"
+        for lo, hi, _, _ in payload[2]
+    )
+
+
+def assert_oracle_match(actual, desired, fused: bool) -> None:
+    """Engine output against an oracle: within :data:`FUSED_ATOL` where
+    slots fuse, bit for bit where none does."""
+    if fused:
+        np.testing.assert_allclose(actual, desired, rtol=0, atol=FUSED_ATOL)
+    else:
+        assert np.array_equal(actual, desired)
+
 
 # -- 1-D kernels -------------------------------------------------------------
 
