@@ -101,14 +101,15 @@ SMOKE_WIDE = {"num_qubits": 12, "num_layers": 2, "iterations": 2, "restarts": 2}
 
 #: Budget-sweep panels: the paper's six methods x ``restarts`` at each
 #: width, trained for ``iterations`` steps.  Rows per forward pass at
-#: /16 and /32: 24 vs 16, 8 vs 4, 2 vs 1.
+#: /32, /16 and /64: 16, 24 and 8 at 10 qubits; 4, 8 and 2 at 12; 1, 2
+#: and 1 at 14.  The backward pair holds twice as many rows.
 SWEEP_WIDTHS = (
     {"num_qubits": 10, "num_layers": 5, "iterations": 2, "restarts": 4},
     {"num_qubits": 12, "num_layers": 2, "iterations": 2, "restarts": 4},
     {"num_qubits": 14, "num_layers": 2, "iterations": 2, "restarts": 2},
 )
 #: Candidate divisors of ``chunk_bytes``, incumbent first.
-SWEEP_DIVISORS = (16, 32)
+SWEEP_DIVISORS = (32, 16, 64)
 #: Fresh processes per point (alternating between variants), each timing
 #: ``SWEEP_RUNS`` runs after one warm-up run.  Shared with the cap A/B.
 SWEEP_ROUNDS = 5

@@ -24,7 +24,10 @@ single-state code:
   circuit prefix before the first probed parameter once per base row and
   reduces in memory-bounded chunks; ``batch_parameter_shift`` is its
   one-circuit call and ``parameter_shift`` its one-row call;
-* ``megabatch_adjoint_gradient`` runs the one adjoint backward sweep;
+* ``megabatch_adjoint_gradient`` runs the one adjoint sweep, whose
+  final states and adjoint trail are the two halves of one stacked
+  ``(2B, 2**n)`` pair: one kernel call per backward step undoes both,
+  and each slot's derivative is read off a transition matrix;
   ``batch_adjoint_gradient`` is its one-circuit call and
   ``adjoint_gradient`` its one-row call, and the ``*_value_and_gradient``
   variants also return the expectation read off the shared forward pass

@@ -120,7 +120,7 @@ class QuantumCircuit:
         self.num_qubits = num_qubits
         self.operations: List[Operation] = []
         self._num_parameters = 0
-        # Static matrices, unit-diagonal adjoints, plan; see _caches().
+        # The execution plan; see _caches().
         self._cache: Dict[str, object] = {}
         self._cache_key: Optional[Tuple[Operation, ...]] = None
 
@@ -359,49 +359,15 @@ class QuantumCircuit:
             self._cache, self._cache_key = {}, key
         return self._cache
 
-    def static_matrices(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Cached ``{position: (matrix, adjoint)}`` for non-trainable operations.
-
-        Fixed and bound-parameter gates have parameter-independent unitaries,
-        so the adjoint differentiation engines would otherwise rebuild the
-        same matrix and conjugate transpose on every backward sweep of every
-        call — per training iteration, per trajectory.  The cache is built
-        on first use and invalidated whenever the operation sequence no
-        longer compares equal to the one it was built from (appends, and
-        in-place edits of the public ``operations`` list); entries must
-        not be mutated.
-        """
-        cache = self._caches()
-        if "static" not in cache:
-            static: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            units: Dict[int, np.ndarray] = {}
-            for pos, op in enumerate(self.operations):
-                if not op.is_trainable:
-                    matrix = op.matrix(None)
-                    static[pos] = (matrix, matrix.conj().T)
-                    if is_exact_unit_diagonal(op):
-                        units[pos] = np.diagonal(matrix).conj()
-            cache["static"], cache["units"] = static, units
-        return cache["static"]
-
-    def unit_diagonal_adjoints(self) -> Dict[int, np.ndarray]:
-        """Cached ``{position: conjugated diagonal}`` for exact-unit diagonals.
-
-        Covers the non-trainable operations :func:`is_exact_unit_diagonal`
-        accepts (a CZ chain, Z, S).  The adjoint engines undo these with
-        the elementwise kernel, as the forward pass applies them, so the
-        predicate runs once per circuit rather than once per sweep.  Built
-        and invalidated together with :meth:`static_matrices`.
-        """
-        self.static_matrices()
-        return self._cache["units"]
-
     def execution_plan(self) -> MegaBatchPlan:
         """Cached one-circuit :class:`~repro.backend.simulator.MegaBatchPlan`.
 
         The program ``run_batch`` and the one-circuit gradient engines
         execute; compiling it costs about a third of a small batched
-        forward pass.  Invalidated with :meth:`static_matrices`.
+        forward pass, and it keeps the adjoint sweep's compiled program.
+        Rebuilt once the operation sequence no longer compares equal to
+        the one it was built from (appends, and in-place edits of the
+        public ``operations`` list).
         """
         cache = self._caches()
         if "plan" not in cache:

@@ -31,22 +31,27 @@ Adjoint (``megabatch_adjoint_gradient``, ``batch_adjoint_gradient``, ``adjoint_g
     Reverse-mode differentiation through the statevector (Jones & Gacon,
     2020).  One forward pass plus one backward sweep gives the *full*
     gradient of every row in ``O(#gates)`` — the engine used for
-    training.  Each trainable slot builds one per-row adjoint table and
-    one derivative table
-    (:meth:`~repro.backend.simulator.MegaBatchPlan.slot_operands`) and
-    applies each to the whole stack densely, so no row is gathered by
-    gate.  Fixed and
-    bound-parameter gate adjoints are cached on the circuit
-    (:meth:`QuantumCircuit.static_matrices`), so repeated sweeps — one per
-    training iteration — rebuild only the trainable matrices.  Fixed
-    diagonals whose entries are exact units (a CZ chain, Z, S; see
-    :meth:`QuantumCircuit.unit_diagonal_adjoints`) are undone with the
-    elementwise kernel and their conjugated diagonal: multiplying by 0,
-    ±1 or ±i is exact, so the values equal the dense adjoint's.  Other
-    fixed gates, T and bound PHASE included, keep the dense adjoint.
-    ``adjoint_gradient`` is the one-row call.  The ``*_value_and_gradient``
-    variants additionally return the expectation read off the same forward
-    pass, so training loops get loss and full gradient from one execution.
+    training.  The final states ``psi`` and the adjoint trail ``lambda =
+    O psi`` are the two halves of one ``(2B, 2**n)`` pair of buffers,
+    undone together in the qubit axis order each kernel leaves (see
+    :mod:`repro.backend.statevector`) by a backward program compiled
+    once per plan, as the forward chunk loop's is.  Each trainable slot,
+    fixed gate and fused exact-unit diagonal run (a CZ chain, Z, S:
+    undone by its conjugated diagonal, which is exact) is one ``out=``
+    kernel call on both halves, with the kernel the forward pass uses.
+    Each run of trainable slots builds one per-row operand table and one
+    derivative table
+    (:meth:`~repro.backend.simulator.MegaBatchPlan.slot_operands`), so
+    no row is gathered by gate, and each slot's derivative is read off
+    the undone pair as ``2 Re sum_ij G_ij T_ij``: ``G = U^dagger dU``
+    per row, and ``T`` the transition matrix of the two halves on the
+    slot's targets, which lead after the undo: one kernel call per slot.
+    It rounds differently from ``2 Re <lambda| dU |psi>`` in the last
+    bits (kernel version 4).  ``adjoint_gradient`` is the one-row call.
+    The ``*_value_and_gradient`` variants additionally return the
+    expectation read off the same forward pass, so training loops get
+    loss and full gradient from one execution.  The engines need a
+    unitary statevector simulator; a Pauli-transfer one is refused.
 
 ``finite_difference``
     Numerical fallback that works for any gate; used mainly to cross-check
@@ -67,8 +72,18 @@ import numpy as np
 
 from repro.backend.circuit import QuantumCircuit
 from repro.backend.observables import Observable
-from repro.backend.simulator import MegaBatchPlan, StatevectorSimulator
-from repro.backend.statevector import Statevector, apply_diagonal, apply_matrix
+from repro.backend.simulator import (
+    MegaBatchPlan,
+    StatevectorSimulator,
+    _fused_unit_diagonal,
+    _slot_runs,
+)
+from repro.backend.statevector import (
+    Statevector,
+    apply_diagonal,
+    apply_matrix,
+    moved_axes,
+)
 from repro.utils.array_api import FLOAT_DTYPE
 from repro.utils.rng import ensure_rng, resolve_rngs
 
@@ -89,14 +104,16 @@ __all__ = [
 
 GradientFn = Callable[..., np.ndarray]
 
-#: The adjoint sweep keeps three ``(B, 2**n)`` stacks live (the
-#: state, the adjoint trail and the derivative stack) and allocates fresh
-#: ones at every gate, so on numpy it chunks rows against this fraction of
-#: the backend's ``chunk_bytes``: 256 KiB (16 rows at 10 qubits, 4 at 12,
-#: 1 from 14 up).  Picked over 16 by the budget sweep in
+#: The adjoint sweep keeps two ``(2B, 2**n)`` buffers live, its state and
+#: adjoint pair and the spare every step writes (``out=``), so on numpy it
+#: chunks parameter rows against this fraction of the backend's
+#: ``chunk_bytes``: 256 KiB of amplitudes per half (16 rows at 10 qubits,
+#: 4 at 12, 1 from 14 up).  The budget sweep in
 #: ``benchmarks/bench_batched_adjoint.py`` (``BENCH_batched_adjoint.json``,
-#: 10 fresh-process runs per point): 2%, 19% and 17% faster panels at 10,
-#: 12 and 14 qubits, each gap wider than either side's quartile spread.
+#: 10 fresh-process runs per point) kept it against 16 and 64: at 10, 12
+#: and 14 qubits every gap fell inside a side's quartile spread (median
+#: seconds per panel at 32, 16 and 64: 0.134, 0.130 and 0.146 at 10
+#: qubits; 0.227, 0.218 and 0.260 at 12; 0.455, 0.460 and 0.462 at 14).
 _ADJOINT_CHUNK_DIVISOR = 32
 
 
@@ -587,6 +604,113 @@ def adjoint_value_and_gradient(
     )
 
 
+def _adjoint_program(plan: MegaBatchPlan) -> list:
+    """The backward sweep's steps, compiled once per plan (kept in
+    ``plan.programs["adjoint"]``).
+
+    ``plan``'s steps in reverse, each ``(kind, payload)`` undoing its
+    operations on both halves of the sweep's ``(2B, 2**n)`` pair, which
+    starts in canonical order and then holds the order each kernel leaves
+    (see :mod:`repro.backend.statevector`).  A fused exact-unit diagonal
+    run is a ``"diagonal"`` step ``(conjugated diagonal, axes, axes)`` in
+    the current order; another fixed or bound operation is a ``"matrix"``
+    step ``(adjoint, qubits, axes)``, or ``"diagonal"`` with its
+    conjugated diagonal if the gate is diagonal.  A run of trainable slots
+    (:func:`~repro.backend.simulator._slot_runs`) is a ``"slot"`` step
+    ``(positions, param_indices, undo)``: its slots last first, their
+    angles' parameter indices, and one ``(qubits, axes)`` per slot.
+    """
+    program = plan.programs.get("adjoint")
+    if program is not None:
+        return program
+    num_qubits = plan.num_qubits
+    axes = tuple(range(num_qubits))
+    program = []
+    for kind, lo, hi, payload in reversed(_slot_runs(plan.steps)):
+        if kind == "slot":
+            ops = payload[::-1]
+            undo = []
+            for op in ops:
+                undo.append((op.qubits, axes))
+                axes = moved_axes(axes, op.qubits)
+            positions = tuple(range(hi - 1, lo - 1, -1))
+            indices = np.array([op.param_index for op in ops], dtype=np.intp)
+            program.append(("slot", (positions, indices, undo)))
+        elif kind == "fused_diag":
+            run = tuple(plan.template.operations[lo:hi])
+            diagonal = _fused_unit_diagonal(run, num_qubits, axes).conj()
+            program.append(("diagonal", (diagonal, axes, axes)))
+        else:
+            qubits, adjoint = payload.qubits, payload.matrix(None).conj().T
+            if getattr(payload.gate, "is_diagonal", False):
+                program.append(("diagonal", (np.diagonal(adjoint), qubits, axes)))
+            else:
+                program.append(("matrix", (adjoint, qubits, axes)))
+            axes = moved_axes(axes, qubits)
+    plan.programs["adjoint"] = program
+    return program
+
+
+def _slot_derivatives(pair, generator: np.ndarray, backend) -> np.ndarray:
+    """``2 Re sum_ij G_ij T_ij`` per row, from a pair whose slot targets
+    lead: ``G`` is the ``(B, d, d)`` table of ``U^dagger dU/dtheta`` and
+    ``T`` the transition matrix ``T_ij = sum_rest conj(lambda_i) psi_j``
+    of each row's halves (rows ``b`` and ``B + b``), so the sum is
+    ``<lambda| U^dagger dU |psi>`` without applying anything.  On numpy
+    the reductions are two ``np.vecdot`` calls (the first gives
+    ``conj(T)``), per row."""
+    count, dim = generator.shape[:2]
+    if backend.is_numpy:
+        view = pair.reshape(2 * count, dim, -1)
+        conj_transition = np.vecdot(view[:count, None], view[count:, :, None])
+        return 2.0 * np.real(
+            np.vecdot(conj_transition.reshape(count, -1), generator.reshape(count, -1))
+        )
+    view = backend.reshape(pair, (2 * count, dim, -1))
+    transition = backend.matmul(
+        backend.conj(view[count:]), backend.permute(view[:count], (0, 2, 1))
+    )
+    products = backend.asarray(generator, dtype=backend.complex_dtype) * transition
+    totals = backend.sum(backend.reshape(products, (count, -1)), axis=1)
+    return 2.0 * np.real(backend.to_numpy(totals))
+
+
+def _undo_slot_run(
+    plan: MegaBatchPlan, payload: tuple, pair, spare, batch: np.ndarray,
+    rows: np.ndarray, slot_of: dict, grads: np.ndarray, backend,
+):
+    """Undo one run of trainable slots, last first, on both halves of
+    ``pair`` and fill each wanted slot's column of ``grads``.
+
+    The run gets one operand table and, if a slot is wanted, one
+    derivative table (:meth:`MegaBatchPlan.slot_operands`); each slot is
+    one :func:`apply_matrix` call on the stacked rows, whose operand is
+    every row's adjoint twice over, followed by
+    :func:`_slot_derivatives`.  Returns ``(pair, spare)`` for the next
+    step.
+    """
+    positions, param_indices, undo = payload
+    thetas = batch[:, param_indices]
+    adjoint = plan.slot_operands(positions, rows, thetas).conj().swapaxes(-1, -2)
+    wanted = [slot_of.get(index) for index in param_indices.tolist()]
+    if any(slot is not None for slot in wanted):
+        generators = np.matmul(
+            adjoint, plan.slot_operands(positions, rows, thetas, derivative=True)
+        )
+    operands = np.concatenate((adjoint, adjoint))
+    for column, (qubits, axes) in enumerate(undo):
+        apply_matrix(
+            pair, operands[:, column], qubits, plan.num_qubits,
+            backend=backend, out=spare, axes=axes,
+        )
+        pair, spare = spare, pair
+        if wanted[column] is not None:
+            grads[:, wanted[column]] = _slot_derivatives(
+                pair, generators[:, column], backend
+            )
+    return pair, spare
+
+
 def _adjoint_sweep(
     plan: MegaBatchPlan,
     observable: Observable,
@@ -601,13 +725,30 @@ def _adjoint_sweep(
 
     The one sweep every adjoint engine runs; row ``b`` belongs to
     ``plan.circuit(rows[b])``, and ``want_values`` also reads each row's
-    expectation off the forward pass.  Rows never mix (on numpy the inner
-    products stay per-row ``vdot`` calls), so row ``b`` carries the same
-    bits as a one-row sweep.  A non-numpy backend runs the whole sweep
-    on-namespace and keeps the stack whole, to spread launch cost; numpy
-    sweeps wide stacks in row chunks of ``chunk_bytes //
-    _ADJOINT_CHUNK_DIVISOR`` amplitude bytes.
+    expectation off the forward pass.  The final states ``psi`` and the
+    adjoint trail ``lambda = O psi`` are the two halves of one ``(2B,
+    2**n)`` pair of buffers, and the backward pass is
+    :func:`_adjoint_program`: every step is one ``out=`` kernel call that
+    undoes both halves, and each wanted slot's derivative is read off the
+    undone pair (:func:`_slot_derivatives`).  Rows never mix, so row
+    ``b`` carries the same bits as a one-row sweep.  A non-numpy backend
+    keeps the stack whole, to spread launch cost; numpy sweeps wide
+    stacks in row chunks of ``chunk_bytes // _ADJOINT_CHUNK_DIVISOR``
+    amplitude bytes per half.
+
+    Raises
+    ------
+    ValueError
+        If ``simulator`` is not a unitary statevector simulator.
     """
+    if not isinstance(simulator, StatevectorSimulator) or (
+        simulator._REGISTER_FACTOR != 1
+    ):
+        raise ValueError(
+            "adjoint differentiation needs a unitary statevector simulator, "
+            f"got {type(simulator).__name__}; use the parameter-shift or "
+            "finite-difference engine"
+        )
     num_qubits = plan.num_qubits
     b = simulator.backend
     count = batch.shape[0]
@@ -623,49 +764,32 @@ def _adjoint_sweep(
         ]
         values = np.concatenate([v for v, _ in parts]) if want_values else None
         return values, np.concatenate([g for _, g in parts])
-    template = plan.template
-    static = template.static_matrices()
-    unit_adjoints = template.unit_diagonal_adjoints()
-    device = not b.is_numpy
+    program = _adjoint_program(plan)
 
     psi = simulator._run_megabatch_data(plan, batch, rows, initial_state)
     values = observable.expectation_batch(psi) if want_values else None
     lam = observable.apply_batch(psi)
-    if device and type(lam) is np.ndarray:
+    if not b.is_numpy and type(lam) is np.ndarray:
         # The observable fell back to its host implementation; stage the
         # adjoint trail back onto the backend for the backward sweep.
         lam = b.asarray(lam, dtype=b.complex_dtype)
+    pair = b.zeros((2 * count, 2**num_qubits), b.complex_dtype)
+    pair[:count] = psi
+    pair[count:] = lam
+    spare = b.empty_like(pair)
 
     grads = np.zeros((count, len(indices)), dtype=FLOAT_DTYPE)
     slot_of = {index: slot for slot, index in enumerate(indices)}
-    for pos in range(len(template.operations) - 1, -1, -1):
-        op = template.operations[pos]
-        if not op.is_trainable:
-            if pos in unit_adjoints:
-                undo, adjoint = apply_diagonal, unit_adjoints[pos]
-            else:
-                undo, adjoint = apply_matrix, static[pos][1]
-            psi = undo(psi, adjoint, op.qubits, num_qubits, backend=b)
-            lam = undo(lam, adjoint, op.qubits, num_qubits, backend=b)
+    for kind, payload in program:
+        if kind == "slot":
+            pair, spare = _undo_slot_run(
+                plan, payload, pair, spare, batch, rows, slot_of, grads, b
+            )
             continue
-        # Every row's own gate, from one operand table per slot.
-        thetas = batch[:, op.param_index]
-        adjoint = plan.slot_operands(pos, rows, thetas).conj().transpose(0, 2, 1)
-        # Undo the gate: |psi_k> (states before it).
-        psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
-        wanted_slot = slot_of.get(op.param_index)
-        if wanted_slot is not None:
-            d_matrices = plan.slot_operands(pos, rows, thetas, derivative=True)
-            d_psi = apply_matrix(psi, d_matrices, op.qubits, num_qubits, backend=b)
-            if device:
-                grads[:, wanted_slot] = 2.0 * np.real(
-                    b.to_numpy(b.sum(b.conj(lam) * d_psi, axis=1))
-                )
-            else:
-                grads[:, wanted_slot] = [
-                    2.0 * float(np.real(np.vdot(l, d))) for l, d in zip(lam, d_psi)
-                ]
-        lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
+        operand, qubits, axes = payload
+        kernel = apply_matrix if kind == "matrix" else apply_diagonal
+        kernel(pair, operand, qubits, num_qubits, backend=b, out=spare, axes=axes)
+        pair, spare = spare, pair
     if len(slot_of) < len(indices):
         # A repeated index was filled in its last slot only; copy it out.
         grads = grads[:, [slot_of[index] for index in indices]]
@@ -754,12 +878,12 @@ def megabatch_adjoint_gradient(
 
     The mega-batched form of :func:`batch_adjoint_gradient` (which is its
     one-circuit call): one forward pass over every circuit's rows, then a
-    single backward sweep.  Each trainable slot applies one per-row
-    adjoint table and one derivative table of every row's own gate to
-    the whole stack; fixed
-    operations use the plan template's cached static adjoints on the
-    whole stack (exact-unit diagonals elementwise).  Rows evolve
-    independently, so entry ``s`` is bit-identical to
+    single backward sweep.  Each trainable slot undoes every row's own
+    gate from one per-row operand table and reads its derivative with
+    the row's own derivative table; fixed operations are undone by the
+    plan's compiled adjoints on the whole stack (exact-unit diagonals
+    elementwise).  Rows evolve independently, so entry ``s`` is
+    bit-identical to
     ``batch_adjoint_gradient(plan.circuit(s), observable,
     params_batches[s], ...)``.
 

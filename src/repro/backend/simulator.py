@@ -428,8 +428,9 @@ class MegaBatchPlan:
         self._slot_tables(slots, gates, table)
         self.steps = self._compile_steps()
         #: Compiled chunk-loop programs by operation range (see
-        #: :meth:`StatevectorSimulator._program`).
-        self.programs: "Dict[tuple, tuple]" = {}
+        #: :meth:`StatevectorSimulator._program`), and under
+        #: ``"adjoint"`` the adjoint sweep's backward program.
+        self.programs: "Dict[object, object]" = {}
         #: :attr:`codes` columns of each slot run :meth:`slot_operands`
         #: has built, by their positions.
         self._run_codes: "Dict[tuple, np.ndarray]" = {}
@@ -453,26 +454,20 @@ class MegaBatchPlan:
             self.slot_gates[pos] = ([gates[g] for g in present], slot_codes)
 
     def slot_operands(
-        self, pos, rows: np.ndarray, thetas: np.ndarray, derivative: bool = False
+        self, positions: tuple, rows: np.ndarray, thetas: np.ndarray,
+        derivative: bool = False,
     ) -> np.ndarray:
-        """Per-row operand table of trainable slot ``pos``: ``(B, 2**k,
-        2**k)``, row ``i`` the matrix (or, with ``derivative``, the
-        derivative) of circuit ``rows[i]``'s gate at angle ``thetas[i]``.
+        """Per-row operand table of a run of trainable slots, all on ``k``
+        qubits: ``(B, R, 2**k, 2**k)`` for ``R`` slot ``positions`` and
+        ``(B, R)`` ``thetas``, entry ``[i, r]`` the matrix (or, with
+        ``derivative``, the derivative) of circuit ``rows[i]``'s gate in
+        slot ``positions[r]`` at angle ``thetas[i, r]``.
 
-        ``pos`` may also be a tuple of slot positions, all on ``k``
-        qubits, with ``(B, R)`` ``thetas``: the ``(B, R, 2**k, 2**k)``
-        table whose column ``r`` is slot ``pos[r]``'s.  Either way the
-        table takes one batched call per gate of the :attr:`codes` it
+        The table takes one batched call per gate of the :attr:`codes` it
         reads.  Diagonal gates are their matrices too: the slot rule that
         keeps a row's bits its own.
         """
         batch = "derivative_batch" if derivative else "matrix_batch"
-        several = isinstance(pos, tuple)
-        if not several:
-            gates = self.slot_gates[pos][0]
-            if len(gates) == 1:
-                return getattr(gates[0], batch)(thetas)
-        positions = pos if several else (pos,)
         codes = self._run_codes.get(positions)
         if codes is None:
             columns = [self.slot_columns[p] for p in positions]
@@ -488,8 +483,7 @@ class MegaBatchPlan:
             for code in present.tolist():
                 sel = np.flatnonzero(keys == code)
                 table[sel] = getattr(self.gates[code], batch)(thetas[sel])
-        head = codes.shape[1:] if several else ()
-        return table.reshape((len(rows),) + head + table.shape[1:])
+        return table.reshape((len(rows), len(positions)) + table.shape[1:])
 
     def circuit(self, index: int) -> QuantumCircuit:
         """Circuit ``index`` of the bucket: the template with that

@@ -81,9 +81,11 @@ GEMM, and the diagonal the same elementwise multiply, so a row carries
 the canonical kernels' bits in any order on a BLAS build where the GEMM
 of an F-ordered block equals the GEMM of its C-ordered copy
 (``tests/backend/test_axis_order.py`` pins both properties).  The
-mega-batch chunk loop tracks each chunk's order; every other caller
-(adjoint sweeps, observables, Pauli-transfer steps, oracles) runs
-canonical order, and reductions need it, since they sum in index order.
+mega-batch chunk loop tracks each chunk's order, and the adjoint sweep
+its backward pair's, whose derivative reads sum over the axes behind a
+slot's leading targets in the order they hold; every other caller
+(observables, Pauli-transfer steps, oracles) runs canonical order, and
+their reductions need it, since they sum in index order.
 :func:`permute_axes` writes a stack into another order in one copy.
 
 Measurement sampling has a batched form too: :meth:`Statevector.sample_batch`

@@ -33,7 +33,9 @@ __all__ = ["KERNEL_VERSION", "machine_context", "numerics_stamp"]
 #: 2: every trainable slot is one dense GEMM, diagonal gates included.
 #: 3: up to three consecutive rotation slots on the trailing axes are one
 #: GEMM by their Kronecker product.
-KERNEL_VERSION = 3
+#: 4: the adjoint sweep undoes state and adjoint halves in one stacked
+#: call per step and reads each derivative off a transition matrix.
+KERNEL_VERSION = 4
 
 
 def _blas_vendor() -> "str | None":

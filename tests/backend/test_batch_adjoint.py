@@ -11,8 +11,7 @@ Same guarantee families as the batched-execution suite:
   random PQCs (slow-marked property sweep).
 
 Also covered here: the vectorized ``ParametricGate.derivative_batch``
-stacks, the circuit-level static (matrix, adjoint) cache the adjoint
-engines lean on, and which kernel undoes each fixed gate.
+stacks, and which kernel call undoes each step of the backward sweep.
 """
 
 import importlib.util
@@ -40,7 +39,7 @@ from repro.backend import (
 from repro.backend import gradients
 from repro.backend.gradients import megabatch_adjoint_gradient
 from repro.backend.simulator import MegaBatchPlan
-from repro.utils.array_api import DEVICE_ATOL, DEVICE_RTOL
+from repro.utils.array_api import DEVICE_ATOL, DEVICE_RTOL, get_array_backend
 
 
 def _random_pqc(num_qubits, num_layers, seed):
@@ -71,56 +70,6 @@ class TestDerivativeBatch:
         assert np.array_equal(
             plain.derivative_batch(thetas), gate.derivative_batch(thetas)
         )
-
-
-class TestStaticMatrixCache:
-    def test_contains_exactly_the_non_trainable_ops(self):
-        circuit = QuantumCircuit(2).h(0).rx(0).cz(0, 1).ry(1, value=0.4)
-        cache = circuit.static_matrices()
-        assert set(cache) == {0, 2, 3}
-        for pos, (matrix, adjoint) in cache.items():
-            op = circuit.operations[pos]
-            assert np.array_equal(matrix, op.matrix(None))
-            assert np.array_equal(adjoint, op.matrix(None).conj().T)
-
-    def test_cache_reused_until_append(self):
-        circuit = QuantumCircuit(1).h(0)
-        first = circuit.static_matrices()
-        assert circuit.static_matrices() is first
-        circuit.x(0)
-        second = circuit.static_matrices()
-        assert second is not first
-        assert set(second) == {0, 1}
-
-    def test_in_place_operation_edit_invalidates_cache(self):
-        from repro.backend.circuit import Operation
-        from repro.backend.gates import get_gate
-
-        circuit = QuantumCircuit(1).h(0)
-        stale = circuit.static_matrices()
-        circuit.operations[0] = Operation(get_gate("X"), (0,))
-        fresh = circuit.static_matrices()
-        assert fresh is not stale
-        assert np.array_equal(fresh[0][0], get_gate("X").matrix())
-
-    def test_copy_gets_its_own_cache(self):
-        circuit = QuantumCircuit(1).h(0)
-        cache = circuit.static_matrices()
-        clone = circuit.copy()
-        assert clone.static_matrices() is not cache
-        assert set(clone.static_matrices()) == {0}
-
-    def test_unit_diagonal_adjoints_cover_the_exact_unit_diagonals(self):
-        circuit = QuantumCircuit(3).cz(0, 1).s(2).t(0).z(1).rz(2).h(0)
-        circuit.append("PHASE", (1,), value=np.pi / 2)
-        units = circuit.unit_diagonal_adjoints()
-        assert set(units) == {0, 1, 3}  # CZ, S and Z; not T, RZ, H, PHASE
-        for pos, diagonal in units.items():
-            adjoint = circuit.static_matrices()[pos][1]
-            assert np.array_equal(diagonal, np.diagonal(adjoint))
-        assert circuit.unit_diagonal_adjoints() is units
-        circuit.s(0)
-        assert set(circuit.unit_diagonal_adjoints()) == {0, 1, 3, 7}
 
 
 class TestBatchAdjointBitIdentity:
@@ -314,11 +263,14 @@ def _backends():
 
 
 class TestFixedAdjointRouting:
-    """Fixed diagonals with exact-unit entries (CZ, Z, S) are undone with
-    the elementwise kernel; T, H and CX keep the dense adjoint.  Rows
-    equal the sequential oracle on numpy to ``oracles.FUSED_ATOL`` (the
-    forward pass fuses each rotation layer; to device tolerance
-    elsewhere); 20 rows at 10 qubits cross the 16-row adjoint chunk."""
+    """The backward sweep undoes the state and adjoint halves together.
+    Per row chunk it makes one diagonal call per fused exact-unit run
+    (the CZ chain with the S after it, and Z), one call per other fixed
+    gate (T elementwise, H and CX dense) and one dense call per trainable
+    slot, each on the chunk's ``2 x rows`` stacked rows, and no
+    ``np.vdot``.  Rows equal the sequential oracle on numpy to
+    ``oracles.FUSED_ATOL`` (to device tolerance elsewhere); 20 rows at
+    10 qubits cross the numpy adjoint chunk."""
 
     NUM_QUBITS = 10
 
@@ -335,42 +287,89 @@ class TestFixedAdjointRouting:
 
     @pytest.fixture()
     def undo_calls(self, monkeypatch):
-        calls = []
+        calls, vdots = [], []
 
         def spy(kind, kernel):
             def wrapper(state, operand, qubits, *args, **kwargs):
-                calls.append((kind, tuple(qubits), np.asarray(operand)))
+                calls.append(
+                    (kind, tuple(qubits), np.asarray(operand),
+                     int(state.shape[0]), kwargs.get("axes"))
+                )
                 return kernel(state, operand, qubits, *args, **kwargs)
 
             return wrapper
 
+        def vdot(*args):
+            vdots.append(args)
+            return original_vdot(*args)
+
+        original_vdot = np.vdot
         monkeypatch.setattr(
             gradients, "apply_matrix", spy("dense", gradients.apply_matrix)
         )
         monkeypatch.setattr(
             gradients, "apply_diagonal", spy("diagonal", gradients.apply_diagonal)
         )
-        return calls
+        monkeypatch.setattr(np, "vdot", vdot)
+        return calls, vdots
 
-    def _assert_routing(self, circuit, calls):
-        def undone(kind, op, operand):
-            return sum(
-                1 for k, qubits, a in calls
-                if k == kind and qubits == op.qubits and np.array_equal(a, operand)
+    def _fixed_undos(self, circuit):
+        """``(kind, qubits, operand)`` of each fixed step the sweep undoes:
+        T, H and CX by their own adjoints, and each run of CZ, S and Z by
+        its conjugated full-space diagonal in canonical order (built with
+        the oracle's kernel; ``None`` qubits: applied in the call's axis
+        order)."""
+        ops = circuit.operations
+        undos = [
+            ("diagonal", ops[20].qubits, np.diagonal(ops[20].matrix(None)).conj()),
+            ("dense", ops[21].qubits, ops[21].matrix(None).conj().T),
+            ("dense", ops[22].qubits, ops[22].matrix(None).conj().T),
+        ]
+        for run in (ops[10:20], ops[23:24]):
+            assert {op.gate.name for op in run} <= {"CZ", "S", "Z"}
+            diagonal = np.ones(2**self.NUM_QUBITS, dtype=complex)
+            for op in run:
+                diagonal = oracles.apply_diagonal_1d(
+                    diagonal, np.diagonal(op.matrix(None)), op.qubits,
+                    self.NUM_QUBITS,
+                )
+            undos.append(("diagonal", None, diagonal.conj()))
+        return undos
+
+    def _assert_routing(self, circuit, undo_calls, rows, backend_name):
+        calls, vdots = undo_calls
+        assert vdots == []
+        shape = (2,) * self.NUM_QUBITS
+
+        def undoes(call, kind, qubits, operand):
+            call_kind, call_qubits, call_operand, _, axes = call
+            if qubits is None:
+                qubits = tuple(axes)
+                operand = operand.reshape(shape).transpose(axes).reshape(-1)
+            return (
+                call_kind == kind
+                and call_qubits == qubits
+                and np.array_equal(call_operand, operand)
             )
 
-        for op in circuit.operations:
-            if op.is_trainable:
-                continue
-            adjoint = op.matrix(None).conj().T
-            dense, diagonal = (
-                undone("dense", op, adjoint),
-                undone("diagonal", op, np.diagonal(adjoint)),
-            )
-            if op.gate.name in ("CZ", "Z", "S"):
-                assert diagonal > 0 and dense == 0, op
-            else:
-                assert dense > 0 and diagonal == 0, op
+        chunk = 2**30  # device backends keep the stack whole
+        if backend_name == "numpy":
+            chunk = get_array_backend("numpy").chunk_bytes
+            chunk //= gradients._ADJOINT_CHUNK_DIVISOR * 16 * 2**self.NUM_QUBITS
+        chunks = -(-rows // chunk)
+        fixed = self._fixed_undos(circuit)
+        for step in fixed:
+            found = [call for call in calls if undoes(call, *step)]
+            # One call per chunk, together undoing both halves of every row.
+            assert len(found) == chunks, step
+            assert sum(call[3] for call in found) == 2 * rows
+        slots = [call for call in calls if call[0] == "dense" and call[2].ndim == 3]
+        assert len(slots) == circuit.num_parameters * chunks
+        for _, _, operand, stacked, _ in slots:
+            # Each row's adjoint, once per half.
+            assert operand.shape == (stacked, 2, 2)
+            assert np.array_equal(operand[: stacked // 2], operand[stacked // 2 :])
+        assert len(calls) == (circuit.num_parameters + len(fixed)) * chunks
 
     def _check(self, backend_name, result, expected):
         if backend_name == "numpy":
@@ -392,7 +391,7 @@ class TestFixedAdjointRouting:
             circuit, observable, params,
             simulator=StatevectorSimulator(backend=backend_name),
         )
-        self._assert_routing(circuit, undo_calls)
+        self._assert_routing(circuit, undo_calls, rows, backend_name)
         for b in range(rows):
             value, grad = oracles.adjoint_value_and_gradient(
                 circuit, observable, params[b]
@@ -415,7 +414,7 @@ class TestFixedAdjointRouting:
             MegaBatchPlan(circuits), observable, batches,
             simulator=StatevectorSimulator(backend=backend_name),
         )
-        self._assert_routing(circuits[0], undo_calls)
+        self._assert_routing(circuits[0], undo_calls, rows, backend_name)
         for circuit, batch, block in zip(circuits, batches, blocks):
             for params, grad in zip(batch, block):
                 self._check(

@@ -185,15 +185,21 @@ class TestExecutionPlan:
     def test_in_place_edit_drops_the_plan(self):
         circuit = QuantumCircuit(2).rx(0).cz(0, 1)
         plan = circuit.execution_plan()
-        static = circuit.static_matrices()
         circuit.operations[1] = Operation(get_gate("CX"), (0, 1))
         assert circuit.execution_plan() is not plan
-        assert circuit.static_matrices() is not static
         params = np.array([0.4])
         assert np.array_equal(
             StatevectorSimulator().run(circuit, params).data,
             StatevectorSimulator().run(circuit.copy(), params).data,
         )
+
+
+    def test_copy_gets_its_own_plan(self):
+        circuit = QuantumCircuit(1).h(0).rx(0)
+        plan = circuit.execution_plan()
+        clone = circuit.copy()
+        assert clone.execution_plan() is not plan
+        assert clone.execution_plan().template is clone
 
 
 class TestPaperConfiguration:

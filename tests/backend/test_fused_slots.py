@@ -125,7 +125,8 @@ def test_factor_stack_shape_is_checked():
 
 
 def test_run_operands_are_the_slot_operands():
-    """One table for a run of slots equals each slot's own table."""
+    """One table for a run of slots holds each row's own gate at its
+    angle, as that gate's batched call gives it."""
     circuits = [RandomPQC(4, 2, seed=s).build() for s in range(5)]
     plan = MegaBatchPlan(circuits)
     rows = np.array([0, 3, 1, 4, 2, 2, 0])
@@ -137,10 +138,10 @@ def test_run_operands_are_the_slot_operands():
         table = plan.slot_operands(positions, rows, thetas, derivative=derivative)
         assert table.shape == (rows.size, len(positions), 2, 2)
         for column, pos in enumerate(positions):
-            assert np.array_equal(
-                table[:, column],
-                plan.slot_operands(pos, rows, thetas[:, column], derivative=derivative),
-            )
+            for i, row in enumerate(rows):
+                gate = circuits[row].operations[pos].gate
+                own = gate.derivative_batch if derivative else gate.matrix_batch
+                assert np.array_equal(table[i, column], own(thetas[i, column])[0])
 
 
 def _counting(monkeypatch, owner, name, calls):

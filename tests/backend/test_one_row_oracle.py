@@ -13,7 +13,9 @@ full-width GEMM disagree, these tests fail instead of the library
 silently switching layouts.  A circuit whose rotation slots fuse into
 one Kronecker GEMM is held to ``oracles.FUSED_ATOL`` instead
 (``oracles.assert_oracle_match``); the hardware-efficient ansatz forms
-no group and stays bit for bit.
+no group and stays bit for bit.  Adjoint gradients take the tolerance
+on every circuit: the sweep reads each derivative off a transition
+matrix, not the oracle's derivative stack and inner product.
 """
 
 import importlib.util
@@ -303,14 +305,14 @@ class TestGradients:
             "repeated": [1, last, 1],
         }[param_indices]
         for observable in _observables(circuit.num_qubits).values():
-            _match(
-                circuit,
+            oracles.assert_oracle_match(
                 adjoint_gradient(
                     circuit, observable, params, param_indices=indices
                 ),
                 oracles.adjoint_gradient(
                     circuit, observable, params, param_indices=indices
                 ),
+                fused=True,
             )
 
     def test_adjoint_value_and_gradient(self, circuit):
@@ -320,8 +322,11 @@ class TestGradients:
             expected_value, expected_grads = oracles.adjoint_value_and_gradient(
                 circuit, observable, params
             )
+            # The value is the forward pass's; the sweep reads gradients
+            # off transition matrices, which round unlike the oracle's
+            # derivative stack and inner product.
             _match(circuit, value, expected_value)
-            _match(circuit, grads, expected_grads)
+            oracles.assert_oracle_match(grads, expected_grads, fused=True)
 
     def test_analytic_parameter_shift(self, circuit):
         params = _params(circuit, seed=9)

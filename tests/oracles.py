@@ -29,8 +29,12 @@ GEMM by their Kronecker product, which rounds differently from this
 module's gate-by-gate kernels.  Where a circuit's slots form such a group
 (:func:`fuses`), an engine-vs-oracle comparison takes
 :data:`FUSED_ATOL` (:func:`assert_oracle_match`); where none forms, it
-stays bit for bit.  Comparisons of the engine with itself (a plan row
-with its ``run_batch`` row, chunkings, executors) never need it.
+stays bit for bit.  Adjoint gradients take it on every circuit: the
+library's sweep undoes the state and adjoint halves as one stacked pair
+and reads each derivative off a transition matrix, where
+:func:`adjoint_gradient` here applies the derivative and takes an inner
+product.  Comparisons of the engine with itself (a plan row with its
+``run_batch`` row, chunkings, executors) never need it.
 
 Training once advanced one trajectory at a time next to the lock-step
 loop, with a three-way fork in ``ObservableCost.value_and_gradient``;
@@ -56,9 +60,9 @@ from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
 #: Absolute tolerance of an engine-vs-oracle comparison where rotation
-#: slots fuse.  Complex128 eps is 2.2e-16; the fused amplitudes of 45
-#: random PQCs of 4-12 qubits and 10-30 layers were measured within
-#: 5.9e-16 of :func:`run`.
+#: slots fuse, and of every adjoint gradient.  Complex128 eps is 2.2e-16;
+#: the fused amplitudes of 45 random PQCs of 4-12 qubits and 10-30 layers
+#: were measured within 5.9e-16 of :func:`run`.
 FUSED_ATOL = 1e-12
 
 
@@ -278,7 +282,6 @@ def _adjoint_sweep(
     """Sequential adjoint forward pass + backward sweep."""
     wanted = set(indices)
     num_qubits = circuit.num_qubits
-    static = circuit.static_matrices()
 
     # Forward pass.
     final_state = run(circuit, params, initial_state)
@@ -289,10 +292,7 @@ def _adjoint_sweep(
     grads_by_index = {}
     for pos in range(len(circuit.operations) - 1, -1, -1):
         op = circuit.operations[pos]
-        if op.is_trainable:
-            adjoint = op.matrix(params).conj().T
-        else:
-            adjoint = static[pos][1]
+        adjoint = op.matrix(params).conj().T
         # Undo this gate: |psi_k> (state before the gate).
         psi = apply_matrix_1d(psi, adjoint, op.qubits, num_qubits)
         if op.is_trainable and op.param_index in wanted:
